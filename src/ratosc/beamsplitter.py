@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _log_binomial(k: int, r: int) -> float:
     r = min(r, k - r)  # bitwise-identical result for r and k-r
     return lgamma(k + 1) - lgamma(r + 1) - lgamma(k - r + 1)
@@ -113,8 +116,11 @@ def linear_entropy(out: OutputState) -> EntropyResult:
     The reduced-state matrix elements are inner products of shifted columns
     of G; all sums run to the truncation K, and twice the dropped
     coefficient mass bounds the truncation error of the purity
-    (Cauchy-Schwarz), reported as error_bound.  A value within that bound
-    below zero is clamped to zero.
+    (Cauchy-Schwarz).  error_bound adds to that a rounding term
+    4 (K+1) ln(K+2) eps times the purity sum: the table entries carry the
+    rounding of log-space binomials as large as K ln K, and each inner
+    product sums K+1 of their products.  A value within that bound below
+    zero is clamped to zero.
     """
     K = out.K
     cols = [out.g[r:, r] for r in range(K + 1)]  # G(r+kappa, r) over kappa
@@ -127,7 +133,8 @@ def linear_entropy(out: OutputState) -> EntropyResult:
             inner = abs(np.vdot(v2[:n], v1[:n])) ** 2
             purity += inner if r1 == r2 else 2.0 * inner
     value = 1.0 - purity
-    bound = 2.0 * out.tail_mass + 1e-13
+    rounding = 4.0 * (K + 1) * math.log(K + 2) * _EPS * purity
+    bound = 2.0 * out.tail_mass + 1e-13 + rounding
     if -bound <= value < 0.0:
         value = 0.0
     return EntropyResult(float(value), float(bound))

@@ -21,7 +21,7 @@ from . import beamsplitter as bs
 from . import coherent as co
 from . import observables as ob
 from . import system as sy
-from .specfun import NumericalError, SignedLog, hermite_phi, integrate, log_pochhammer
+from .specfun import NumericalError, SignedLog, hermite_phi, integrate, log_pochhammer, phi_rows
 
 __all__ = ["main", "run", "RunConfig", "UsageError"]
 
@@ -331,6 +331,8 @@ def _selftest() -> int:
 
     check("oscillator function normalisation",
           abs(hermite_phi(0, 0.0) - math.pi ** -0.25) < 1e-15)
+    check("oscillator-function rows past the Gaussian underflow",
+          abs(phi_rows([2600], [50.0])[2600][0] - hermite_phi(2600, 50.0)) < 1e-13)
 
     gauss = integrate(lambda u: math.exp(-u * u), -8.0, 8.0, 1e-12)
     check("gaussian quadrature", abs(gauss.value - math.sqrt(math.pi)) < 1e-12)

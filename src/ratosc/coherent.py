@@ -71,6 +71,8 @@ class CoherentSpec:
         if self.mu not in lowest_weights(self.m):
             raise ValueError(f"mu = {self.mu} is not a lowest weight for m = {self.m}")
         object.__setattr__(self, "z", complex(self.z))
+        if not cmath.isfinite(self.z):
+            raise ValueError(f"z must be finite, got {self.z!r}")
 
     @property
     def abs_z(self) -> float:
@@ -354,7 +356,9 @@ def cat_coefficients(spec: CoherentSpec, parity: str, normalize: bool = True,
     For real z > 0 the two components share magnitudes and differ by the
     sign (-1)^k, so the combination keeps only even or only odd k; the
     discarded entries are exactly zero.  Without normalisation the squared
-    norm is 1 +- D (component overlap); with it the vector is unit norm.
+    norm is 1 +- D (component overlap); with it the retained entries plus
+    the tail bound have unit norm.  The odd cat keeps at least one odd
+    entry however small |z| is.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -362,18 +366,23 @@ def cat_coefficients(spec: CoherentSpec, parity: str, normalize: bool = True,
         raise ValueError("cat states are built for real z >= 0")
     if parity == "odd" and spec.z == 0:
         raise ValueError("odd cat state at z = 0 is the zero vector")
-    coeffs = coefficients(spec, tail_tol)
     keep = 0 if parity == "even" else 1
+    coeffs = coefficients(spec, tail_tol, min_index=keep)
     entries = np.where(np.arange(len(coeffs.entries)) % 2 == keep,
                        coeffs.entries * math.sqrt(2.0), 0.0 + 0.0j)
+    tail = 2.0 * coeffs.tail_mass  # bounds the dropped mass of either parity
     if normalize:
-        if spec.variant == "nonlinear":
-            d = overlap(spec.m, spec.mu, spec.abs_z)
-        else:
-            d = math.exp(-spec.abs_z ** 2)  # oscillator-like component overlap
-        scale = 1.0 / math.sqrt(1.0 + d if parity == "even" else 1.0 - d)
-        entries = entries * scale
-    return CoefficientVector(spec, entries, coeffs.tail_mass)
+        # the norm of the retained entries plus the tail, scaled by the
+        # largest entry: 1 - D rounds to 0 for the odd cat at tiny |z|,
+        # while the odd entries themselves stay representable
+        peak = float(np.max(np.abs(entries)))
+        if peak == 0.0:
+            raise ValueError(f"{parity} cat state underflows at |z| = {spec.abs_z!r}")
+        scaled_tail = (math.sqrt(tail) / peak) ** 2
+        scaled_sq = float(np.sum(np.abs(entries / peak) ** 2)) + scaled_tail
+        entries = entries / (peak * math.sqrt(scaled_sq))
+        tail = scaled_tail / scaled_sq
+    return CoefficientVector(spec, entries, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,17 @@ _LOG_FLOOR = math.log(1e-35)
 # exp() overflows above this; to_float saturates to +-inf instead of raising.
 _LOG_HUGE = math.log(8.98846567431158e307)
 
+# phi_rows: exp(-x^2/2) below exp(-700) (a normal double) is kept as a log
+# offset.  Offset points are rescaled by exp(460.5) ~ 1e200 every 8 orders,
+# which cannot overflow while each order grows values by at most
+# sqrt(2)|x| + 1 <= 1.5e6; 460.5 is exact in binary, so raising the offset
+# adds no rounding error however often it happens.
+_PHI_LOG_START_MIN = -700.0
+_PHI_LOG_RESCALE = 460.5
+_PHI_RESCALE = math.exp(_PHI_LOG_RESCALE)
+_PHI_RESCALE_EVERY = 8
+_PHI_X_ZERO = 1e6
+
 
 class NumericalError(RuntimeError):
     """An iterative numerical procedure failed to converge.
@@ -142,7 +153,7 @@ def hermite(n: int, x):
 
     Evaluated with the three-term recurrence H_{n+1} = 2x H_n - 2n H_{n-1}.
     Overflows to +-inf for large n*x; anything needing high order goes
-    through the normalised oscillator functions (hermite_phi) instead.
+    through the normalised oscillator functions (phi_rows) instead.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -191,12 +202,13 @@ def mod_hermite(n: int, x, derivative_order: int = 0):
 
 def hermite_phi(n: int, x: float) -> float:
     """Normalised oscillator eigenfunction
-    phi_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)).
+    phi_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)), one point at a time.
 
-    Uses the normalised recurrence
-    phi_{n+1} = x sqrt(2/(n+1)) phi_n - sqrt(n/(n+1)) phi_{n-1}
-    with dynamic rescaling, so the value stays finite and accurate even
-    deep in the tunnelling region (n <= 1e4, |x| <= 50).
+    The scalar reference for :func:`phi_rows`: the same normalised
+    recurrence, run for one point with its own dynamic rescaling, so the
+    value stays finite and accurate even deep in the tunnelling region
+    (n <= 1e4, |x| <= 50).  Tests and ``selftest`` use it as the oracle;
+    the library evaluates rows through ``phi_rows``.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -220,35 +232,54 @@ def hermite_phi(n: int, x: float) -> float:
     log_val = offset + math.log(abs(vb))
     if log_val > _LOG_HUGE:  # cannot happen for |phi| <= 1, kept as a guard
         return math.copysign(math.inf, vb)
-    if log_val < -745.0:
-        return math.copysign(0.0, vb)
+    # exp rounds to the nearest subnormal or to 0 below the double range
     return math.copysign(math.exp(log_val), vb)
 
 
 def phi_rows(rows, x) -> dict[int, np.ndarray]:
     """Oscillator functions phi_n on an array of points, for selected n.
 
-    One upward pass of the normalised recurrence, collecting the requested
-    rows.  Restricted to max|x| < 37 so the Gaussian start is representable;
-    every grid built inside this library satisfies that.
+    One upward pass of the normalised recurrence
+    phi_{n+1} = x sqrt(2/(n+1)) phi_n - sqrt(n/(n+1)) phi_{n-1},
+    collecting the requested rows, for any finite x.  Where the Gaussian
+    start exp(-x^2/2) would leave the normal double range (|x| > 37.4) it
+    is carried as a per-point log offset; every few orders the points whose values grew
+    past 1e200 are scaled back and their offset raised to match (Bunck,
+    BIT 49 (2009) 281).  An emitted row folds the offset back in as two
+    factors exp(offset/2), so values below the double range come out as 0.
+    Points with |x| > 1e6 give 0, exact for every order below 1e10.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size and float(np.max(np.abs(x))) > 37.0:
-        raise ValueError("phi_rows requires |x| < 37; use hermite_phi for extreme points")
     wanted = sorted({int(r) for r in rows})
     if wanted and wanted[0] < 0:
         raise ValueError("orders must be >= 0")
-    out: dict[int, np.ndarray] = {}
-    vb = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    x = np.clip(np.asarray(x, dtype=float), -_PHI_X_ZERO, _PHI_X_ZERO)
+    log_start = -0.5 * x * x
+    deep = log_start < _PHI_LOG_START_MIN
+    offset = np.where(deep, log_start, 0.0) if np.any(deep) else None
+    vb = math.pi ** -0.25 * np.exp(log_start if offset is None else log_start - offset)
     va = np.zeros_like(vb)
+
+    def emit(v):
+        if offset is None:
+            return v.copy()
+        half = np.exp(0.5 * offset)
+        return v * half * half
+
+    out: dict[int, np.ndarray] = {}
     if wanted and wanted[0] == 0:
-        out[0] = vb.copy()
+        out[0] = emit(vb)
     n_max = wanted[-1] if wanted else -1
     wanted_set = set(wanted)
     for k in range(n_max):
         va, vb = vb, x * math.sqrt(2.0 / (k + 1)) * vb - math.sqrt(k / (k + 1.0)) * va
+        if offset is not None and k % _PHI_RESCALE_EVERY == 0:
+            big = np.maximum(np.abs(va), np.abs(vb)) > _PHI_RESCALE
+            if np.any(big):
+                va = np.where(big, va / _PHI_RESCALE, va)
+                vb = np.where(big, vb / _PHI_RESCALE, vb)
+                offset = np.where(big, offset + _PHI_LOG_RESCALE, offset)
         if (k + 1) in wanted_set:
-            out[k + 1] = vb.copy()
+            out[k + 1] = emit(vb)
     return out
 
 

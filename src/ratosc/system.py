@@ -186,40 +186,21 @@ def algebra_residual(m: int, nu: int) -> float:
 # eigenfunctions
 # ---------------------------------------------------------------------------
 
-def _phi_rows_any_range(rows, x: np.ndarray) -> dict[int, np.ndarray]:
-    """Oscillator-function rows with no range restriction.
-
-    The vectorised single-pass recurrence handles max|x| < 37; points beyond
-    (possible for states near the nu ~ 1e4 end of the supported range) fall
-    back to the rescaled scalar recurrence, element by element.
-    """
-    if x.size == 0 or float(np.max(np.abs(x))) < 37.0:
-        return phi_rows(rows, x)
-    from .specfun import hermite_phi
-
-    wanted = sorted({int(r) for r in rows})
-    flat = np.atleast_1d(x).ravel()
-    inside = np.abs(flat) < 37.0
-    out = {n: np.empty_like(flat) for n in wanted}
-    if np.any(inside):
-        safe = phi_rows(wanted, flat[inside])
-        for n in wanted:
-            out[n][inside] = safe[n]
-    for idx in np.nonzero(~inside)[0]:
-        for n in wanted:
-            out[n][idx] = hermite_phi(n, float(flat[idx]))
-    return {n: v.reshape(x.shape) for n, v in out.items()}
-
-
 def _rational_factors(m: int, x):
     """The ratio R = P_{m-1}/P_m of modified Hermite polynomials entering
-    the stable eigenfunction form, with its first two derivatives."""
-    p0 = mod_hermite(m, x)
-    p1 = mod_hermite(m, x, 1)
-    p2 = mod_hermite(m, x, 2)
-    q0 = mod_hermite(m - 1, x)
-    q1 = mod_hermite(m - 1, x, 1)
-    q2 = mod_hermite(m - 1, x, 2)
+    the stable eigenfunction form, with its first two derivatives.
+
+    One pass of the all-positive recurrence P_{j+1} = 2x P_j + 2j P_{j-1}
+    yields P_{m-3}..P_m; the derivatives follow from P_n' = 2n P_{n-1}.
+    """
+    # (P_{j-3}, P_{j-2}, P_{j-1}, P_j) at j = 1, with P_n = 0 for n < 0
+    h3 = h2 = x * 0.0
+    h1 = x * 0.0 + 1.0
+    h0 = 2.0 * x
+    for j in range(1, m):
+        h3, h2, h1, h0 = h2, h1, h0, 2.0 * x * h0 + 2.0 * j * h1
+    p0, p1, p2 = h0, 2.0 * m * h1, 4.0 * m * (m - 1) * h2
+    q0, q1, q2 = h1, 2.0 * (m - 1) * h2, 4.0 * (m - 1) * (m - 2) * h3
     r = q0 / p0
     r1 = q1 / p0 - q0 * p1 / (p0 * p0)
     r2 = (q2 / p0 - 2.0 * q1 * p1 / (p0 * p0)
@@ -227,12 +208,29 @@ def _rational_factors(m: int, x):
     return r, r1, r2
 
 
+def _ground_row(m: int, x: np.ndarray, order: int) -> np.ndarray:
+    """The added ground state N exp(-x^2/2)/P_m(x) or one of its first two
+    derivatives."""
+    norm = math.sqrt(2.0 ** m * math.factorial(m) / math.sqrt(math.pi))
+    p0 = mod_hermite(m, x)
+    g = np.exp(-0.5 * x * x) / p0
+    if order == 0:
+        return norm * g
+    h = mod_hermite(m, x, 1) / p0
+    if order == 1:
+        return -norm * (x + h) * g
+    h2 = mod_hermite(m, x, 2) / p0
+    return norm * ((x + h) ** 2 - 1.0 - h2 + h * h) * g
+
+
 class EigenfunctionEvaluator:
     """Position wavefunction of one eigenstate, with analytic derivatives.
 
-    For the added ground state (nu = -m-1) the form exp(-x^2/2)/P_m(x) is
-    used directly.  For nu >= 0 the evaluation runs through the numerically
-    stable two-term combination of normalised oscillator functions
+    A single-state view of :func:`wavefunction_rows`, which holds the
+    formulas.  For the added ground state (nu = -m-1) the form
+    exp(-x^2/2)/P_m(x) is used directly.  For nu >= 0 the evaluation runs
+    through the numerically stable two-term combination of normalised
+    oscillator functions
 
         psi_nu = sqrt((nu+1)/(nu+m+1)) phi_{nu+1}
                + (2m / sqrt(2 (nu+m+1))) (P_{m-1}/P_m) phi_nu,
@@ -245,59 +243,13 @@ class EigenfunctionEvaluator:
 
     def __init__(self, label: StateLabel):
         self.label = label
-        m, nu = label.m, label.nu
-        if nu == -m - 1:
-            self.norm = math.sqrt(2.0 ** m * math.factorial(m) / math.sqrt(math.pi))
-            self.alpha = self.beta = None
-        else:
-            self.alpha = math.sqrt((nu + 1.0) / (nu + m + 1.0))
-            self.beta = 2.0 * m / math.sqrt(2.0 * (nu + m + 1.0))
-            self.norm = None
 
     def __call__(self, x, derivative_order: int = 0):
-        m, nu = self.label.m, self.label.nu
-        scalar = np.isscalar(x)
         xv = np.asarray(x, dtype=float)
-        if nu == -m - 1:
-            out = self._ground(m, xv, derivative_order)
-        else:
-            out = self._excited(m, nu, xv, derivative_order)
-        return float(out) if scalar else out
-
-    def _ground(self, m, x, order):
-        p0 = mod_hermite(m, x)
-        g = np.exp(-0.5 * x * x) / p0
-        if order == 0:
-            return self.norm * g
-        h = mod_hermite(m, x, 1) / p0
-        if order == 1:
-            return -self.norm * (x + h) * g
-        if order == 2:
-            h2 = mod_hermite(m, x, 2) / p0
-            return self.norm * ((x + h) ** 2 - 1.0 - h2 + h * h) * g
-        raise ValueError("derivative_order must be 0, 1 or 2")
-
-    def _excited(self, m, nu, x, order):
-        rows = _phi_rows_any_range({max(nu - 1, 0), nu, nu + 1}, x)
-        ph_n = rows[nu]
-        ph_up = rows[nu + 1]
-        ph_dn = rows[nu - 1] if nu >= 1 else np.zeros_like(ph_n)
-        if m == 0:
-            r = r1 = r2 = np.zeros_like(ph_n)
-        else:
-            r, r1, r2 = _rational_factors(m, x)
-        if order == 0:
-            return self.alpha * ph_up + self.beta * r * ph_n
-        # phi_n' = sqrt(2n) phi_{n-1} - x phi_n ; phi_n'' = (x^2 - 2n - 1) phi_n
-        d_up = math.sqrt(2.0 * (nu + 1)) * ph_n - x * ph_up
-        d_n = math.sqrt(2.0 * nu) * ph_dn - x * ph_n
-        if order == 1:
-            return self.alpha * d_up + self.beta * (r1 * ph_n + r * d_n)
-        if order == 2:
-            dd_up = (x * x - 2.0 * (nu + 1) - 1.0) * ph_up
-            dd_n = (x * x - 2.0 * nu - 1.0) * ph_n
-            return self.alpha * dd_up + self.beta * (r2 * ph_n + 2.0 * r1 * d_n + r * dd_n)
-        raise ValueError("derivative_order must be 0, 1 or 2")
+        flat = xv if xv.ndim < 2 else xv.ravel()
+        lab = self.label
+        out = wavefunction_rows(lab.m, lab.mu, [lab.k], flat, derivative_order)[0]
+        return float(out[0]) if np.isscalar(x) else out.reshape(xv.shape)
 
 
 def wavefunction(label: StateLabel, x, derivative_order: int = 0):
@@ -310,43 +262,41 @@ def wavefunction_rows(m: int, mu: int, ks, x, derivative_order: int = 0) -> np.n
     """Matrix of wavefunctions psi_{mu+(m+1)k}(x) for all requested ladder
     steps k at once, sharing a single oscillator-function recurrence pass.
 
-    Returns an array of shape (len(ks), len(x)).
+    Returns an array of shape (len(ks), len(x)).  With
+    phi_n' = sqrt(2n) phi_{n-1} - x phi_n and phi_n'' = (x^2 - 2n - 1) phi_n
+    the derivatives of the two-term form are exact, like the values.
     """
+    if derivative_order not in (0, 1, 2):
+        raise ValueError("derivative_order must be 0, 1 or 2")
     x = np.asarray(x, dtype=float)
-    ks = list(ks)
-    labels = [StateLabel(m, mu, k) for k in ks]
-    needed: set[int] = set()
-    for lab in labels:
-        if lab.nu >= 0:
-            needed.update({max(lab.nu - 1, 0), lab.nu, lab.nu + 1})
-    rows = _phi_rows_any_range(needed, x) if needed else {}
-    if m > 0 and any(lab.nu >= 0 for lab in labels):
+    nus = [StateLabel(m, mu, k).nu for k in ks]
+    needed = {n for nu in nus if nu >= 0 for n in (max(nu - 1, 0), nu, nu + 1)}
+    rows = phi_rows(needed, x) if needed else {}
+    if m > 0 and needed:
         r, r1, r2 = _rational_factors(m, x)
     else:
-        r = r1 = r2 = np.zeros_like(x)
-    out = np.empty((len(ks), x.size), dtype=float)
-    for i, lab in enumerate(labels):
-        nu = lab.nu
-        ev = EigenfunctionEvaluator(lab)
+        r = r1 = r2 = 0.0
+    out = np.empty((len(nus), x.size), dtype=float)
+    for i, nu in enumerate(nus):
         if nu == -m - 1:
-            out[i] = ev._ground(m, x, derivative_order)
+            out[i] = _ground_row(m, x, derivative_order)
             continue
+        alpha = math.sqrt((nu + 1.0) / (nu + m + 1.0))
+        beta = 2.0 * m / math.sqrt(2.0 * (nu + m + 1.0))
         ph_n = rows[nu]
         ph_up = rows[nu + 1]
-        ph_dn = rows[nu - 1] if nu >= 1 else np.zeros_like(ph_n)
         if derivative_order == 0:
-            out[i] = ev.alpha * ph_up + ev.beta * r * ph_n
+            out[i] = alpha * ph_up + beta * r * ph_n
             continue
+        ph_dn = rows[nu - 1] if nu >= 1 else np.zeros_like(ph_n)
         d_up = math.sqrt(2.0 * (nu + 1)) * ph_n - x * ph_up
         d_n = math.sqrt(2.0 * nu) * ph_dn - x * ph_n
         if derivative_order == 1:
-            out[i] = ev.alpha * d_up + ev.beta * (r1 * ph_n + r * d_n)
-        elif derivative_order == 2:
+            out[i] = alpha * d_up + beta * (r1 * ph_n + r * d_n)
+        else:
             dd_up = (x * x - 2.0 * (nu + 1) - 1.0) * ph_up
             dd_n = (x * x - 2.0 * nu - 1.0) * ph_n
-            out[i] = ev.alpha * dd_up + ev.beta * (r2 * ph_n + 2.0 * r1 * d_n + r * dd_n)
-        else:
-            raise ValueError("derivative_order must be 0, 1 or 2")
+            out[i] = alpha * dd_up + beta * (r2 * ph_n + 2.0 * r1 * d_n + r * dd_n)
     return out
 
 

@@ -132,6 +132,15 @@ def test_entropy_error_bound_tracks_tail():
     assert result.error_bound < 1e-10
 
 
+def test_entropy_rounding_stays_inside_error_bound():
+    # a linearized input stays pure, so only rounding moves the value off 0
+    near_zero = linear_entropy(split(coefficients(CoherentSpec("linearized", 4, -5, 30.0))))
+    assert near_zero.value == 0.0  # -1.2e-13 before the clamp
+    above = linear_entropy(split(coefficients(CoherentSpec("linearized", 4, -5, 35.0))))
+    assert 0.0 <= above.value <= above.error_bound  # 4.1e-13 at K = 811
+    assert above.error_bound < 1e-11
+
+
 def test_entropy_invariant_under_eigenvalue_phase():
     base = CoherentSpec("nonlinear", 4, -5, 1e3)
     rotated = CoherentSpec("nonlinear", 4, -5, 1e3 * cmath.exp(1j * math.pi / 3.0))

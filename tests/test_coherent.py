@@ -235,6 +235,24 @@ def test_cat_validation():
         cat_coefficients(CoherentSpec("nonlinear", 6, -7, 1.0), "sideways")
 
 
+def test_odd_cat_at_tiny_eigenvalue():
+    # 1 - D rounds to 0 here; the norm comes from the retained odd entries
+    for variant in ("nonlinear", "linearized"):
+        for z in (1e-9, 1e-100):
+            odd = cat_coefficients(CoherentSpec(variant, 4, -5, z), "odd")
+            assert np.all(np.isfinite(odd.entries))
+            assert np.all(odd.entries[0::2] == 0.0)
+            assert odd.entries[1] != 0.0
+            assert odd.norm_sq() == pytest.approx(1.0, rel=1e-12)
+            assert odd.tail_mass < 1e-14
+
+
+def test_non_finite_eigenvalue_is_rejected():
+    for z in (math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(ValueError):
+            CoherentSpec("nonlinear", 4, -5, z)
+
+
 def test_odd_cat_density_vanishes_at_origin():
     spec = CoherentSpec("nonlinear", 6, -7, 5.0)
     odd = cat_coefficients(spec, "odd")

@@ -144,9 +144,18 @@ def test_phi_rows_agrees_with_scalar():
         assert np.allclose(rows[n], expected, rtol=1e-12, atol=1e-300)
 
 
-def test_phi_rows_rejects_extreme_points():
-    with pytest.raises(ValueError):
-        phi_rows([0], np.array([40.0]))
+def test_phi_rows_matches_scalar_oracle_past_underflow():
+    # the Gaussian start underflows past |x| = 37.4; the kernel carries it
+    # as a log offset instead of refusing those points
+    x = np.linspace(-60, 60, 241)
+    orders = (0, 1, 5, 100, 1000, 2600, 10_000)
+    rows = phi_rows(orders, x)
+    for n in orders:
+        expected = np.array([hermite_phi(n, xi) for xi in x])
+        assert np.max(np.abs(rows[n] - expected)) < 1e-13
+        assert np.all(rows[n][expected == 0.0] == 0.0)
+    far = phi_rows([0, 7], np.array([-1e300, 2e6, np.inf]))
+    assert np.all(far[0] == 0.0) and np.all(far[7] == 0.0)
 
 
 def test_log_pochhammer():

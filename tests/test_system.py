@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ratosc.specfun import hermite, integrate, mod_hermite, panel_nodes
+from ratosc.specfun import hermite, hermite_phi, integrate, mod_hermite, panel_nodes
 from ratosc.system import (
     DeformedOscillator,
     EigenfunctionEvaluator,
@@ -23,6 +23,7 @@ from ratosc.system import (
     wavefunction,
     wavefunction_rows,
 )
+from ratosc.system import _rational_factors
 
 # spot values frozen from 30-digit evaluations of the quotient form
 PSI_SPOTS = [
@@ -238,7 +239,7 @@ def test_high_order_and_deep_index_support():
         psi, d2 = ev(x), ev(x, 2)
         resid = abs(-d2 + (hamiltonian_potential(4, x) - e) * psi)
         assert resid < 1e-9 * e * max(abs(psi), 1e-300)
-    # array evaluation spans the vectorised and per-element regimes
+    # array evaluation on both sides of the Gaussian underflow at |x| = 37.4
     xs = np.array([5.0, 36.0, 60.0, 120.0])
     assert np.allclose(ev(xs), [ev(float(t)) for t in xs], rtol=1e-12)
 
@@ -249,3 +250,59 @@ def test_hamiltonian_eigen_residuals():
     assert verify_hamiltonian(StateLabel(0, -1, 0), 1e-3) < 1e-12
     with pytest.raises(ValueError):
         verify_hamiltonian(StateLabel(4, -5, 0), 0.5)
+
+
+def _oracle_rows(m, mu, ks, x, order):
+    """The two-term form evaluated point by point on the scalar hermite_phi,
+    with the rational factor from separate modified-Hermite quotients."""
+    out = []
+    for k in ks:
+        nu = mu + (m + 1) * k
+        row = []
+        for t in x:
+            p0, p1, p2 = (mod_hermite(m, t, d) for d in (0, 1, 2))
+            if nu == -m - 1:
+                norm = math.sqrt(2.0 ** m * math.factorial(m) / math.sqrt(math.pi))
+                g, h, h2 = norm * math.exp(-0.5 * t * t) / p0, p1 / p0, p2 / p0
+                row.append([g, -(t + h) * g, ((t + h) ** 2 - 1.0 - h2 + h * h) * g][order])
+                continue
+            q0, q1, q2 = (mod_hermite(m - 1, t, d) for d in (0, 1, 2))
+            r = q0 / p0
+            r1 = q1 / p0 - q0 * p1 / p0 ** 2
+            r2 = q2 / p0 - 2 * q1 * p1 / p0 ** 2 - q0 * p2 / p0 ** 2 + 2 * q0 * p1 ** 2 / p0 ** 3
+            dn, n0, up = (hermite_phi(n, t) if n >= 0 else 0.0 for n in (nu - 1, nu, nu + 1))
+            alpha = math.sqrt((nu + 1.0) / (nu + m + 1.0))
+            beta = 2.0 * m / math.sqrt(2.0 * (nu + m + 1.0))
+            d_up = math.sqrt(2.0 * (nu + 1)) * n0 - t * up
+            d_n = math.sqrt(2.0 * nu) * dn - t * n0
+            dd_up = (t * t - 2.0 * nu - 3.0) * up
+            dd_n = (t * t - 2.0 * nu - 1.0) * n0
+            row.append([alpha * up + beta * r * n0,
+                        alpha * d_up + beta * (r1 * n0 + r * d_n),
+                        alpha * dd_up + beta * (r2 * n0 + 2 * r1 * d_n + r * dd_n)][order])
+        out.append(row)
+    return np.array(out)
+
+
+def test_wavefunction_rows_straddle_underflow_point():
+    # rows up to nu = 999 (turning point 44.7) on a grid through |x| = 37
+    x = np.linspace(-46.0, 46.0, 93)
+    ks = [0, 1, 300, 333]
+    for order in (0, 1, 2):
+        got = wavefunction_rows(2, -3, ks, x, order)
+        expected = _oracle_rows(2, -3, ks, x, order)
+        for g, e in zip(got, expected):
+            assert np.max(np.abs(g - e)) <= 1e-12 * max(np.max(np.abs(e)), 1e-300)
+
+
+def test_rational_factors_match_modified_hermite_quotients():
+    x = np.linspace(-9.0, 9.0, 181)
+    for m in range(2, 13, 2):
+        p0, p1, p2 = (mod_hermite(m, x, d) for d in (0, 1, 2))
+        q0, q1, q2 = (mod_hermite(m - 1, x, d) for d in (0, 1, 2))
+        expected = (q0 / p0,
+                    q1 / p0 - q0 * p1 / (p0 * p0),
+                    (q2 / p0 - 2.0 * q1 * p1 / (p0 * p0)
+                     - q0 * p2 / (p0 * p0) + 2.0 * q0 * p1 * p1 / (p0 * p0 * p0)))
+        for got, want in zip(_rational_factors(m, x), expected):
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
