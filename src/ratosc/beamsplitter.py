@@ -28,11 +28,11 @@ __all__ = [
 
 
 _EPS = float(np.finfo(float).eps)
-
-
-def _log_binomial(k: int, r: int) -> float:
-    r = min(r, k - r)  # bitwise-identical result for r and k-r
-    return lgamma(k + 1) - lgamma(r + 1) - lgamma(k - r + 1)
+# Rows of the skewed table gathered per matrix product in linear_entropy.
+# Larger blocks mean fewer gathers, but two block buffers and the BLAS
+# work space sit in memory beside the (K+1)^2 table: at K = 622, 32-row
+# blocks raised the peak resident size by ~1.2 MB and 16-row ones by ~0.7.
+_PURITY_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +56,18 @@ class OutputState:
 def split(coeffs: CoefficientVector) -> OutputState:
     """Balanced splitting of the input superposition against vacuum.
 
-    Square roots of the binomials are assembled in log space, so rows stay
-    accurate out to k well past 100.  Row norms satisfy
-    sum_r |G(k,r)|^2 = |A_k|^2 exactly (binomial theorem).
+    Square roots of the binomials are assembled in log space from one
+    table of ln j!, so rows stay accurate out to k well past 100.  Row
+    norms satisfy sum_r |G(k,r)|^2 = |A_k|^2 exactly (binomial theorem).
     """
     a = coeffs.entries
     K = len(a) - 1
+    log_fact = np.array([lgamma(j + 1) for j in range(K + 1)])
     g = np.zeros((K + 1, K + 1), dtype=complex)
     for k in range(K + 1):
-        logs = np.array([_log_binomial(k, r) for r in range(k + 1)])
+        r = np.arange(k + 1)
+        r = np.minimum(r, k - r)  # bitwise-identical entries for r and k-r
+        logs = log_fact[k] - log_fact[r] - log_fact[k - r]
         g[k, : k + 1] = a[k] * np.exp(0.5 * logs - 0.5 * k * math.log(2.0))
     return OutputState(g, coeffs.tail_mass)
 
@@ -110,28 +113,52 @@ class EntropyResult:
     error_bound: float
 
 
+def _skew_rows(g: np.ndarray, start: int, out: np.ndarray, conjugate: bool) -> np.ndarray:
+    """Rows start.. of H[kappa, r] = G(r+kappa, r), or of its conjugate, written
+    into the leading rows and columns of out; row kappa is the kappa-th
+    subdiagonal of G, zero past column K - kappa."""
+    rows = min(out.shape[0], g.shape[0] - start)
+    width = g.shape[0] - start
+    h = out[:rows, :width]
+    for i in range(rows):
+        d = g.diagonal(-(start + i))
+        if conjugate:
+            np.conjugate(d, out=h[i, : d.size])
+        else:
+            h[i, : d.size] = d
+        h[i, d.size:] = 0.0
+    return h
+
+
 def linear_entropy(out: OutputState) -> EntropyResult:
     """1 - purity of one output arm after tracing out the other.
 
-    The reduced-state matrix elements are inner products of shifted columns
-    of G; all sums run to the truncation K, and twice the dropped
+    With H[kappa, r] = G(r+kappa, r) the reduced state is rho = H H^H, so the
+    purity is ||H H^H||_F^2.  H is gathered in blocks of 16 rows and
+    each pair of blocks is multiplied once, the off-diagonal pairs counted
+    twice by symmetry; row kappa vanishes past column K - kappa, so a pair
+    multiplies only the columns its later block reaches.  The blocks live
+    in two reused buffers, so no second (K+1) x (K+1) array is formed
+    beside G.  All sums run to the truncation K, and twice the dropped
     coefficient mass bounds the truncation error of the purity
     (Cauchy-Schwarz).  error_bound adds to that a rounding term
     4 (K+1) ln(K+2) eps times the purity sum: the table entries carry the
-    rounding of log-space binomials as large as K ln K, and each inner
-    product sums K+1 of their products.  A value within that bound below
-    zero is clamped to zero.
+    rounding of log-space binomials as large as K ln K, and each entry of
+    rho sums K+1 of their products.  A value within that bound below zero
+    is clamped to zero.
     """
+    g = out.g
     K = out.K
-    cols = [out.g[r:, r] for r in range(K + 1)]  # G(r+kappa, r) over kappa
+    rows = np.empty((_PURITY_BLOCK, K + 1), dtype=complex)
+    conj_rows = np.empty((_PURITY_BLOCK, K + 1), dtype=complex)
     purity = 0.0
-    for r1 in range(K + 1):
-        v1 = cols[r1]
-        for r2 in range(r1, K + 1):
-            v2 = cols[r2]
-            n = min(v1.size, v2.size)
-            inner = abs(np.vdot(v2[:n], v1[:n])) ** 2
-            purity += inner if r1 == r2 else 2.0 * inner
+    for i0 in range(0, K + 1, _PURITY_BLOCK):
+        h_i = _skew_rows(g, i0, rows, conjugate=False)
+        for j0 in range(i0, K + 1, _PURITY_BLOCK):
+            hc_j = _skew_rows(g, j0, conj_rows, conjugate=True)
+            block = h_i[:, : hc_j.shape[1]] @ hc_j.T
+            inner = float(np.vdot(block, block).real)
+            purity += inner if j0 == i0 else 2.0 * inner
     value = 1.0 - purity
     rounding = 4.0 * (K + 1) * math.log(K + 2) * _EPS * purity
     bound = 2.0 * out.tail_mass + 1e-13 + rounding

@@ -21,7 +21,16 @@ from . import beamsplitter as bs
 from . import coherent as co
 from . import observables as ob
 from . import system as sy
-from .specfun import NumericalError, SignedLog, hermite_phi, integrate, log_pochhammer, phi_rows
+from .specfun import (
+    NumericalError,
+    SignedLog,
+    _log_terms,
+    hermite_phi,
+    integrate,
+    log_pochhammer,
+    phi_rows,
+    signed_series,
+)
 
 __all__ = ["main", "run", "RunConfig", "UsageError"]
 
@@ -334,6 +343,20 @@ def _selftest() -> int:
     check("oscillator-function rows past the Gaussian underflow",
           abs(phi_rows([2600], [50.0])[2600][0] - hermite_phi(2600, 50.0)) < 1e-13)
 
+    # the series with no parameters is e^x: its terms are x^k/k!; at x = -30
+    # the alternating sum can only come within eps sum_k |t_k| = eps e^30
+    for x in (700.0, -30.0):
+        logs, signs = _log_terms((), (), math.log(abs(x)), x < 0.0, 1000)
+        exact = np.array([k * math.log(abs(x)) - math.lgamma(k + 1) for k in range(1000)])
+        value = signed_series((), (), x, 1e-14).value
+        if x > 0.0:
+            sum_ok = abs(value.log_mag - x) < 1e-11
+        else:
+            sum_ok = abs(value.to_float() - math.exp(x)) < 16.0 * np.finfo(float).eps * math.exp(-x)
+        check(f"series kernel reproduces e^x at x = {x:g}",
+              float(np.max(np.abs(logs - exact) / np.maximum(np.abs(exact), 1.0))) < 1e-12
+              and np.array_equal(signs, np.sign(x) ** np.arange(1000)) and sum_ok)
+
     gauss = integrate(lambda u: math.exp(-u * u), -8.0, 8.0, 1e-12)
     check("gaussian quadrature", abs(gauss.value - math.sqrt(math.pi)) < 1e-12)
 
@@ -359,6 +382,15 @@ def _selftest() -> int:
                           for k in range(out.K + 1)])
     weights = np.abs(coeffs.entries) ** 2
     check("beamsplitter unitarity", float(np.max(np.abs(row_norms - weights))) < 1e-14)
+
+    # sub-normalised so the entropy sits far from its clamp at 0
+    lin = co.coefficients(co.CoherentSpec("linearized", 2, 1, 5.0))
+    out = bs.split(co.CoefficientVector(lin.spec, 0.8 * lin.entries, lin.tail_mass))
+    cols = [out.g[r:, r] for r in range(out.K + 1)]
+    loop = sum(abs(np.vdot(c2[: min(c1.size, c2.size)], c1[: min(c1.size, c2.size)])) ** 2
+               for c1 in cols for c2 in cols)
+    check(f"blocked purity matches the double loop at K={out.K}",
+          abs(bs.linear_entropy(out).value - (1.0 - loop)) < 1e-14)
 
     d = co.overlap(6, -7, 10.0)
     d_cf = co.overlap_closed_form(6, -7, 10.0)

@@ -24,6 +24,9 @@ from .specfun import (
     HypergeometricSpec,
     NumericalError,
     SignedLog,
+    _first_count,
+    _log_ratio,
+    _log_terms,
     hypergeometric,
     signed_series,
 )
@@ -118,12 +121,25 @@ def series_argument(m: int, abs_z: float) -> float:
 # truncation machinery
 # ---------------------------------------------------------------------------
 
+def _log_series_argument(m: int, abs_z: float) -> float:
+    """ln x = 2 ln|z| - (m+1) ln(2m+2), finite wherever |z| > 0 is, even
+    where x itself under- or overflows a double."""
+    return 2.0 * math.log(abs_z) - (m + 1) * math.log(2 * m + 2)
+
+
 def _log_weight_terms(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
     """Log of the unnormalised weights t_k = |A_k F^{1/2}|^2 up to the
     truncation index K >= min_index, plus the certified relative tail bound.
 
-    The term ratios t_{k+1}/t_k are monotone decreasing once below one, so
-    a geometric majorant bounds the dropped mass.
+    The weights are series terms from the shared log-term kernel: for the
+    nonlinear variant those of F(1; b; x), since the ladder elements obey
+    a^2(nu_{k+1}) = (2m+2)^{m+1} prod_j (b_j + k); for the linearized one
+    those of the series with no parameters at x = |z|^2/2.  Both enter
+    through ln x, so no |z| underflows.  The term ratios t_{k+1}/t_k are
+    monotone decreasing once below one, so a geometric majorant bounds the
+    dropped mass.  NumericalError is raised at once when the weights still
+    grow at index MAX_COEFFICIENTS, and after the terms are computed when
+    the tail bound is not met by then.
     """
     if not 0.0 < tail_tol <= 1e-8:
         raise ValueError("tail_tol must lie in (0, 1e-8]")
@@ -131,32 +147,35 @@ def _log_weight_terms(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
     az = spec.abs_z
     if az == 0.0:
         return np.zeros(min_index + 1), 0.0
-    logs = [0.0]
-    log_sum = 0.0  # log of running sum of t_k
-    z2 = az * az
-
-    def ratio_at(k: int) -> float:
-        # t_{k+1}/t_k for the two variants
-        if spec.variant == "nonlinear":
-            a = ladder_element(m, mu + (m + 1) * (k + 1))
-            return z2 / (a * a)
-        return (0.5 * z2) / (k + 1.0)
-
-    k = 0
+    if spec.variant == "nonlinear":
+        upper, lower = (1.0,), hypergeometric_parameters(m, mu)
+        log_x = _log_series_argument(m, az)
+    else:
+        upper, lower = (), ()
+        log_x = 2.0 * math.log(az) - math.log(2.0)
+    if _log_ratio(upper, lower, log_x, MAX_COEFFICIENTS) >= 0.0:
+        raise NumericalError(
+            f"coefficient weights still grow at the {MAX_COEFFICIENTS}-entry cap")
+    log_tol = math.log(tail_tol)
+    cap = MAX_COEFFICIENTS + 3  # t_0 .. t_{K+2} for the last admissible K
+    count = max(_first_count(log_x, len(lower) + 1 - len(upper), log_tol, cap),
+                min_index + 3)
     while True:
-        r = ratio_at(k)
-        log_next = logs[-1] + math.log(r)
-        if r < 1.0 and k >= min_index:
-            r_after = ratio_at(k + 1)
-            # tail beyond index k is bounded by t_{k+1} / (1 - r_after)
-            log_tail = log_next - math.log1p(-r_after)
-            if log_tail <= math.log(tail_tol) + log_sum:
-                return np.array(logs), math.exp(log_tail - log_sum)
-        logs.append(log_next)
-        log_sum = max(log_sum, log_next) + math.log1p(math.exp(-abs(log_sum - log_next)))
-        k += 1
-        if k > MAX_COEFFICIENTS:
+        logs, _ = _log_terms(upper, lower, log_x, False, count)
+        log_ratio = np.diff(logs)  # ln(t_{k+1}/t_k), k = 0 .. count-2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # the tail beyond index k is bounded by t_{k+1} / (1 - t_{k+2}/t_{k+1})
+            log_tail = logs[1:-1] - np.log1p(-np.exp(log_ratio[1:]))
+        log_sum = np.logaddexp.accumulate(logs[:-2])
+        ok = (log_ratio[:-1] < 0.0) & (log_tail <= log_tol + log_sum)
+        ok[:min_index] = False
+        stops = np.flatnonzero(ok)
+        if stops.size:
+            K = int(stops[0])
+            return logs[:K + 1], math.exp(log_tail[K] - log_sum[K])
+        if count >= cap:
             raise NumericalError("coefficient truncation did not converge")
+        count = min(2 * count, cap)
 
 
 def coefficients(spec: CoherentSpec, tail_tol: float = 1e-14,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .coherent import (
     CoherentSpec,
+    _log_series_argument,
     coefficients,
     evolve,
     hypergeometric_parameters,
@@ -64,7 +65,9 @@ def _factorial_moment(m: int, mu: int, abs_z: float, order: int,
     x = series_argument(m, abs_z)
     num = signed_series((order + 1.0,), tuple(bj + order for bj in b), x, relative_tol).value
     den = signed_series((1.0,), b, x, relative_tol).value
-    pref = SignedLog(1, order * math.log(x) + math.log(math.factorial(order)))
+    # ln x from |z|: x itself underflows to 0 for |z| below ~1e-160
+    pref = SignedLog(1, order * _log_series_argument(m, abs_z)
+                     + math.log(math.factorial(order)))
     for bj in b:
         pref = pref / log_pochhammer(bj, order)
     return (pref * (num / den)).to_float()
@@ -116,13 +119,16 @@ def mandel_q(spec: CoherentSpec, method: str = "closed_form",
 
     Zero marks Poisson statistics, negative sub-Poissonian.  The value at
     z = 0 is defined as the limit 0; the linearized variant is identically
-    Poissonian, so its closed form returns exactly 0.
+    Poissonian, so its closed form returns exactly 0.  Q = O(<N>) as
+    |z| -> 0, so where <N> underflows to 0 the value is that limit, 0.
     """
     if spec.abs_z == 0.0:
         return 0.0
     if method == "closed_form" and spec.variant == "linearized":
         return 0.0
     n1, n2 = number_moments(spec, method, tail_tol, relative_tol)
+    if n1 == 0.0:
+        return 0.0
     return (n2 - n1 * n1) / n1
 
 

@@ -338,44 +338,119 @@ class SeriesResult:
     terms: int
 
 
+def _ratio_factors(upper, lower, k):
+    """prod_i (a_i + k) / ((k+1) prod_j (b_j + k)): the term ratio of the
+    pFq series without its argument, for a scalar or an array of k."""
+    num = 1.0
+    for a in upper:
+        num = num * (a + k)
+    den = k + 1.0
+    for b in lower:
+        den = den * (b + k)
+    return num / den
+
+
+def _log_ratio(upper, lower, log_x: float, k: int) -> float:
+    """ln|t_{k+1}/t_k| of the series in :func:`_log_terms`, at one index."""
+    factor = abs(_ratio_factors(upper, lower, float(k)))
+    return log_x + math.log(factor) if factor > 0.0 else -math.inf
+
+
+def _log_terms(upper, lower, log_x: float, negative: bool, count: int):
+    """ln|t_k| and sign(t_k) for k = 0..count-1 of the series sum_k t_k with
+    t_0 = 1 and t_{k+1}/t_k = x prod_i (a_i + k) / ((k+1) prod_j (b_j + k)).
+
+    The argument enters as ln|x| and its sign, so an |x| beyond the double
+    range costs nothing; ln|t_k| is the running sum of the log ratios.  The
+    caller keeps count at or below the first zero term of a terminating
+    series.
+    """
+    ratio = _ratio_factors(upper, lower, np.arange(count - 1, dtype=float))
+    logs = np.empty(count)
+    logs[0] = 0.0
+    np.cumsum(np.log(np.abs(ratio)) + log_x, out=logs[1:])
+    signs = np.ones(count)
+    if negative or any(c < 0.0 for c in (*upper, *lower)):
+        flips = np.sign(ratio)
+        if negative:
+            flips = -flips
+        np.cumprod(flips, out=signs[1:])
+    return logs, signs
+
+
+def _first_count(log_x: float, slope: int, log_tol: float, cap: int) -> int:
+    """Terms to compute in a first pass: the peak index |x|^{1/slope} of a
+    series whose term ratio falls like x / k^slope, plus a Gaussian tail
+    of width sqrt(k_peak / slope) down to the tolerance exp(log_tol)
+    (3 sqrt(digits) widths against the 2.15 sqrt(digits) of the Gaussian
+    itself, since the terms past the peak fall more slowly than it).
+    Callers double the count when it falls short."""
+    if slope < 1:
+        return min(64, cap)
+    k_peak = math.exp(min(log_x / slope, math.log(cap)))
+    width = math.sqrt(k_peak / slope + 1.0)
+    digits = -log_tol / math.log(10.0)
+    return min(int(k_peak + 3.0 * math.sqrt(digits) * width) + 32, cap)
+
+
+def _scaled_sum(scaled: float, log_mag: float) -> SignedLog:
+    """A sum held as its value scaled by the largest term, with its log."""
+    if scaled == 0.0:
+        return SignedLog.ZERO
+    return SignedLog(1 if scaled > 0.0 else -1, float(log_mag))
+
+
 def signed_series(upper, lower, x: float, relative_tol: float = 1e-12,
                   max_terms: int = MAX_SERIES_TERMS) -> SeriesResult:
-    """Sum the pFq series by forward term recurrence in signed-log arithmetic.
+    """Sum the pFq series from its log-term array.
 
     The argument may be negative (alternating series); public callers that
-    promise x >= 0 go through :func:`hypergeometric`.  Summation stops only
-    after the running term ratio drops below one AND the current term is
-    below relative_tol times the accumulated sum (or negligibly small
-    against the largest term seen), which prevents premature truncation in
-    the regime where terms first grow by many orders of magnitude.
+    promise x >= 0 go through :func:`hypergeometric`.  The terms come from
+    :func:`_log_terms` and are summed once, scaled by the largest of them;
+    a SignedLog is built only for the result.  Summation stops at the first
+    term t_j whose ratio t_j/t_{j-1} is below one in magnitude AND that is
+    below relative_tol times the running sum (or negligibly small against
+    the largest term so far), which prevents premature truncation in the
+    regime where terms first grow by many orders of magnitude; a zero upper
+    factor ends the series.  ``terms`` counts the terms up to the stopping
+    index.
+
+    A series that does not terminate and whose terms still grow at index
+    max_terms raises NumericalError before any term is computed.
     """
-    total = SignedLog.ONE
     if x == 0.0:
-        return SeriesResult(total, 1)
-    term = SignedLog.ONE
-    peak = 0.0
-    for k in range(max_terms):
-        num = x
-        for a in upper:
-            num *= a + k
-        den = k + 1.0
-        for b in lower:
-            den *= b + k
-        ratio = num / den
-        if ratio == 0.0:  # a zero upper factor terminates the series
-            return SeriesResult(total, k + 1)
-        term = term * SignedLog.from_float(ratio)
-        total = total + term
-        peak = max(peak, term.log_mag)
-        if abs(ratio) < 1.0:
-            if total.sign != 0 and term.log_mag < total.log_mag + math.log(relative_tol):
-                return SeriesResult(total, k + 2)
-            if term.log_mag < peak + _LOG_FLOOR:
-                return SeriesResult(total, k + 2)
-    raise NumericalError(
-        f"hypergeometric series did not converge within {max_terms} terms",
-        best=None if total.sign == 0 else total.to_float(),
-    )
+        return SeriesResult(SignedLog.ONE, 1)
+    log_x = math.log(abs(x))
+    # an upper parameter -n (n = 0, 1, ...) makes t_{n+1} and all later terms 0
+    end = min((int(-a) + 1 for a in upper if a <= 0.0 and a == int(a)),
+              default=max_terms + 2)
+    if end > max_terms + 1 and _log_ratio(upper, lower, log_x, max_terms - 1) >= 0.0:
+        raise NumericalError(
+            f"hypergeometric series terms still grow at the {max_terms}-term cap")
+    log_tol = math.log(relative_tol)
+    count = _first_count(log_x, len(lower) + 1 - len(upper), log_tol, max_terms + 1)
+    while True:
+        logs, signs = _log_terms(upper, lower, log_x, x < 0.0, min(count, end))
+        peak = float(logs.max())
+        running = np.cumsum(signs * np.exp(logs - peak))
+        with np.errstate(divide="ignore"):
+            log_running = np.log(np.abs(running)) + peak
+        later = logs[1:]
+        stop_here = (later < logs[:-1]) & (
+            (later < log_running[1:] + log_tol)
+            | (later < np.maximum.accumulate(logs)[1:] + _LOG_FLOOR))
+        if stop_here.any():
+            stop = int(np.argmax(stop_here)) + 1
+            break
+        if count >= end:
+            stop = end - 1
+            break
+        if count > max_terms:
+            raise NumericalError(
+                f"hypergeometric series did not converge within {max_terms} terms",
+                best=_scaled_sum(running[-1], log_running[-1]).to_float())
+        count = min(2 * count, max_terms + 1)
+    return SeriesResult(_scaled_sum(running[stop], log_running[stop]), stop + 1)
 
 
 def hypergeometric(spec: HypergeometricSpec, relative_tol: float = 1e-12) -> SeriesResult:
@@ -440,13 +515,13 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
     if degree < 15:
         raise ValueError("panel degree must be >= 15")
     width = b - a
-    stack: list[tuple[float, float, int]] = [(a, b, 0)]
+    # each panel carries its own value, computed once as a half of its parent
+    stack: list[tuple[float, float, int, float]] = [(a, b, 0, _gl_panel(f, a, b, degree)[0])]
     value = 0.0
     err = 0.0
     abs_mass = 0.0
     while stack:
-        lo, hi, depth = stack.pop()
-        coarse, _ = _gl_panel(f, lo, hi, degree)
+        lo, hi, depth, coarse = stack.pop()
         mid = 0.5 * (lo + hi)
         left, labs = _gl_panel(f, lo, mid, degree)
         right, rabs = _gl_panel(f, mid, hi, degree)
@@ -457,19 +532,15 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
             err += delta
             abs_mass += labs + rabs
         elif depth >= max_depth:
-            # finish the remaining panels at the current refinement so the
-            # error can carry a usable best estimate
-            best = value + fine
-            best_err = err + delta
-            for (l2, h2, _) in stack:
-                seg, _ = _gl_panel(f, l2, h2, degree)
-                best += seg
+            # add the values of the panels still waiting so the error can
+            # carry a usable best estimate
+            best = value + fine + sum(seg for (_, _, _, seg) in stack)
             raise NumericalError(
                 f"quadrature refinement depth {max_depth} exhausted on [{lo}, {hi}]",
-                best=best, best_error=best_err + abs_tol)
+                best=best, best_error=err + delta + abs_tol)
         else:
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
+            stack.append((lo, mid, depth + 1, left))
+            stack.append((mid, hi, depth + 1, right))
     err = max(err, 1e-15 * abs_mass)
     return IntegralResult(value, err)
 

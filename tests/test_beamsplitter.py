@@ -29,6 +29,34 @@ def _vector(entries, spec=None):
     return CoefficientVector(spec, np.asarray(entries, dtype=complex), 0.0)
 
 
+def _reference_split(a):
+    """One lgamma call per entry, row by row: the route split replaced."""
+    K = len(a) - 1
+    g = np.zeros((K + 1, K + 1), dtype=complex)
+    for k in range(K + 1):
+        logs = np.array([lgamma(k + 1) - lgamma(min(r, k - r) + 1) - lgamma(k - min(r, k - r) + 1)
+                         for r in range(k + 1)])
+        g[k, : k + 1] = a[k] * np.exp(0.5 * logs - 0.5 * k * math.log(2.0))
+    return g
+
+
+def _reference_purity(g):
+    """Double loop over inner products of shifted columns of G."""
+    cols = [g[r:, r] for r in range(g.shape[0])]
+    purity = 0.0
+    for r1, v1 in enumerate(cols):
+        for v2 in cols[r1:]:
+            n = min(v1.size, v2.size)
+            inner = abs(np.vdot(v2[:n], v1[:n])) ** 2
+            purity += inner if v2 is v1 else 2.0 * inner
+    return purity
+
+
+def _random_state(rng, K):
+    a = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+    return a / np.linalg.norm(a)
+
+
 def test_vacuum_input_stays_vacuum():
     out = split(_vector([1.0]))
     assert out.K == 0
@@ -147,3 +175,25 @@ def test_entropy_invariant_under_eigenvalue_phase():
     s_base = linear_entropy(split(coefficients(base))).value
     s_rot = linear_entropy(split(coefficients(rotated))).value
     assert s_base == pytest.approx(s_rot, abs=1e-10)
+
+
+def test_split_is_bitwise_the_per_entry_route():
+    rng = np.random.default_rng(11)
+    for K in (0, 1, 2, 17, 64, 137, 200):
+        a = _random_state(rng, K)
+        assert np.array_equal(split(_vector(a)).g, _reference_split(a))
+    coeffs = coefficients(CoherentSpec("linearized", 4, -5, 12.0))
+    assert coeffs.K <= 200
+    assert np.array_equal(split(coeffs).g, _reference_split(coeffs.entries))
+
+
+def test_blocked_purity_matches_double_loop():
+    # one short block, exact multiples of the block size and remainders
+    rng = np.random.default_rng(5)
+    for K in (0, 1, 30, 31, 32, 63, 64, 65, 120):
+        out = split(_vector(_random_state(rng, K)))
+        assert linear_entropy(out).value == pytest.approx(
+            1.0 - _reference_purity(out.g), abs=1e-14)
+    out = split(coefficients(CoherentSpec("nonlinear", 4, -5, 1e3)))
+    assert out.K <= 120
+    assert linear_entropy(out).value == pytest.approx(1.0 - _reference_purity(out.g), abs=1e-14)

@@ -3,6 +3,7 @@ densities, cat states and overlaps."""
 
 import cmath
 import math
+import time
 from math import lgamma
 
 import numpy as np
@@ -26,6 +27,7 @@ from ratosc.coherent import (
     overlap_closed_form,
     series_argument,
 )
+from ratosc.specfun import NumericalError
 from ratosc.system import StateLabel, ladder_element, lowest_weights, wavefunction
 
 # frozen from 60-digit evaluations
@@ -238,13 +240,36 @@ def test_cat_validation():
 def test_odd_cat_at_tiny_eigenvalue():
     # 1 - D rounds to 0 here; the norm comes from the retained odd entries
     for variant in ("nonlinear", "linearized"):
-        for z in (1e-9, 1e-100):
+        for z in (1e-9, 1e-100, 1e-160, 1e-200, 1e-300):
             odd = cat_coefficients(CoherentSpec(variant, 4, -5, z), "odd")
             assert np.all(np.isfinite(odd.entries))
             assert np.all(odd.entries[0::2] == 0.0)
             assert odd.entries[1] != 0.0
             assert odd.norm_sq() == pytest.approx(1.0, rel=1e-12)
             assert odd.tail_mass < 1e-14
+
+
+def test_coefficients_at_tiny_eigenvalue():
+    # |z|^2 / a^2 underflows here; the weights stay in log space
+    for variant in ("nonlinear", "linearized"):
+        for z in (1e-160, 1e-200, 1e-300):
+            c = coefficients(CoherentSpec(variant, 4, -5, z))
+            assert c.K == 0
+            assert c.entries[0] == 1.0
+            assert c.tail_mass < 1e-300
+    for z in (1e-160, 1e-200, 1e-300):
+        assert overlap(6, -7, z) == 1.0
+
+
+def test_unreachable_truncation_fails_at_once():
+    # the weights peak near k = |z|^2 / 2 = 5e7 and k = (|z|^2/216)^{1/3} ~ 1.7e7,
+    # both past MAX_COEFFICIENTS
+    for spec in (CoherentSpec("linearized", 2, -3, 1e4),
+                 CoherentSpec("nonlinear", 2, -3, 1e12)):
+        start = time.process_time()
+        with pytest.raises(NumericalError):
+            coefficients(spec)
+        assert time.process_time() - start < 0.1
 
 
 def test_non_finite_eigenvalue_is_rejected():

@@ -2,6 +2,7 @@
 products and Wigner functions."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ratosc.observables import (
     wigner_cross_term,
     wigner_grid,
 )
-from ratosc.specfun import panel_nodes
+from ratosc.specfun import NumericalError, panel_nodes
 from ratosc.system import (
     StateLabel,
     hamiltonian_potential,
@@ -124,6 +125,27 @@ def test_mandel_q_negative_for_nonlinear_order4():
     for mu in lowest_weights(4):
         for az in (1.0, 10.0, 1e3, 1e5):
             assert mandel_q(CoherentSpec("nonlinear", 4, mu, az)) < 0.0
+
+
+def test_statistics_at_tiny_eigenvalue():
+    # the series argument |z|^2 / (2m+2)^{m+1} underflows to 0 here
+    for variant in ("nonlinear", "linearized"):
+        for z in (1e-160, 1e-200, 1e-300):
+            spec = CoherentSpec(variant, 4, -5, z)
+            for method in ("closed_form", "direct"):
+                n1, n2 = number_moments(spec, method)
+                assert 0.0 <= n1 < 1e-300 and 0.0 <= n2 < 1e-300
+                assert abs(mandel_q(spec, method)) < 1e-300
+                # 2 mu + 2m + 2 = 0: the ground energy of this ladder
+                assert energy_expectation(spec, method) == pytest.approx(0.0, abs=1e-300)
+
+
+def test_out_of_reach_energy_fails_at_once():
+    # the series terms peak near k = (|z|^2 / 216)^{1/3} ~ 1.7e7
+    start = time.process_time()
+    with pytest.raises(NumericalError):
+        energy_expectation(CoherentSpec("nonlinear", 2, -3, 1e12))
+    assert time.process_time() - start < 1.0
 
 
 def test_moment_matrix_structure():

@@ -1,6 +1,7 @@
 """Kernel checks: signed-log arithmetic, recurrences, series, quadrature."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ratosc.specfun import (
     HypergeometricSpec,
     NumericalError,
     SignedLog,
+    _log_terms,
     hermite,
     hermite_phi,
     hypergeometric,
@@ -256,3 +258,89 @@ def test_panel_nodes_integrate_polynomial_exactly():
     xs, ws = panel_nodes(-2.0, 3.0, 4, degree=20)
     value = float(np.sum(ws * xs**6))
     assert value == pytest.approx((3.0**7 - (-2.0) ** 7) / 7.0, rel=1e-14)
+
+
+def _reference_series(upper, lower, x, relative_tol=1e-12, max_terms=100_000):
+    """Term-by-term signed-log summation: the loop the array kernel replaced."""
+    total = SignedLog.ONE
+    if x == 0.0:
+        return total, 1
+    term = SignedLog.ONE
+    peak = 0.0
+    for k in range(max_terms):
+        num = x
+        for a in upper:
+            num *= a + k
+        den = k + 1.0
+        for b in lower:
+            den *= b + k
+        ratio = num / den
+        if ratio == 0.0:
+            return total, k + 1
+        term = term * SignedLog.from_float(ratio)
+        total = total + term
+        peak = max(peak, term.log_mag)
+        if abs(ratio) < 1.0:
+            if total.sign != 0 and term.log_mag < total.log_mag + math.log(relative_tol):
+                return total, k + 2
+            if term.log_mag < peak + math.log(1e-35):
+                return total, k + 2
+    raise AssertionError("reference series did not converge")
+
+
+def _series_grid(seed=20261018, per_kind=40):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for kind in ("positive", "alternating", "terminating"):
+        for _ in range(per_kind):
+            p = int(rng.integers(0, 3))
+            upper = list(rng.uniform(0.1, 4.0, p))
+            lower = tuple(rng.uniform(0.1, 4.0, int(rng.integers(max(p, 1), p + 3))))
+            if kind == "positive":
+                x = 10.0 ** rng.uniform(-3.0, 3.0)
+            elif kind == "alternating":
+                # |x| <= 2 keeps the cancellation within a factor e^4
+                x = -(10.0 ** rng.uniform(-3.0, math.log10(2.0)))
+            else:
+                upper = [-float(rng.integers(0, 9))] + upper
+                x = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-2.0, 0.5)
+            cases.append((kind, tuple(upper), lower, x))
+    return cases
+
+
+def test_series_kernel_matches_term_loop():
+    for kind, upper, lower, x in _series_grid():
+        expected, terms = _reference_series(upper, lower, x)
+        result = signed_series(upper, lower, x)
+        assert result.terms == terms, (kind, upper, lower, x)
+        assert result.value.to_float() == pytest.approx(expected.to_float(), rel=1e-12), (
+            kind, upper, lower, x)
+
+
+def test_series_argument_enters_in_log_space():
+    # the kernel never forms x itself, so no |x| is too small
+    for log_x in (-700.0, -1e4):
+        logs, signs = _log_terms((1.0,), (0.5, 1.5), log_x, True, 4)
+        assert np.all(np.isfinite(logs))
+        assert logs[1] == pytest.approx(log_x - math.log(0.75), rel=1e-15)
+        assert list(signs) == [1.0, -1.0, 1.0, -1.0]
+
+
+def test_series_refuses_unreachable_peak_at_once():
+    # terms of e^x peak near k = x, far past the term cap
+    start = time.process_time()
+    with pytest.raises(NumericalError):
+        signed_series((), (), 1e9)
+    assert time.process_time() - start < 1.0
+
+
+def test_integrate_evaluates_each_node_once():
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return math.exp(-u * u) * math.cos(3.0 * u)
+
+    result = integrate(f, -8.0, 8.0)
+    assert result.value == pytest.approx(math.sqrt(math.pi) * math.exp(-2.25), rel=1e-12)
+    assert len(calls) == len(set(calls))
