@@ -237,14 +237,9 @@ def _cmd_cat(config: RunConfig):
                               tail_tol=config.tail_tol)
     times = config.times or [0.0]
     x = _grid_values(config.x_grid) if config.x_grid else co.default_grid(spec, config.tail_tol)
-    psi = sy.wavefunction_rows(spec.m, spec.mu, range(len(cat.entries)), x)
-    ks = np.arange(len(cat.entries))
+    rho = co._profile_from_coefficients(cat, times, x)
     columns = ["x"] + [f"rho_t{i}" for i in range(len(times))]
-    rho = []
-    for t in times:
-        phases = np.exp(-1j * (2 * spec.m + 2) * t * ks)
-        rho.append(np.abs((cat.entries * phases) @ psi) ** 2)
-    rows = [[x[j]] + [r[j] for r in rho] for j in range(x.size)]
+    rows = [[x[j]] + [rho[i, j] for i in range(len(times))] for j in range(x.size)]
     return columns, rows, {"parity": config.parity, "K": cat.K}
 
 
@@ -356,6 +351,13 @@ def _selftest() -> int:
         check(f"series kernel reproduces e^x at x = {x:g}",
               float(np.max(np.abs(logs - exact) / np.maximum(np.abs(exact), 1.0))) < 1e-12
               and np.array_equal(signs, np.sign(x) ** np.arange(1000)) and sum_ok)
+
+    x = np.linspace(-46.0, 46.0, 93)  # straddles |x| = 37
+    for m, mu, ks in ((2, -3, [0, 1, 300]), (6, -7, range(6))):
+        stack = sy._wavefunction_stack(m, mu, ks, x, (0, 1, 2))
+        single = [sy.wavefunction_rows(m, mu, ks, x, d) for d in (0, 1, 2)]
+        check(f"stacked derivative rows match single-order rows (m={m}, mu={mu})",
+              all(np.array_equal(a, b) for a, b in zip(stack, single)))
 
     gauss = integrate(lambda u: math.exp(-u * u), -8.0, 8.0, 1e-12)
     check("gaussian quadrature", abs(gauss.value - math.sqrt(math.pi)) < 1e-12)

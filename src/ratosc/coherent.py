@@ -278,17 +278,48 @@ def evolve(spec: CoherentSpec, t: float) -> CoherentSpec:
 def density(spec: CoherentSpec, x, t: float = 0.0, tail_tol: float = 1e-14):
     """Position probability density |sum_k A_k(t) psi_{nu_k}(x)|^2."""
     coeffs = coefficients(evolve(spec, t), tail_tol)
-    return _density_from_coefficients(coeffs, x)
-
-
-def _density_from_coefficients(coeffs: CoefficientVector, x):
-    scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
+    rho = _profile_from_coefficients(coeffs, [0.0], xv)[0]
+    return float(rho[0]) if np.isscalar(x) else rho
+
+
+def _amplitudes(entries: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """entries @ psi for complex entries and a real basis matrix psi, as two
+    real products, so the basis is never cast to complex."""
+    out = np.empty(entries.shape[:-1] + psi.shape[1:], dtype=complex)
+    out.real = entries.real @ psi
+    out.imag = entries.imag @ psi
+    return out
+
+
+_PROFILE_BLOCK = 32  # times per block of the imaginary-part product
+
+
+def _profile_from_coefficients(coeffs: CoefficientVector, times, x: np.ndarray) -> np.ndarray:
+    """Densities |sum_k A_k exp(-i (2m+2) t k) psi_k(x)|^2 for each t, shape
+    (len(times), len(x)).
+
+    The basis is evaluated once.  The phased coefficients C form one
+    (times, K+1) matrix and rho = (Re C @ psi)^2 + (Im C @ psi)^2 comes from
+    real products, squared in place; the imaginary part goes through one
+    reused block buffer, so the work space beyond rho stays small.
+    """
     spec = coeffs.spec
-    psi = wavefunction_rows(spec.m, spec.mu, range(len(coeffs.entries)), xv)
-    amplitude = coeffs.entries @ psi
-    rho = np.abs(amplitude) ** 2
-    return float(rho[0]) if scalar else rho
+    ks = np.arange(len(coeffs.entries))
+    psi = wavefunction_rows(spec.m, spec.mu, ks, x)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    c = coeffs.entries * np.exp(-1j * (2 * spec.m + 2) * times[:, None] * ks)
+    rho = np.ascontiguousarray(c.real) @ psi
+    np.square(rho, out=rho)
+    c_imag = np.ascontiguousarray(c.imag)
+    buf = np.empty((min(times.size, _PROFILE_BLOCK), x.size))
+    for start in range(0, times.size, _PROFILE_BLOCK):
+        stop = min(start + _PROFILE_BLOCK, times.size)
+        part = buf[:stop - start]
+        np.matmul(c_imag[start:stop], psi, out=part)
+        np.square(part, out=part)
+        rho[start:stop] += part
+    return rho
 
 
 def default_grid(spec: CoherentSpec, tail_tol: float = 1e-14,
@@ -309,20 +340,15 @@ def density_profile(spec: CoherentSpec, times, x=None, tail_tol: float = 1e-14):
     """Densities at several times on a shared grid.
 
     Returns (x, rho) with rho of shape (len(times), len(x)).  The basis
-    functions are evaluated once; only the coefficient phases change with t.
+    functions are evaluated once; only the coefficient phases change with
+    t, and all times are taken by two real matrix products (real and
+    imaginary parts of the phased coefficients) against that basis.
     """
     if x is None:
         x = default_grid(spec, tail_tol)
     x = np.asarray(x, dtype=float)
     coeffs = coefficients(spec, tail_tol)
-    psi = wavefunction_rows(spec.m, spec.mu, range(len(coeffs.entries)), x)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    rho = np.empty((times.size, x.size))
-    ks = np.arange(len(coeffs.entries))
-    for i, t in enumerate(times):
-        phases = np.exp(-1j * (2 * spec.m + 2) * t * ks)
-        rho[i] = np.abs((coeffs.entries * phases) @ psi) ** 2
-    return x, rho
+    return x, _profile_from_coefficients(coeffs, times, x)
 
 
 def count_local_maxima(rho, threshold_frac: float = 0.01) -> int:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .coherent import (
     CoherentSpec,
+    _amplitudes,
     _log_series_argument,
     coefficients,
     evolve,
@@ -30,7 +31,7 @@ from .specfun import (
     panel_nodes,
     signed_series,
 )
-from .system import EigenfunctionEvaluator, StateLabel, wavefunction_rows
+from .system import EigenfunctionEvaluator, StateLabel, _wavefunction_stack, wavefunction_rows
 
 __all__ = [
     "MomentMatrices",
@@ -52,25 +53,32 @@ MAX_MOMENT_TRUNCATION = 60
 # energies and number statistics
 # ---------------------------------------------------------------------------
 
-def _factorial_moment(m: int, mu: int, abs_z: float, order: int,
-                      relative_tol: float = 1e-12) -> float:
-    """Falling-factorial moment <k (k-1) ... (k-order+1)> of the rung number
-    for the nonlinear weights, via the shifted-parameter series ratio
+def _factorial_moments(m: int, mu: int, abs_z: float, orders,
+                       relative_tol: float = 1e-12) -> tuple[float, ...]:
+    """Falling-factorial moments <k (k-1) ... (k-order+1)> of the rung number
+    for the nonlinear weights, one per entry of orders, via the
+    shifted-parameter series ratio
 
         order! x^order / prod_j (b_j)_order * F(order+1; b+order; x) / F(1; b; x).
+
+    The denominator F(1; b; x) is summed once for all orders.
     """
     if abs_z == 0.0:
-        return 0.0
+        return (0.0,) * len(orders)
     b = hypergeometric_parameters(m, mu)
     x = series_argument(m, abs_z)
-    num = signed_series((order + 1.0,), tuple(bj + order for bj in b), x, relative_tol).value
     den = signed_series((1.0,), b, x, relative_tol).value
-    # ln x from |z|: x itself underflows to 0 for |z| below ~1e-160
-    pref = SignedLog(1, order * _log_series_argument(m, abs_z)
-                     + math.log(math.factorial(order)))
-    for bj in b:
-        pref = pref / log_pochhammer(bj, order)
-    return (pref * (num / den)).to_float()
+    out = []
+    for order in orders:
+        num = signed_series((order + 1.0,), tuple(bj + order for bj in b), x,
+                            relative_tol).value
+        # ln x from |z|: x itself underflows to 0 for |z| below ~1e-160
+        pref = SignedLog(1, order * _log_series_argument(m, abs_z)
+                         + math.log(math.factorial(order)))
+        for bj in b:
+            pref = pref / log_pochhammer(bj, order)
+        out.append((pref * (num / den)).to_float())
+    return tuple(out)
 
 
 def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
@@ -92,7 +100,7 @@ def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
         raise ValueError("method must be 'closed_form' or 'direct'")
     if spec.variant == "linearized":
         return base + (spec.m + 1.0) * spec.abs_z ** 2
-    mean_k = _factorial_moment(spec.m, spec.mu, spec.abs_z, 1, relative_tol)
+    (mean_k,) = _factorial_moments(spec.m, spec.mu, spec.abs_z, (1,), relative_tol)
     return base + (2.0 * spec.m + 2.0) * mean_k
 
 
@@ -109,8 +117,7 @@ def number_moments(spec: CoherentSpec, method: str = "closed_form",
     if spec.variant == "linearized":
         n = 0.5 * spec.abs_z ** 2
         return n, n * n
-    return (_factorial_moment(spec.m, spec.mu, spec.abs_z, 1, relative_tol),
-            _factorial_moment(spec.m, spec.mu, spec.abs_z, 2, relative_tol))
+    return _factorial_moments(spec.m, spec.mu, spec.abs_z, (1, 2), relative_tol)
 
 
 def mandel_q(spec: CoherentSpec, method: str = "closed_form",
@@ -143,7 +150,10 @@ class MomentMatrices:
 
     mx, mx2, mp2 are real symmetric; mp is Hermitian with purely imaginary
     entries (-i times a real antisymmetric matrix) and zero diagonal, since
-    the eigenfunctions are real.
+    the eigenfunctions are real.  nodes is the quadrature node count of the
+    accepted pass, refinements the number of bisection passes taken, and
+    change the largest entry change between the last two passes (at most
+    the requested abs_tol).
     """
 
     m: int
@@ -153,6 +163,9 @@ class MomentMatrices:
     mx2: np.ndarray
     mp: np.ndarray
     mp2: np.ndarray
+    nodes: int
+    refinements: int
+    change: float
 
 
 def moment_matrices(m: int, mu: int, K: int, abs_tol: float = 1e-10,
@@ -160,8 +173,11 @@ def moment_matrices(m: int, mu: int, K: int, abs_tol: float = 1e-10,
     """Quadrature of the four moment integrands over a shared node set.
 
     Composite Gauss-Legendre panels sized to the fastest basis oscillation,
-    refined by bisection until every entry is stable to abs_tol.  The second
-    derivative entering p^2 is analytic, not finite-difference.
+    refined by bisection until every entry is stable to abs_tol.  Each node
+    set takes the basis values and their first two derivatives from one
+    basis pass; the second derivative entering p^2 is analytic, not
+    finite-difference.  The result records the node count, the refinement
+    passes and the final change between passes.
     """
     if K > MAX_MOMENT_TRUNCATION:
         raise ValueError(f"moment matrices support K <= {MAX_MOMENT_TRUNCATION}")
@@ -172,12 +188,11 @@ def moment_matrices(m: int, mu: int, K: int, abs_tol: float = 1e-10,
     k_osc = math.sqrt(2.0 * e_max)
     half = k_osc + 4.0
     panels = max(8, int(math.ceil(2.0 * half * k_osc / 8.0)))
+    degree = 20
 
     def build(n_panels: int):
-        xs, ws = panel_nodes(-half, half, n_panels, degree=20)
-        p0 = wavefunction_rows(m, mu, range(K + 1), xs, 0)
-        p1 = wavefunction_rows(m, mu, range(K + 1), xs, 1)
-        p2 = wavefunction_rows(m, mu, range(K + 1), xs, 2)
+        xs, ws = panel_nodes(-half, half, n_panels, degree)
+        p0, p1, p2 = _wavefunction_stack(m, mu, range(K + 1), xs, (0, 1, 2))
         w0 = p0 * ws
         mx = (w0 * xs) @ p0.T
         mx2 = (w0 * xs * xs) @ p0.T
@@ -186,12 +201,13 @@ def moment_matrices(m: int, mu: int, K: int, abs_tol: float = 1e-10,
         return mx, mx2, mp, mp2
 
     coarse = build(panels)
-    for _ in range(max_refinements):
+    for refinement in range(1, max_refinements + 1):
         panels *= 2
         fine = build(panels)
         diff = max(float(np.max(np.abs(f - c))) for f, c in zip(fine, coarse))
         if diff <= abs_tol:
-            return MomentMatrices(m, mu, K, *fine)
+            return MomentMatrices(m, mu, K, *fine, nodes=degree * panels,
+                                  refinements=refinement, change=diff)
         coarse = fine
     raise NumericalError("moment-matrix quadrature did not stabilise", best_error=diff)
 
@@ -307,8 +323,8 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
         xs = x[start:start + rows_per_chunk]
         minus = (xs[:, None] - ys[None, :]).ravel()
         plus = (xs[:, None] + ys[None, :]).ravel()
-        amp_minus = c.entries @ wavefunction_rows(spec.m, spec.mu, ks, minus)
-        amp_plus = c.entries @ wavefunction_rows(spec.m, spec.mu, ks, plus)
+        amp_minus = _amplitudes(c.entries, wavefunction_rows(spec.m, spec.mu, ks, minus))
+        amp_plus = _amplitudes(c.entries, wavefunction_rows(spec.m, spec.mu, ks, plus))
         core = (np.conj(amp_minus) * amp_plus).reshape(xs.size, ys.size) * ws
         values_c[start:start + rows_per_chunk] = core @ kernel / math.pi
 

@@ -191,3 +191,30 @@ def test_seventeen_digit_round_trip(tmp_path, capsys):
     row = [l for l in path.read_text().splitlines() if not l.startswith("#")][1]
     assert float(row.split(",")[1]) == overlap(6, -7, 10.0)
     capsys.readouterr()
+
+
+def _csv_data(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def test_cat_csv_matches_per_time_loop(tmp_path, capsys):
+    from ratosc.coherent import CoherentSpec, cat_coefficients
+    from ratosc.system import wavefunction_rows
+
+    times = [0.0, 0.05, 0.224]
+    for args, m, mu, z, parity in ((["--z-re", "1e8", "--parity", "odd"], 6, -7, 1e8, "odd"),
+                                   (["--z-re", "3", "--x-grid=-6:6:201"], 4, -5, 3.0, "even")):
+        code, out = run_cli(["cat", "--m", str(m), "--mu", str(mu), "--times",
+                             ",".join(map(str, times))] + args, tmp_path, "cat.csv")
+        assert code == 0
+        data = _csv_data(out)
+        spec = CoherentSpec("nonlinear", m, mu, z)
+        cat = cat_coefficients(spec, parity)
+        x = data[:, 0]  # 17 significant digits round-trip exactly
+        psi = wavefunction_rows(m, mu, range(len(cat.entries)), x)
+        ks = np.arange(len(cat.entries))
+        for i, t in enumerate(times):
+            ref = np.abs((cat.entries * np.exp(-1j * (2 * m + 2) * t * ks)) @ psi) ** 2
+            assert np.max(np.abs(data[:, i + 1] - ref)) <= 1e-14 * np.max(ref)
+    capsys.readouterr()

@@ -28,7 +28,7 @@ from ratosc.coherent import (
     series_argument,
 )
 from ratosc.specfun import NumericalError
-from ratosc.system import StateLabel, ladder_element, lowest_weights, wavefunction
+from ratosc.system import StateLabel, ladder_element, lowest_weights, wavefunction, wavefunction_rows
 
 # frozen from 60-digit evaluations
 F_45_AT_10_POW_2_5 = 389.6386367469463117111354
@@ -343,3 +343,25 @@ def test_five_wavepackets_for_order_four():
     counts = [count_wavepackets(x, row, lam) for row in rho]
     assert max(counts) == 5
     assert counts.count(5) > 10
+
+
+def _per_time_profile(spec, times, x):
+    """The density movie one time at a time, with a complex product each."""
+    coeffs = coefficients(spec)
+    psi = wavefunction_rows(spec.m, spec.mu, range(len(coeffs.entries)), x)
+    ks = np.arange(len(coeffs.entries))
+    return np.array([np.abs((coeffs.entries * np.exp(-1j * (2 * spec.m + 2) * t * ks)) @ psi) ** 2
+                     for t in times])
+
+
+def test_density_profile_matches_per_time_loop():
+    for spec, count in ((CoherentSpec("nonlinear", 6, -7, 1e8 * cmath.exp(0.7j)), 141),
+                        (CoherentSpec("linearized", 4, -5, 2.0 - 3.0j), 70),
+                        (CoherentSpec("nonlinear", 2, 1, 30.0), 1)):
+        times = np.linspace(0.0, math.pi / (spec.m + 1), count)
+        x, rho = density_profile(spec, times)
+        ref = _per_time_profile(spec, times, x)
+        assert rho.shape == ref.shape
+        scale = np.max(ref, axis=1, keepdims=True)
+        assert np.max(np.abs(rho - ref) / scale) <= 1e-14
+        assert np.all(rho >= 0.0)

@@ -7,8 +7,10 @@ import time
 import numpy as np
 import pytest
 
+from ratosc import observables
 from ratosc.coherent import CoherentSpec, density
 from ratosc.observables import (
+    _factorial_moments,
     energy_expectation,
     mandel_q,
     moment_matrices,
@@ -296,3 +298,84 @@ def test_wigner_grid_negativity_contrast():
     high_ratio = high.min_value / high.values.max()
     assert -0.02 < low_ratio < -1e-4
     assert high_ratio < -0.1
+
+
+def _three_call_matrices(m, mu, K, abs_tol=1e-10, max_refinements=3):
+    """moment_matrices with one wavefunction_rows call per derivative order."""
+    nu_max = mu + (m + 1) * K
+    k_osc = math.sqrt(2.0 * 2.0 * max(nu_max + m + 1, 1))
+    half = k_osc + 4.0
+    panels = max(8, int(math.ceil(2.0 * half * k_osc / 8.0)))
+
+    def build(n_panels):
+        xs, ws = panel_nodes(-half, half, n_panels, degree=20)
+        p0, p1, p2 = (wavefunction_rows(m, mu, range(K + 1), xs, d) for d in (0, 1, 2))
+        w0 = p0 * ws
+        return ((w0 * xs) @ p0.T, (w0 * xs * xs) @ p0.T,
+                -1j * (w0 @ p1.T), -(w0 @ p2.T))
+
+    coarse = build(panels)
+    for refinement in range(1, max_refinements + 1):
+        panels *= 2
+        fine = build(panels)
+        diff = max(float(np.max(np.abs(f - c))) for f, c in zip(fine, coarse))
+        if diff <= abs_tol:
+            return fine, 20 * panels, refinement, diff
+        coarse = fine
+    raise AssertionError("reference route did not stabilise")
+
+
+def test_moment_matrices_bitwise_the_three_call_route():
+    for m, mu, K in ((0, -1, 2), (4, -5, 8), (6, -7, 40)):
+        mats = moment_matrices(m, mu, K)
+        ref, nodes, refinements, change = _three_call_matrices(m, mu, K)
+        for got, want in zip((mats.mx, mats.mx2, mats.mp, mats.mp2), ref):
+            assert np.array_equal(got, want)
+        assert (mats.nodes, mats.refinements, mats.change) == (nodes, refinements, change)
+        assert mats.change <= 1e-10
+
+
+def test_moment_matrices_take_one_basis_pass_per_node_set(monkeypatch):
+    passes = []
+    real = observables._wavefunction_stack
+
+    def counted(*args):
+        passes.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(observables, "_wavefunction_stack", counted)
+    mats = moment_matrices(4, -5, 8)
+    assert passes == [(0, 1, 2)] * (mats.refinements + 1)
+
+
+def test_number_moments_share_the_denominator_series(monkeypatch):
+    calls = []
+    real = observables.signed_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "signed_series", counted)
+    for az in (0.5, 10.0, 1e5):
+        spec = CoherentSpec("nonlinear", 4, -5, az)
+        calls.clear()
+        n1, n2 = number_moments(spec)
+        assert len(calls) == 3
+        assert n1 == _factorial_moments(4, -5, az, (1,))[0]
+        assert n2 == _factorial_moments(4, -5, az, (2,))[0]
+        calls.clear()
+        mandel_q(spec)
+        assert len(calls) == 3
+
+
+def test_wigner_grid_unchanged_by_real_amplitude_products(monkeypatch):
+    # the complex coefficient vector times the real basis, as one complex
+    # product (which casts the basis to complex), is the reference route
+    cases = [(CoherentSpec("nonlinear", 6, 1, 10.0), ((-8.0, 8.0), (-8.0, 8.0))),
+             (CoherentSpec("linearized", 4, -5, 1.5 - 2.0j), ((-6.0, 6.0), (-5.0, 5.0)))]
+    new = [wigner_grid(spec, window, resolution=(31, 29)).values for spec, window in cases]
+    monkeypatch.setattr(observables, "_amplitudes", lambda entries, psi: entries @ psi)
+    old = [wigner_grid(spec, window, resolution=(31, 29)).values for spec, window in cases]
+    for a, b in zip(new, old):
+        assert np.max(np.abs(a - b)) <= 1e-13

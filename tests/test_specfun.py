@@ -344,3 +344,19 @@ def test_integrate_evaluates_each_node_once():
     result = integrate(f, -8.0, 8.0)
     assert result.value == pytest.approx(math.sqrt(math.pi) * math.exp(-2.25), rel=1e-12)
     assert len(calls) == len(set(calls))
+
+
+def test_series_rounding_bound_covers_cancellation():
+    # e^x at negative x: the alternating sum loses every digit near x = -30,
+    # and the reported bound must say so
+    for x in (-20.0, -30.0):
+        res = signed_series((), (), x, 1e-14)
+        value = res.value.to_float()
+        assert abs(value - math.exp(x)) <= res.rounding_bound * abs(value)
+        assert res.rounding_bound > 1.0
+    # a series of one sign: the bound is terms * eps
+    res = signed_series((), (), 30.0, 1e-14)
+    eps = np.finfo(float).eps
+    assert res.rounding_bound == pytest.approx(res.terms * eps, rel=1e-12)
+    assert abs(res.value.to_float() - math.exp(30.0)) <= res.rounding_bound * math.exp(30.0)
+    assert signed_series((), (), 0.0).rounding_bound == 0.0

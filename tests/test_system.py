@@ -23,7 +23,7 @@ from ratosc.system import (
     wavefunction,
     wavefunction_rows,
 )
-from ratosc.system import _rational_factors
+from ratosc.system import _mod_hermite_top, _rational_factors, _wavefunction_stack
 
 # spot values frozen from 30-digit evaluations of the quotient form
 PSI_SPOTS = [
@@ -304,5 +304,18 @@ def test_rational_factors_match_modified_hermite_quotients():
                     q1 / p0 - q0 * p1 / (p0 * p0),
                     (q2 / p0 - 2.0 * q1 * p1 / (p0 * p0)
                      - q0 * p2 / (p0 * p0) + 2.0 * q0 * p1 * p1 / (p0 * p0 * p0)))
-        for got, want in zip(_rational_factors(m, x), expected):
+        for got, want in zip(_rational_factors(m, _mod_hermite_top(m, x)), expected):
             assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_stacked_orders_are_bitwise_the_single_order_rows():
+    # ground rows (mu = -m-1) included; the grid straddles |x| = 37
+    x = np.linspace(-46.0, 46.0, 93)
+    for m, mu, ks in ((2, -3, [0, 1, 300, 333]), (6, -7, range(6)),
+                      (0, -1, range(4)), (4, 2, [0, 3, 9])):
+        single = [wavefunction_rows(m, mu, ks, x, order) for order in (0, 1, 2)]
+        for orders in ((0, 1, 2), (2, 0), (1,), (2,)):
+            stack = _wavefunction_stack(m, mu, ks, x, orders)
+            assert len(stack) == len(orders)
+            for rows, order in zip(stack, orders):
+                assert np.array_equal(rows, single[order])
