@@ -90,6 +90,8 @@ def _parse_grid(text: str, name: str) -> list:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"cannot parse {name} {text!r}: {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"{name} bounds must be finite, got {text!r}")
     if count < 1 or hi < lo:
         raise UsageError(f"{name} needs max >= min and count >= 1")
     return [lo, hi, count]
@@ -100,10 +102,10 @@ def _grid_values(grid: list) -> np.ndarray:
     return np.linspace(lo, hi, int(count))
 
 
-def _format_value(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+def _format_column(values) -> list[str]:
+    if all(isinstance(v, (int, np.integer)) for v in values):
+        return [str(int(v)) for v in values]
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
 
 
 def _write_rows(config: RunConfig, columns: list[str], rows, meta: dict) -> str:
@@ -115,8 +117,7 @@ def _write_rows(config: RunConfig, columns: list[str], rows, meta: dict) -> str:
         for key, value in meta.items():
             lines.append(f"# {key} = {value}")
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_format_value(v) for v in row))
+        lines.extend(map(",".join, zip(*map(_format_column, zip(*rows)))))
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -257,12 +258,13 @@ def _cmd_wigner(config: RunConfig):
     resolution = (int(config.x_grid[2]), int(config.p_grid[2]))
     grid = ob.wigner_grid(spec, window=window, resolution=resolution,
                           tail_tol=config.tail_tol)
-    rows = []
-    for i in range(grid.x.size):          # row-major: x outer, p inner
-        for j in range(grid.p.size):
-            rows.append([grid.x[i], grid.p[j], grid.values[i, j]])
+    # row-major: x outer, p inner
+    rows = np.column_stack([np.repeat(grid.x, grid.p.size), np.tile(grid.p, grid.x.size),
+                            grid.values.ravel()]).tolist()
     meta = {"K": grid.truncation, "min_value": grid.min_value,
-            "negative_volume": grid.negative_volume, "mass": grid.mass}
+            "negative_volume": grid.negative_volume, "mass": grid.mass,
+            "step": grid.step, "lattice_points": grid.lattice_points,
+            "change": grid.change, "residue": grid.residue}
     return ["x", "p", "wigner"], rows, meta
 
 
@@ -359,7 +361,7 @@ def _selftest() -> int:
         check(f"stacked derivative rows match single-order rows (m={m}, mu={mu})",
               all(np.array_equal(a, b) for a, b in zip(stack, single)))
 
-    gauss = integrate(lambda u: math.exp(-u * u), -8.0, 8.0, 1e-12)
+    gauss = integrate(lambda u: np.exp(-u * u), -8.0, 8.0, 1e-12)
     check("gaussian quadrature", abs(gauss.value - math.sqrt(math.pi)) < 1e-12)
 
     indices = [mu + 5 * k for mu in sy.lowest_weights(4) for k in range(4)]
@@ -488,6 +490,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError(
             f"--mu {config.mu} is not a lowest weight for m = {config.m}; "
             f"choose one of {sy.lowest_weights(config.m)}")
+    if not all(map(math.isfinite, (config.z_re, config.z_im, *config.times))):
+        raise UsageError("--z-re, --z-im and --times must be finite")
+    if not (0.0 < config.tail_tol < math.inf and 0.0 < config.quad_tol < math.inf):
+        raise UsageError("--tail-tol and --quad-tol must be positive and finite")
     if config.command in _Z_ABS_COMMANDS and not config.z_abs_grid:
         raise UsageError(f"{config.command} requires --z-abs min:max:count")
     if config.command == "cat" and (config.z_im != 0.0 or config.z_re < 0.0):
@@ -517,7 +523,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

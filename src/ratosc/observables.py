@@ -260,16 +260,23 @@ def wigner_cross_term(label_a: StateLabel, label_b: StateLabel,
     e_hi = 2.0 * max(max(label_a.nu, label_b.nu) + label_a.m + 1, 1)
     half = math.sqrt(2.0 * e_hi) + 5.0
 
-    real = integrate(lambda y: ev_a(x - y) * ev_b(x + y) * math.cos(2.0 * p * y),
+    real = integrate(lambda y: ev_a(x - y) * ev_b(x + y) * np.cos(2.0 * p * y),
                      -half, half, tol).value
-    imag = integrate(lambda y: -ev_a(x - y) * ev_b(x + y) * math.sin(2.0 * p * y),
+    imag = integrate(lambda y: -ev_a(x - y) * ev_b(x + y) * np.sin(2.0 * p * y),
                      -half, half, tol).value
     return complex(real, imag) / math.pi
 
 
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
-    """Wigner function sampled on a rectangular phase-space grid."""
+    """Wigner function sampled on a rectangular phase-space grid.
+
+    step is the trapezoid step h of the y integral, lattice_points the
+    number of points, spaced h/2, at which the state amplitude was
+    evaluated, change the largest change of the transform from step h to
+    h/2 on a subset of x rows, and residue the largest imaginary part of
+    the transform, which vanishes for the exact Wigner function.
+    """
 
     x: np.ndarray
     p: np.ndarray
@@ -278,63 +285,103 @@ class WignerGrid:
     negative_volume: float    # integral of |min(W, 0)|
     mass: float               # grid sum times cell area
     truncation: int           # rung count of the underlying state
+    step: float
+    lattice_points: int
+    change: float
+    residue: float
 
     def marginal_x(self) -> np.ndarray:
         """Momentum-integrated marginal, which equals the position density."""
         return np.trapezoid(self.values, self.p, axis=1)
 
 
+_WIGNER_BLOCK = 1 << 19  # (x, y) pairs per gathered block of the y transform
+
+
+def _lattice_step(m: int, k_osc: float, p_max: float) -> float:
+    """The band-limit and strip step of the Wigner integrand (see :func:`wigner_grid`)."""
+    h = 2.0 * math.pi / (1.5 * (2.0 * k_osc + 2.0 * p_max))
+    if m > 0:  # the poles of the amplitude, the zeros of P_m, lie on the imaginary axis
+        a = float(np.min(np.abs(np.polynomial.hermite.hermgauss(m)[0])))
+        h = min(h, 2.0 * math.pi * a / (-math.log(np.finfo(float).eps) + 2.0 * a * p_max))
+    return h
+
+
+def _y_transform(pad: np.ndarray, centres: np.ndarray, stride: int, h: float,
+                 half: float, p: np.ndarray) -> np.ndarray:
+    """(h/pi) sum_{|jh|<=half} conj(pad[c - stride j]) pad[c + stride j] exp(-2ipjh)
+    for each centre c; indices past either end of pad read its end points."""
+    n = math.ceil(half / h)
+    j = np.arange(-n, n + 1)
+    kernel = (h / math.pi) * np.exp(-2j * np.outer(h * j, p))
+    blocks = np.array_split(centres, max(1, centres.size * j.size // _WIGNER_BLOCK))
+    return np.concatenate([(np.conj(pad[np.clip(c[:, None] - stride * j, 0, pad.size - 1)])
+                            * pad[np.clip(c[:, None] + stride * j, 0, pad.size - 1)]) @ kernel
+                           for c in blocks])
+
+
 def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
                 resolution=(161, 161), tail_tol: float = 1e-14,
-                imag_tol: float = 1e-6, chunk: int = 400_000) -> WignerGrid:
+                imag_tol: float = 1e-6) -> WignerGrid:
     """Wigner function of the coherent state on a grid.
 
-    The double sum over basis-state kernels is evaluated in factorised form:
-    the truncated state amplitude at x-y and x+y, integrated over y on a
-    shared composite Gauss-Legendre grid with the oscillating factor
-    exp(-2ipy) applied as a single matrix product.  At |z| <= 10 the
-    coefficient truncation is extended to at least ten rungs.
-
-    Raises NumericalError if the imaginary residue exceeds imag_tol of the
-    largest real value.
+    (1/pi) int dy conj(psi(x-y)) psi(x+y) exp(-2ipy) by the trapezoid rule.
+    The step h0 is the smaller of the band-limit step
+    2 pi / (1.5 (2 k_osc + 2 max|p|)) and the strip step
+    2 pi a / (ln(1/eps) + 2 a max|p|), a being the distance to the nearest
+    pole of the amplitude, the smallest |zero| of H_m, whose aliasing error
+    exp(-2 pi a / h) the factor exp(-2ipy) raises by exp(2 a |p|).  For a
+    grid spacing dx >= h0 the step h = dx / ceil(dx / h0) divides dx, so
+    every x +- y falls on one lattice where the amplitude is evaluated once;
+    closer rows take h = h0 and a lattice each.  The amplitude counts as
+    zero past |x| = k_osc + 6.  At |z| <= 10 the truncation is extended to
+    at least ten rungs.  Raises ValueError for a non-finite window,
+    NumericalError if the imaginary residue or the change from step h to
+    h/2 exceeds imag_tol of the largest real value.
     """
     min_index = 10 if spec.abs_z <= 10.0 else 0
     c = coefficients(spec, tail_tol, min_index=min_index)
     (x_lo, x_hi), (p_lo, p_hi) = window
     nx, np_count = resolution
-    if nx < 2 or np_count < 2:
-        raise ValueError("the grid needs at least two points per axis")
+    if nx < 2 or np_count < 2 or not all(map(math.isfinite, (x_lo, x_hi, p_lo, p_hi,
+                                                                 x_hi - x_lo, p_hi - p_lo))):
+        raise ValueError("the grid needs a finite window and two points per axis")
     x = np.linspace(x_lo, x_hi, nx)
     p = np.linspace(p_lo, p_hi, np_count)
 
-    nu_max = spec.mu + (spec.m + 1) * c.K
-    e_max = 2.0 * max(nu_max + spec.m + 1, 1)
-    k_osc = math.sqrt(2.0 * e_max)
-    half_y = k_osc + 6.0  # the product psi(x-y) psi(x+y) needs |y| <= support - |x|
-    rate = k_osc + 2.0 * max(abs(p_lo), abs(p_hi))
-    panels = max(8, int(math.ceil(2.0 * half_y * rate / 10.0)))
-    ys, ws = panel_nodes(-half_y, half_y, panels, degree=24)
-
-    kernel = np.exp(-2j * np.outer(ys, p))
-    values_c = np.empty((nx, np_count), dtype=complex)
-    rows_per_chunk = max(1, chunk // ys.size)
-    ks = range(len(c.entries))
-    for start in range(0, nx, rows_per_chunk):
-        xs = x[start:start + rows_per_chunk]
-        minus = (xs[:, None] - ys[None, :]).ravel()
-        plus = (xs[:, None] + ys[None, :]).ravel()
-        amp_minus = _amplitudes(c.entries, wavefunction_rows(spec.m, spec.mu, ks, minus))
-        amp_plus = _amplitudes(c.entries, wavefunction_rows(spec.m, spec.mu, ks, plus))
-        core = (np.conj(amp_minus) * amp_plus).reshape(xs.size, ys.size) * ws
-        values_c[start:start + rows_per_chunk] = core @ kernel / math.pi
+    k_osc = math.sqrt(4.0 * max(spec.mu + (spec.m + 1) * c.K + spec.m + 1, 1))
+    half_y = k_osc + 6.0  # the support of the amplitude
+    h = _lattice_step(spec.m, k_osc, max(abs(p_lo), abs(p_hi)))
+    dx = abs(x_hi - x_lo) / (nx - 1)
+    inside = np.abs(x) <= half_y  # elsewhere one factor of the integrand vanishes
+    xs = x[inside]
+    if 0.0 < dx < h:  # rows closer than one step share no lattice: 4n + 1 points about each
+        n = math.ceil(half_y / h)
+        offsets = np.arange(-2 * n, 2 * n + 1)
+        points = (xs[:, None] + 0.5 * h * offsets).ravel()
+        centres = 1 + 2 * n + offsets.size * np.arange(xs.size)
+    else:  # one lattice x0 + l h/2 over the support, h dividing dx
+        h = dx / math.ceil(dx / h) if dx else h
+        x0 = xs[0] if xs.size else 0.0
+        lo, hi = math.floor(2.0 * (-half_y - x0) / h), math.ceil(2.0 * (half_y - x0) / h)
+        points = x0 + 0.5 * h * np.arange(lo, hi + 1)
+        centres = np.rint((xs - x0) / (0.5 * h)).astype(int) + 1 - lo
+    pad = np.zeros(points.size + 2, dtype=complex)  # between zero end points
+    pad[1:-1] = _amplitudes(c.entries, wavefunction_rows(spec.m, spec.mu, range(len(c.entries)),
+                                                         points))
+    values_c = np.zeros((nx, np_count), dtype=complex)
+    values_c[inside] = _y_transform(pad, centres, 2, h, half_y, p)
+    rows = slice(None, None, max(1, centres.size // 8))
+    change = float(np.max(np.abs(_y_transform(pad, centres[rows], 1, 0.5 * h, half_y, p)
+                                 - values_c[inside][rows]), initial=0.0))
 
     scale = float(np.max(np.abs(values_c.real)))
     residue = float(np.max(np.abs(values_c.imag)))
-    if residue > imag_tol * scale:
-        raise NumericalError(
-            f"imaginary residue {residue:.3e} exceeds {imag_tol:.1e} of peak {scale:.3e}")
+    if max(residue, change) > imag_tol * scale:
+        raise NumericalError(f"imaginary residue {residue:.3e} or step change {change:.3e} "
+                             f"exceeds {imag_tol:.1e} of peak {scale:.3e}")
     values = values_c.real
     cell = (x[1] - x[0]) * (p[1] - p[0])
     negative = float(np.sum(np.abs(np.minimum(values, 0.0))) * cell)
-    return WignerGrid(x, p, values, float(values.min()), negative,
-                      float(values.sum() * cell), c.K)
+    return WignerGrid(x, p, values, float(values.min()), negative, float(values.sum() * cell),
+                      c.K, h, points.size, change, residue)

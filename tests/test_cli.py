@@ -132,6 +132,11 @@ def test_wigner_rows_are_row_major(tmp_path, capsys):
     assert first[0] == second[0] == -5.0       # x outer index constant
     assert first[1] < second[1]                # p inner index advances
     assert len(rows) == 11 * 7
+    header = dict(l[2:].split(" = ") for l in path.read_text().splitlines()
+                  if l.startswith("# ") and " = " in l)
+    assert 0.0 < float(header["step"]) <= 1.0
+    assert int(header["lattice_points"]) > 0
+    assert float(header["change"]) <= 1e-12 and float(header["residue"]) <= 1e-12
     capsys.readouterr()
 
 
@@ -218,3 +223,37 @@ def test_cat_csv_matches_per_time_loop(tmp_path, capsys):
             ref = np.abs((cat.entries * np.exp(-1j * (2 * m + 2) * t * ks)) @ psi) ** 2
             assert np.max(np.abs(data[:, i + 1] - ref)) <= 1e-14 * np.max(ref)
     capsys.readouterr()
+
+
+def test_edge_arguments_exit_cleanly(tmp_path, capsys):
+    """Seeded sweep over edge values: every run ends with exit code 0, 1 or 2
+    and a one-line diagnostic, never an exception, and a non-finite number
+    or an unwritable output path is a usage error."""
+    base = {
+        "coeffs": ["--m", "4", "--mu", "-5", "--z-re", "2"],
+        "density": ["--m", "4", "--mu", "-5", "--z-re", "2", "--times", "0,0.1",
+                    "--x-grid=-4:4:9"],
+        "wigner": ["--m", "2", "--mu", "-3", "--z-re", "1", "--x-grid=-4:4:5",
+                   "--p-grid=-4:4:5"],
+        "uncertainty": ["--m", "4", "--mu", "-5", "--x-grid=0:1:2", "--p-grid=0:0:1"],
+        "energy": ["--m", "4", "--mu", "-5", "--z-abs", "0:2:3"],
+    }
+    scalars = ["nan", "inf", "-inf", "-1", "0", "1e-300", "x"]
+    grids = ["nan:1:3", "-inf:1:3", "0:inf:3", "1:1:3", "2:1:3", "0:1:1", "0:1:0"]
+    options = {"--times": scalars, "--tail-tol": scalars, "--quad-tol": scalars,
+               "--z-re": scalars, "--x-grid": grids, "--p-grid": grids, "--z-abs": grids,
+               "--output": [str(tmp_path / "missing" / "out.csv"), str(tmp_path)]}
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        command = str(rng.choice(sorted(base)))
+        option = str(rng.choice(sorted(options)))
+        value = str(rng.choice(options[option]))
+        args = [command] + base[command] + [f"{option}={value}"]
+        if option != "--output":
+            args += ["--output", str(tmp_path / "out.csv")]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), args
+        assert "Traceback" not in err and err.count("\n") <= 1, args
+        if option == "--output" or any(bad in value for bad in ("nan", "inf")):
+            assert code == 1, args

@@ -1,6 +1,7 @@
 """Diagnostics: energies, number statistics, moment matrices, uncertainty
 products and Wigner functions."""
 
+import cmath
 import math
 import time
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from ratosc import observables
-from ratosc.coherent import CoherentSpec, density
+from ratosc.coherent import CoherentSpec, _amplitudes, coefficients, density
 from ratosc.observables import (
     _factorial_moments,
     energy_expectation,
@@ -379,3 +380,75 @@ def test_wigner_grid_unchanged_by_real_amplitude_products(monkeypatch):
     old = [wigner_grid(spec, window, resolution=(31, 29)).values for spec, window in cases]
     for a, b in zip(new, old):
         assert np.max(np.abs(a - b)) <= 1e-13
+
+
+def _panel_wigner_reference(spec, window, resolution, tail_tol=1e-14, chunk=400_000):
+    """wigner_grid's former route: the amplitude at x - y and x + y for every
+    grid x and every node of a composite Gauss-Legendre y rule."""
+    c = coefficients(spec, tail_tol, min_index=10 if spec.abs_z <= 10.0 else 0)
+    (x_lo, x_hi), (p_lo, p_hi) = window
+    x = np.linspace(x_lo, x_hi, resolution[0])
+    p = np.linspace(p_lo, p_hi, resolution[1])
+    k_osc = math.sqrt(2.0 * 2.0 * max(spec.mu + (spec.m + 1) * c.K + spec.m + 1, 1))
+    half_y = k_osc + 6.0
+    rate = k_osc + 2.0 * max(abs(p_lo), abs(p_hi))
+    ys, ws = panel_nodes(-half_y, half_y, max(8, int(math.ceil(2.0 * half_y * rate / 10.0))),
+                         degree=24)
+    kernel = np.exp(-2j * np.outer(ys, p))
+    values = np.empty((x.size, p.size), dtype=complex)
+    rows = max(1, chunk // ys.size)
+    for start in range(0, x.size, rows):
+        xs = x[start:start + rows]
+        amp_minus, amp_plus = (
+            _amplitudes(c.entries, wavefunction_rows(spec.m, spec.mu, range(len(c.entries)),
+                                                     (xs[:, None] + sign * ys).ravel()))
+            for sign in (-1.0, 1.0))
+        core = (np.conj(amp_minus) * amp_plus).reshape(xs.size, ys.size) * ws
+        values[start:start + rows] = core @ kernel / math.pi
+    return values.real
+
+
+def test_wigner_grid_matches_panel_reference():
+    # (12,-13) and (4,-5) on [-4,4]^2 are where the strip of analyticity,
+    # not the band limit, sets the trapezoid step
+    cases = [
+        (CoherentSpec("nonlinear", 2, 1, 1.3 * cmath.exp(0.6j)), ((-4, 4), (-4, 4)), (9, 9)),
+        (CoherentSpec("nonlinear", 12, -13, 2.0), ((-4, 4), (-4, 4)), (9, 9)),
+        (CoherentSpec("nonlinear", 4, -5, 2.0), ((-4, 4), (-4, 4)), (9, 9)),
+        (CoherentSpec("linearized", 4, -5, 1.5 - 2.0j), ((-6, 6), (-5, 5)), (31, 29)),
+        (CoherentSpec("nonlinear", 4, -5, 3.0), ((4, -4), (-3, 3)), (9, 9)),    # reversed
+        (CoherentSpec("nonlinear", 4, -5, 3.0), ((1, 1), (-3, 3)), (3, 9)),     # zero width
+        (CoherentSpec("nonlinear", 6, 1, 2.0), ((0.3, 0.5), (-3, 3)), (9, 9)),  # dx < step
+    ]
+    for spec, window, resolution in cases:
+        grid = wigner_grid(spec, window, resolution)
+        reference = _panel_wigner_reference(spec, window, resolution)
+        assert np.max(np.abs(grid.values - reference)) <= 1e-12, (spec, window)
+        assert grid.change <= 1e-12 and grid.residue <= 1e-12
+        dx = abs(window[0][1] - window[0][0]) / (resolution[0] - 1)
+        assert dx < grid.step or dx / grid.step == pytest.approx(round(dx / grid.step), abs=1e-9)
+
+
+def test_wigner_grid_is_zero_off_the_support():
+    spec = CoherentSpec("nonlinear", 4, -5, 3.0)
+    wide = wigner_grid(spec, ((-200.0, 300.0), (-3.0, 3.0)), (41, 9))
+    reference = _panel_wigner_reference(spec, ((-200.0, 300.0), (-3.0, 3.0)), (41, 9))
+    assert np.max(np.abs(wide.values - reference)) <= 1e-12
+    far = wigner_grid(spec, ((-1e300, 1e300), (-3.0, 3.0)), (2, 9))
+    assert not far.values.any()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            wigner_grid(spec, ((-4.0, bad), (-3.0, 3.0)), (9, 9))
+
+
+def test_wigner_grid_evaluates_the_amplitude_once(monkeypatch):
+    calls = []
+    real = observables.wavefunction_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "wavefunction_rows", counted)
+    grid = wigner_grid(CoherentSpec("nonlinear", 6, 1, 10.0), resolution=(41, 41))
+    assert calls == [grid.lattice_points]
