@@ -28,6 +28,7 @@ from .specfun import (
     hermite_phi,
     integrate,
     log_pochhammer,
+    panel_nodes,
     phi_rows,
     signed_series,
 )
@@ -360,6 +361,18 @@ def _selftest() -> int:
         single = [sy.wavefunction_rows(m, mu, ks, x, d) for d in (0, 1, 2)]
         check(f"stacked derivative rows match single-order rows (m={m}, mu={mu})",
               all(np.array_equal(a, b) for a, b in zip(stack, single)))
+
+    # 200 Gauss-Legendre panels on the same interval, with <p^2> as
+    # -int psi psi'' rather than the lattice's int psi' psi'
+    mats = ob.moment_matrices(4, -5, 8)
+    half = math.sqrt(4.0 * (-5 + 5 * 8 + 5)) + 4.0
+    xs, ws = panel_nodes(-half, half, 200, 20)
+    p0, p1, p2 = sy._wavefunction_stack(4, -5, range(9), xs, (0, 1, 2))
+    w0 = p0 * ws
+    reference = ((w0 * xs) @ p0.T, (w0 * xs * xs) @ p0.T, -1j * (w0 @ p1.T), -(w0 @ p2.T))
+    check("trapezoid moment matrices match Gauss-Legendre panels (m=4, mu=-5, K=8)",
+          max(float(np.max(np.abs(a - b))) for a, b in
+              zip((mats.mx, mats.mx2, mats.mp, mats.mp2), reference)) < 1e-12)
 
     gauss = integrate(lambda u: np.exp(-u * u), -8.0, 8.0, 1e-12)
     check("gaussian quadrature", abs(gauss.value - math.sqrt(math.pi)) < 1e-12)

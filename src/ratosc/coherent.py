@@ -268,7 +268,9 @@ def overlap_closed_form(m: int, mu: int, abs_z: float,
 
 def evolve(spec: CoherentSpec, t: float) -> CoherentSpec:
     """Time evolution z -> z exp(-i (2m+2) t); exactly periodic with period
-    pi / (m+1)."""
+    pi / (m+1), so t is first reduced modulo that period (as a double),
+    which keeps the phase finite for every finite t."""
+    t = math.fmod(t, math.pi / (spec.m + 1))
     if t == 0.0:
         return spec
     factor = cmath.exp(-1j * (2 * spec.m + 2) * t)
@@ -307,7 +309,8 @@ def _profile_from_coefficients(coeffs: CoefficientVector, times, x: np.ndarray) 
     spec = coeffs.spec
     ks = np.arange(len(coeffs.entries))
     psi = wavefunction_rows(spec.m, spec.mu, ks, x)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    # modulo the period pi/(m+1), as in evolve, so every finite time stays finite
+    times = np.fmod(np.atleast_1d(np.asarray(times, dtype=float)), math.pi / (spec.m + 1))
     c = coeffs.entries * np.exp(-1j * (2 * spec.m + 2) * times[:, None] * ks)
     rho = np.ascontiguousarray(c.real) @ psi
     np.square(rho, out=rho)

@@ -28,10 +28,16 @@ from .specfun import (
     SignedLog,
     integrate,
     log_pochhammer,
-    panel_nodes,
+    panel_nodes,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
     signed_series,
 )
-from .system import EigenfunctionEvaluator, StateLabel, _wavefunction_stack, wavefunction_rows
+from .system import (
+    MAX_STATE_INDEX,
+    EigenfunctionEvaluator,
+    StateLabel,
+    _wavefunction_stack,
+    wavefunction_rows,
+)
 
 __all__ = [
     "MomentMatrices",
@@ -45,9 +51,6 @@ __all__ = [
     "wigner_cross_term",
     "wigner_grid",
 ]
-
-MAX_MOMENT_TRUNCATION = 60
-
 
 # ---------------------------------------------------------------------------
 # energies and number statistics
@@ -150,10 +153,12 @@ class MomentMatrices:
 
     mx, mx2, mp2 are real symmetric; mp is Hermitian with purely imaginary
     entries (-i times a real antisymmetric matrix) and zero diagonal, since
-    the eigenfunctions are real.  nodes is the quadrature node count of the
-    accepted pass, refinements the number of bisection passes taken, and
-    change the largest entry change between the last two passes (at most
-    the requested abs_tol).
+    the eigenfunctions are real; mp2 is positive semidefinite.  nodes is
+    the trapezoid lattice node count of the accepted pass (parity lets the
+    basis be evaluated on its non-negative half only), refinements the
+    number of step-halving passes taken, and change the largest entry
+    change between the last two passes (at most the requested abs_tol, or
+    1e-13 of the largest entry where that is larger).
     """
 
     m: int
@@ -168,47 +173,88 @@ class MomentMatrices:
     change: float
 
 
+_MOMENT_BLOCK = 1024  # lattice nodes per basis pass of the moment sums
+# Relative to the largest entry, the change between converged passes is
+# summation rounding: 1e-14 to 2e-14 measured at K = 469, 1000 and 1400,
+# where entries reach 1e4 and an abs_tol of 1e-10 cannot be met.
+_MOMENT_ROUNDING = 1e-13
+
+
+def _moment_sums(m: int, mu: int, K: int, x: np.ndarray) -> np.ndarray:
+    """Node sums of psi_a x psi_b, psi_a x^2 psi_b, psi_a psi_b' and
+    psi_a' psi_b' over the nodes x >= 0 and their mirror images -x, stacked
+    as a (4, K+1, K+1) array; a node at 0 counts once.
+
+    psi_nu(-x) = (-1)^(nu+1) psi_nu(x) exactly, so the mirror images are
+    not evaluated: f(x) + f(-x) is f(x) times 0 or 2.  The sums run over
+    blocks of _MOMENT_BLOCK nodes, one basis pass (orders 0 and 1) each.
+    """
+    sums = np.zeros((4, K + 1, K + 1))
+    for start in range(0, x.size, _MOMENT_BLOCK):
+        xb = x[start:start + _MOMENT_BLOCK]
+        p0, p1 = _wavefunction_stack(m, mu, range(K + 1), xb, (0, 1))
+        at_zero = xb == 0.0  # its own mirror image: weight 1/2 in every product
+        p0[:, at_zero] *= math.sqrt(0.5)
+        p1[:, at_zero] *= math.sqrt(0.5)
+        w = p0 * xb
+        sums[0] += w @ p0.T
+        w *= xb
+        sums[1] += w @ p0.T
+        sums[2] += p0 @ p1.T
+        sums[3] += p1 @ p1.T
+    parity = np.where((mu + (m + 1) * np.arange(K + 1)) % 2, 1.0, -1.0)
+    same = np.outer(parity, parity)
+    sums[0::2] *= 1.0 - same  # x psi_a psi_b and psi_a psi_b' flip sign with x
+    sums[1::2] *= 1.0 + same
+    return sums
+
+
 def moment_matrices(m: int, mu: int, K: int, abs_tol: float = 1e-10,
                     max_refinements: int = 3) -> MomentMatrices:
-    """Quadrature of the four moment integrands over a shared node set.
+    """Trapezoid sums of the four moment integrands on a uniform lattice.
 
-    Composite Gauss-Legendre panels sized to the fastest basis oscillation,
-    refined by bisection until every entry is stable to abs_tol.  Each node
-    set takes the basis values and their first two derivatives from one
-    basis pass; the second derivative entering p^2 is analytic, not
-    finite-difference.  The result records the node count, the refinement
-    passes and the final change between passes.
+    The lattice j h, |j| <= n, spans [-half, half] with half = k_osc + 4
+    beyond the top rung's turning point k_osc, and h = half / n is the
+    largest such step below the step of :func:`_lattice_step` at p = 0:
+    the band-limit step, or the strip step where the zeros of P_m bound
+    the strip |Im x| < a in which the integrands are analytic and the
+    trapezoid rule converges like exp(-2 pi a / h).  <p^2> is taken as
+    int psi_a' psi_b' (integration by parts), so the basis values and
+    first derivatives suffice and mp2 is positive semidefinite by
+    construction.  Each refinement halves h; the lattices are nested, so
+    only the new midpoints are evaluated,
+    T(h/2) = T(h)/2 + (h/2) sum f(midpoints), until every entry is stable
+    to abs_tol, or to 1e-13 of the largest entry where that is larger
+    (summation rounding alone moves the entries that far).  Parity halves
+    the evaluated nodes (see :func:`_moment_sums`), and the sums run over
+    node blocks, so the basis rows of all nodes are never held at once.
+    The result records the lattice node count, the refinement passes and
+    the final change between passes.  Raises ValueError, before any node
+    is evaluated, when the top state index mu + (m+1) K passes
+    system.MAX_STATE_INDEX.
     """
-    if K > MAX_MOMENT_TRUNCATION:
-        raise ValueError(f"moment matrices support K <= {MAX_MOMENT_TRUNCATION}")
+    StateLabel(m, mu, K)  # validates the ladder and the top state index
     if max_refinements < 1:
         raise ValueError("need at least one refinement pass")
     nu_max = mu + (m + 1) * K
-    e_max = 2.0 * max(nu_max + m + 1, 1)
-    k_osc = math.sqrt(2.0 * e_max)
+    k_osc = math.sqrt(4.0 * max(nu_max + m + 1, 1))
     half = k_osc + 4.0
-    panels = max(8, int(math.ceil(2.0 * half * k_osc / 8.0)))
-    degree = 20
-
-    def build(n_panels: int):
-        xs, ws = panel_nodes(-half, half, n_panels, degree)
-        p0, p1, p2 = _wavefunction_stack(m, mu, range(K + 1), xs, (0, 1, 2))
-        w0 = p0 * ws
-        mx = (w0 * xs) @ p0.T
-        mx2 = (w0 * xs * xs) @ p0.T
-        mp = -1j * (w0 @ p1.T)
-        mp2 = -(w0 @ p2.T)
-        return mx, mx2, mp, mp2
-
-    coarse = build(panels)
+    n = math.ceil(half / _lattice_step(m, k_osc, 0.0))
+    h = half / n
+    coarse = h * _moment_sums(m, mu, K, h * np.arange(n + 1))
     for refinement in range(1, max_refinements + 1):
-        panels *= 2
-        fine = build(panels)
-        diff = max(float(np.max(np.abs(f - c))) for f, c in zip(fine, coarse))
-        if diff <= abs_tol:
-            return MomentMatrices(m, mu, K, *fine, nodes=degree * panels,
+        # T(h/2) - T(h) = (h sum f(midpoints) - T(h)) / 2, formed in place
+        step = _moment_sums(m, mu, K, h * (np.arange(n) + 0.5))
+        step *= h
+        step -= coarse
+        step *= 0.5
+        diff = float(max(step.max(), -step.min()))
+        step += coarse
+        coarse, n, h = step, 2 * n, 0.5 * h
+        if diff <= max(abs_tol, _MOMENT_ROUNDING * max(coarse.max(), -coarse.min())):
+            mx, mx2, mp, mp2 = coarse
+            return MomentMatrices(m, mu, K, mx, mx2, -1j * mp, mp2, nodes=2 * n + 1,
                                   refinements=refinement, change=diff)
-        coarse = fine
     raise NumericalError("moment-matrix quadrature did not stabilise", best_error=diff)
 
 
@@ -223,14 +269,19 @@ UncertaintyResult = namedtuple("UncertaintyResult", ["sigma_x", "sigma_p", "prod
 def uncertainty(spec: CoherentSpec, t: float = 0.0, tail_tol: float = 1e-14,
                 quad_tol: float = 1e-10) -> UncertaintyResult:
     """Standard deviations of position and momentum and their product for
-    the time-evolved state; the product is bounded below by 1/2."""
+    the time-evolved state; the product is bounded below by 1/2.
+
+    The moments come from :func:`moment_matrices` (trapezoid rule on a
+    lattice whose step follows the strip of analyticity, entries stable to
+    quad_tol), so any truncation K is admitted whose top state index
+    mu + (m+1) K stays within system.MAX_STATE_INDEX; past it ValueError
+    is raised before any quadrature node is evaluated.
+    """
     c = coefficients(evolve(spec, t), tail_tol)
-    if c.K > MAX_MOMENT_TRUNCATION:
-        raise ValueError(f"coefficient truncation {c.K} exceeds the "
-                         f"K <= {MAX_MOMENT_TRUNCATION} moment-matrix range")
     # round the truncation up to a multiple of 8 so z-grid scans share
-    # cached matrices; the extra rows multiply zero-padded coefficients
-    K = min((c.K + 7) // 8 * 8, MAX_MOMENT_TRUNCATION)
+    # cached matrices, but not past the largest admitted rung; the extra
+    # rows multiply zero-padded coefficients
+    K = max(c.K, min((c.K + 7) // 8 * 8, (MAX_STATE_INDEX - spec.mu) // (spec.m + 1)))
     mats = _cached_matrices(spec.m, spec.mu, K, quad_tol)
     a = np.zeros(K + 1, dtype=complex)
     a[: len(c.entries)] = c.entries
@@ -296,6 +347,7 @@ class WignerGrid:
 
 
 _WIGNER_BLOCK = 1 << 19  # (x, y) pairs per gathered block of the y transform
+_WIGNER_MAX_ENTRIES = 1 << 23  # kernel entries, and lattice points times rungs
 
 
 def _lattice_step(m: int, k_osc: float, p_max: float) -> float:
@@ -335,9 +387,11 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     every x +- y falls on one lattice where the amplitude is evaluated once;
     closer rows take h = h0 and a lattice each.  The amplitude counts as
     zero past |x| = k_osc + 6.  At |z| <= 10 the truncation is extended to
-    at least ten rungs.  Raises ValueError for a non-finite window,
-    NumericalError if the imaginary residue or the change from step h to
-    h/2 exceeds imag_tol of the largest real value.
+    at least ten rungs.  Raises ValueError for a non-finite window, or for
+    a momentum range whose step would make the y kernel or the amplitude
+    lattice pass _WIGNER_MAX_ENTRIES entries (checked before either is
+    built); NumericalError if the imaginary residue or the change from step
+    h to h/2 exceeds imag_tol of the largest real value.
     """
     min_index = 10 if spec.abs_z <= 10.0 else 0
     c = coefficients(spec, tail_tol, min_index=min_index)
@@ -351,10 +405,18 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
 
     k_osc = math.sqrt(4.0 * max(spec.mu + (spec.m + 1) * c.K + spec.m + 1, 1))
     half_y = k_osc + 6.0  # the support of the amplitude
-    h = _lattice_step(spec.m, k_osc, max(abs(p_lo), abs(p_hi)))
+    p_max = max(abs(p_lo), abs(p_hi))
+    h = _lattice_step(spec.m, k_osc, p_max)
     dx = abs(x_hi - x_lo) / (nx - 1)
     inside = np.abs(x) <= half_y  # elsewhere one factor of the integrand vanishes
     xs = x[inside]
+    # y nodes of the h/2 pass; the lattice holds at most twice as many points,
+    # or that many per row when rows are closer than one step
+    ny = 4.0 * half_y / h if h > 0.0 else math.inf
+    lattice = ny * (xs.size if 0.0 < dx < h else 2.0)
+    if max(ny * np_count, lattice * len(c.entries)) > _WIGNER_MAX_ENTRIES:
+        raise ValueError(f"momentum window max|p| = {p_max:.3g} needs a y step of {h:.3g}, "
+                         f"too fine for a lattice of at most {_WIGNER_MAX_ENTRIES} entries")
     if 0.0 < dx < h:  # rows closer than one step share no lattice: 4n + 1 points about each
         n = math.ceil(half_y / h)
         offsets = np.arange(-2 * n, 2 * n + 1)

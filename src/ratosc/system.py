@@ -276,7 +276,7 @@ def wavefunction_rows(m: int, mu: int, ks, x, derivative_order: int = 0) -> np.n
     phi_n' = sqrt(2n) phi_{n-1} - x phi_n and phi_n'' = (x^2 - 2n - 1) phi_n
     the derivatives of the two-term form are exact, like the values.  This
     is the one-order view of the kernel that also fills several derivative
-    orders from one basis pass (the moment matrices take orders 0, 1 and 2
+    orders from one basis pass (the moment matrices take orders 0 and 1
     that way); each order's rows are bitwise the same either way.
     """
     if derivative_order not in (0, 1, 2):

@@ -1,6 +1,7 @@
 """Command-line surface: config round trips, file formats, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -223,6 +224,32 @@ def test_cat_csv_matches_per_time_loop(tmp_path, capsys):
             ref = np.abs((cat.entries * np.exp(-1j * (2 * m + 2) * t * ks)) @ psi) ** 2
             assert np.max(np.abs(data[:, i + 1] - ref)) <= 1e-14 * np.max(ref)
     capsys.readouterr()
+
+
+def _csv_data(path):
+    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+    return np.array([[float(v) for v in r.split(",")] for r in rows])
+
+
+def test_huge_times_give_the_reduced_time_density(tmp_path, capsys):
+    # the state repeats with period pi/(m+1); times are reduced modulo it
+    base = ["density", "--m", "2", "--mu=-3", "--z-re=3"]
+    code, huge = run_cli(base + ["--times", "1e308"], tmp_path, "huge.csv")
+    assert code == 0
+    code, reduced = run_cli(base + ["--times", repr(math.fmod(1e308, math.pi / 3))],
+                            tmp_path, "reduced.csv")
+    assert code == 0
+    got, want = _csv_data(huge), _csv_data(reduced)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    capsys.readouterr()
+
+
+def test_unbuildable_momentum_window_exits_one(tmp_path, capsys):
+    code, _ = run_cli(["wigner", "--m", "2", "--mu=-3", "--z-re=1", "--x-grid=-1:1:3",
+                       "--p-grid=-1e6:1e6:3"], tmp_path, "w.csv")
+    assert code == 1
+    assert "momentum window" in capsys.readouterr().err
 
 
 def test_edge_arguments_exit_cleanly(tmp_path, capsys):

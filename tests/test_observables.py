@@ -287,6 +287,64 @@ def test_moment_matrices_refinement_guard():
 
     with pytest.raises(NumericalError):
         moment_matrices(0, -1, 1, abs_tol=1e-30, max_refinements=1)
+    # an abs_tol below the summation rounding of the entries is met at
+    # 1e-13 of the largest entry instead
+    mats = moment_matrices(4, -5, 8, abs_tol=1e-30)
+    largest = max(np.max(np.abs(a)) for a in (mats.mx, mats.mx2, mats.mp, mats.mp2))
+    assert 0.0 < mats.change <= 1e-13 * largest
+
+
+def test_uncertainty_beyond_the_old_cap(monkeypatch):
+    """States whose truncation passed the former K <= 60 moment-matrix
+    limit: the split-packet regime of large |z|."""
+    built = []
+    real = observables.moment_matrices
+
+    def recorded(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(observables, "moment_matrices", recorded)
+    observables._cached_matrices.cache_clear()
+    for spec in (CoherentSpec("linearized", 4, -5, 8.0),      # K = 84
+                 CoherentSpec("nonlinear", 2, 1, 1e4),        # K = 119
+                 CoherentSpec("nonlinear", 4, -5, 1e7)):      # K = 93
+        built.clear()
+        result = uncertainty(spec)
+        assert math.isfinite(result.product) and result.product >= 0.5
+        (mats,) = built
+        assert mats.K > 60 and mats.change <= 1e-10
+    observables._cached_matrices.cache_clear()
+
+
+def test_moment_matrices_refuse_past_the_state_index_range():
+    # nu = mu + (m+1) K = 10000 is the largest supported top state
+    start = time.process_time()
+    with pytest.raises(ValueError, match="state index"):
+        moment_matrices(4, -5, 2002)
+    with pytest.raises(ValueError, match="state index"):
+        uncertainty(CoherentSpec("linearized", 4, -5, 80.0))  # K ~ 3600
+    assert time.process_time() - start < 0.1
+
+
+def test_uncertainty_at_huge_time():
+    """t is reduced modulo the period pi/(m+1) before the phase is formed."""
+    spec = CoherentSpec("nonlinear", 2, -3, 3.0)
+    for t in (1e308, -3e200, 12345.678):
+        got = uncertainty(spec, t)
+        want = uncertainty(spec, math.fmod(t, math.pi / 3))
+        assert all(map(math.isfinite, got))
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def test_wigner_grid_refuses_unbuildable_momentum_window():
+    # the step underflows to 0 near 1e308 and to ~1e-300 at 1e300
+    spec = CoherentSpec("nonlinear", 2, -3, 2.0)
+    for momenta in ((0.8e308, 0.9e308), (-1e300, 1e300), (-1e6, 1e6)):
+        start = time.process_time()
+        with pytest.raises(ValueError, match="momentum window"):
+            wigner_grid(spec, ((-1.0, 1.0), momenta), (3, 3))
+        assert time.process_time() - start < 0.1
 
 
 def test_wigner_grid_negativity_contrast():
@@ -301,10 +359,12 @@ def test_wigner_grid_negativity_contrast():
     assert high_ratio < -0.1
 
 
-def _three_call_matrices(m, mu, K, abs_tol=1e-10, max_refinements=3):
-    """moment_matrices with one wavefunction_rows call per derivative order."""
-    nu_max = mu + (m + 1) * K
-    k_osc = math.sqrt(2.0 * 2.0 * max(nu_max + m + 1, 1))
+def _gauss_legendre_matrices(m, mu, K, abs_tol=1e-12, max_refinements=4):
+    """The former moment-matrix rule: composite 20-point Gauss-Legendre
+    panels on the same interval, refined by bisection until every entry is
+    stable to abs_tol, with <p^2> as -int psi_a psi_b'' (no integration by
+    parts)."""
+    k_osc = math.sqrt(4.0 * max(mu + (m + 1) * K + m + 1, 1))
     half = k_osc + 4.0
     panels = max(8, int(math.ceil(2.0 * half * k_osc / 8.0)))
 
@@ -316,24 +376,25 @@ def _three_call_matrices(m, mu, K, abs_tol=1e-10, max_refinements=3):
                 -1j * (w0 @ p1.T), -(w0 @ p2.T))
 
     coarse = build(panels)
-    for refinement in range(1, max_refinements + 1):
+    for _ in range(max_refinements):
         panels *= 2
         fine = build(panels)
-        diff = max(float(np.max(np.abs(f - c))) for f, c in zip(fine, coarse))
-        if diff <= abs_tol:
-            return fine, 20 * panels, refinement, diff
+        if max(float(np.max(np.abs(f - c))) for f, c in zip(fine, coarse)) <= abs_tol:
+            return fine
         coarse = fine
     raise AssertionError("reference route did not stabilise")
 
 
-def test_moment_matrices_bitwise_the_three_call_route():
-    for m, mu, K in ((0, -1, 2), (4, -5, 8), (6, -7, 40)):
+def test_moment_matrices_agree_with_gauss_legendre():
+    # entries reach ~270 at K = 40; 1e-11 absolute is ~4e-14 of the largest
+    for m, mu, K in ((0, -1, 2), (4, -5, 8), (2, 1, 12), (6, -7, 40)):
         mats = moment_matrices(m, mu, K)
-        ref, nodes, refinements, change = _three_call_matrices(m, mu, K)
+        ref = _gauss_legendre_matrices(m, mu, K)
         for got, want in zip((mats.mx, mats.mx2, mats.mp, mats.mp2), ref):
-            assert np.array_equal(got, want)
-        assert (mats.nodes, mats.refinements, mats.change) == (nodes, refinements, change)
+            assert np.max(np.abs(got - want)) <= 1e-11, (m, mu, K)
         assert mats.change <= 1e-10
+        # p^2 = h psi' psi'^T is positive semidefinite by construction
+        assert np.min(np.linalg.eigvalsh(mats.mp2)) >= -1e-12
 
 
 def test_moment_matrices_take_one_basis_pass_per_node_set(monkeypatch):
@@ -341,12 +402,22 @@ def test_moment_matrices_take_one_basis_pass_per_node_set(monkeypatch):
     real = observables._wavefunction_stack
 
     def counted(*args):
-        passes.append(args[4])
+        passes.append((args[3].copy(), args[4]))
         return real(*args)
 
     monkeypatch.setattr(observables, "_wavefunction_stack", counted)
-    mats = moment_matrices(4, -5, 8)
-    assert passes == [(0, 1, 2)] * (mats.refinements + 1)
+    for m, mu, K in ((4, -5, 8), (6, -7, 40)):  # one and several node blocks per pass
+        passes.clear()
+        mats = moment_matrices(m, mu, K)
+        assert all(orders == (0, 1) for _, orders in passes)
+        # every refinement evaluates only the new midpoints, and parity only
+        # the half x >= 0: the points evaluated are the non-negative nodes of
+        # the accepted lattice, each once
+        points = np.concatenate([x for x, _ in passes])
+        assert points.size == (mats.nodes + 1) // 2
+        assert np.unique(points).size == points.size and points.min() == 0.0
+        step = points.max() / ((mats.nodes - 1) // 2)
+        assert np.allclose(points / step, np.rint(points / step), rtol=0, atol=1e-9)
 
 
 def test_number_moments_share_the_denominator_series(monkeypatch):
