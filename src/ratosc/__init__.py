@@ -4,21 +4,15 @@ the harmonic oscillator."""
 __version__ = "0.1.0"
 
 from .specfun import (
-    HypergeometricSpec,
-    IntegralResult,
     NumericalError,
     SeriesResult,
     SignedLog,
     hermite,
     hermite_phi,
-    hypergeometric,
-    integrate,
     log_pochhammer,
     mod_hermite,
 )
 from .system import (
-    DeformedOscillator,
-    EigenfunctionEvaluator,
     StateLabel,
     algebra_residual,
     energy,

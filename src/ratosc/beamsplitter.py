@@ -15,6 +15,7 @@ from math import lgamma
 import numpy as np
 
 from .coherent import CoefficientVector
+from .system import StateLabel
 
 __all__ = [
     "OutputState",
@@ -59,9 +60,12 @@ def split(coeffs: CoefficientVector) -> OutputState:
     Square roots of the binomials are assembled in log space from one
     table of ln j!, so rows stay accurate out to k well past 100.  Row
     norms satisfy sum_r |G(k,r)|^2 = |A_k|^2 exactly (binomial theorem).
+    A truncation whose top state index passes system.MAX_STATE_INDEX raises
+    ValueError before the (K+1)^2 table is allocated.
     """
     a = coeffs.entries
     K = len(a) - 1
+    StateLabel(coeffs.spec.m, coeffs.spec.mu, K)  # validates the top state index
     log_fact = np.array([lgamma(j + 1) for j in range(K + 1)])
     g = np.zeros((K + 1, K + 1), dtype=complex)
     for k in range(K + 1):
@@ -91,9 +95,8 @@ def two_photon_distribution(out: OutputState) -> TwoModeDistribution:
     K = out.K
     gm = np.abs(out.g) ** 2
     p = np.zeros((K + 1, K + 1))
-    for s in range(K + 1):
-        for n2 in range(s + 1):
-            p[s - n2, n2] = gm[s, n2]
+    s, n2 = np.tril_indices(K + 1)  # n1 + n2 = s over the table's lower triangle
+    p[s - n2, n2] = gm[s, n2]
     return TwoModeDistribution(p, float(p.sum()))
 
 

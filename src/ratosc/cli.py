@@ -26,7 +26,6 @@ from .specfun import (
     SignedLog,
     _log_terms,
     hermite_phi,
-    integrate,
     log_pochhammer,
     panel_nodes,
     phi_rows,
@@ -197,9 +196,8 @@ def _cmd_potential(config: RunConfig):
 def _cmd_eigenstate(config: RunConfig):
     label = sy.StateLabel(config.m, config.mu, config.k)
     x = _grid_values(config.x_grid)
-    ev = sy.EigenfunctionEvaluator(label)
-    rows = [[xi, a, b, c] for xi, a, b, c in
-            zip(x, ev(x), ev(x, 1), ev(x, 2))]
+    psi = sy._wavefunction_stack(label.m, label.mu, [label.k], x, (0, 1, 2))
+    rows = np.column_stack([x] + [row[0] for row in psi]).tolist()
     return ["x", "psi", "dpsi", "d2psi"], rows, {"nu": label.nu, "energy": sy.energy(label)}
 
 
@@ -227,7 +225,7 @@ def _cmd_density(config: RunConfig):
     x, rho = co.density_profile(spec, times, x=x, tail_tol=config.tail_tol)
     coeffs = co.coefficients(spec, config.tail_tol)
     columns = ["x"] + [f"rho_t{i}" for i in range(len(times))]
-    rows = [[x[j]] + [rho[i, j] for i in range(len(times))] for j in range(x.size)]
+    rows = np.column_stack([x, rho.T]).tolist()
     meta = {"times": list(times), "K": coeffs.K, "tail_mass": coeffs.tail_mass,
             "period": math.pi / (spec.m + 1)}
     return columns, rows, meta
@@ -241,7 +239,7 @@ def _cmd_cat(config: RunConfig):
     x = _grid_values(config.x_grid) if config.x_grid else co.default_grid(spec, config.tail_tol)
     rho = co._profile_from_coefficients(cat, times, x)
     columns = ["x"] + [f"rho_t{i}" for i in range(len(times))]
-    rows = [[x[j]] + [rho[i, j] for i in range(len(times))] for j in range(x.size)]
+    rows = np.column_stack([x, rho.T]).tolist()
     return columns, rows, {"parity": config.parity, "K": cat.K}
 
 
@@ -296,10 +294,8 @@ def _cmd_beamsplitter(config: RunConfig):
     coeffs = co.coefficients(_spec(config), config.tail_tol)
     out = bs.split(coeffs)
     dist = bs.two_photon_distribution(out)
-    rows = []
-    for n1 in range(dist.p.shape[0]):     # row-major: n1 outer, n2 inner
-        for n2 in range(dist.p.shape[1]):
-            rows.append([n1, n2, dist.p[n1, n2]])
+    n1, n2 = np.indices(dist.p.shape)  # row-major: n1 outer, n2 inner
+    rows = np.column_stack([n1.ravel(), n2.ravel(), dist.p.ravel()]).tolist()
     meta = {"K": out.K, "total_mass": dist.total_mass,
             "rank_one_residual": bs.rank_one_residual(dist)}
     return ["n1", "n2", "probability"], rows, meta
@@ -374,8 +370,10 @@ def _selftest() -> int:
           max(float(np.max(np.abs(a - b))) for a, b in
               zip((mats.mx, mats.mx2, mats.mp, mats.mp2), reference)) < 1e-12)
 
-    gauss = integrate(lambda u: np.exp(-u * u), -8.0, 8.0, 1e-12)
-    check("gaussian quadrature", abs(gauss.value - math.sqrt(math.pi)) < 1e-12)
+    ground = sy.StateLabel(0, -1, 0)
+    kernel = ob.wigner_cross_term(ground, ground, 0.7, -0.4)
+    check("lattice Wigner kernel of the oscillator ground state is exp(-x^2-p^2)/pi",
+          abs(kernel - math.exp(-0.65) / math.pi) < 1e-13)
 
     indices = [mu + 5 * k for mu in sy.lowest_weights(4) for k in range(4)]
     expected = {-5} | set(range(0, 20)) - {15}  # 15 needs step 4 of the lowest ladder

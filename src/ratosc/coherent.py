@@ -21,13 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
-    HypergeometricSpec,
     NumericalError,
     SignedLog,
     _first_count,
     _log_ratio,
     _log_terms,
-    hypergeometric,
     signed_series,
 )
 from .system import ladder_element, lowest_weights, wavefunction_rows
@@ -228,9 +226,8 @@ def normalization_F(m: int, mu: int, abs_z: float,
         raise ValueError(f"mu = {mu} is not a lowest weight for m = {m}")
     if abs_z < 0.0:
         raise ValueError("abs_z must be >= 0")
-    spec = HypergeometricSpec((1.0,), hypergeometric_parameters(m, mu),
-                              series_argument(m, abs_z))
-    return hypergeometric(spec, relative_tol).value
+    return signed_series((1.0,), hypergeometric_parameters(m, mu),
+                         series_argument(m, abs_z), relative_tol).value
 
 
 def overlap(m: int, mu: int, abs_z: float, tail_tol: float = 1e-16) -> float:

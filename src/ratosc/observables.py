@@ -26,14 +26,12 @@ from .coherent import (
 from .specfun import (
     NumericalError,
     SignedLog,
-    integrate,
     log_pochhammer,
     panel_nodes,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
     signed_series,
 )
 from .system import (
     MAX_STATE_INDEX,
-    EigenfunctionEvaluator,
     StateLabel,
     _wavefunction_stack,
     wavefunction_rows,
@@ -84,6 +82,13 @@ def _factorial_moments(m: int, mu: int, abs_z: float, orders,
     return tuple(out)
 
 
+def _finite(value: float, name: str) -> float:
+    """value, or NumericalError where a closed form leaves the double range."""
+    if not math.isfinite(value):
+        raise NumericalError(f"the closed form of {name} leaves the double range")
+    return value
+
+
 def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
                        tail_tol: float = 1e-14, relative_tol: float = 1e-12) -> float:
     """<H> in the coherent state.
@@ -91,7 +96,8 @@ def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
     closed_form evaluates the hypergeometric ratio (nonlinear) or the
     quadratic law 2 mu + 2m + 2 + (m+1)|z|^2 (linearized); direct sums the
     eigenvalues against the truncated weights.  The two agree to the
-    truncation and series tolerances.
+    truncation and series tolerances.  NumericalError is raised where the
+    linearized closed form leaves the double range.
     """
     base = 2.0 * spec.mu + 2.0 * spec.m + 2.0
     if method == "direct":
@@ -102,14 +108,15 @@ def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
     if method != "closed_form":
         raise ValueError("method must be 'closed_form' or 'direct'")
     if spec.variant == "linearized":
-        return base + (spec.m + 1.0) * spec.abs_z ** 2
+        return _finite(base + (spec.m + 1.0) * (spec.abs_z * spec.abs_z), "<H>")
     (mean_k,) = _factorial_moments(spec.m, spec.mu, spec.abs_z, (1,), relative_tol)
     return base + (2.0 * spec.m + 2.0) * mean_k
 
 
 def number_moments(spec: CoherentSpec, method: str = "closed_form",
                    tail_tol: float = 1e-14, relative_tol: float = 1e-12):
-    """(<N>, <N(N-1)>) for the rung-number operator N |mu + (m+1)k> = k |...>."""
+    """(<N>, <N(N-1)>) for the rung-number operator N |mu + (m+1)k> = k |...>;
+    NumericalError where the linearized closed form leaves the double range."""
     if method == "direct":
         c = coefficients(spec, tail_tol)
         k = np.arange(len(c.entries), dtype=float)
@@ -118,8 +125,8 @@ def number_moments(spec: CoherentSpec, method: str = "closed_form",
     if method != "closed_form":
         raise ValueError("method must be 'closed_form' or 'direct'")
     if spec.variant == "linearized":
-        n = 0.5 * spec.abs_z ** 2
-        return n, n * n
+        n = 0.5 * (spec.abs_z * spec.abs_z)
+        return n, _finite(n * n, "<N(N-1)>")
     return _factorial_moments(spec.m, spec.mu, spec.abs_z, (1, 2), relative_tol)
 
 
@@ -300,24 +307,6 @@ def uncertainty(spec: CoherentSpec, t: float = 0.0, tail_tol: float = 1e-14,
 # Wigner functions
 # ---------------------------------------------------------------------------
 
-def wigner_cross_term(label_a: StateLabel, label_b: StateLabel,
-                      x: float, p: float, tol: float = 1e-10) -> complex:
-    """Phase-space kernel (1/pi) int dy psi_a(x-y) psi_b(x+y) exp(-2ipy)
-    between two basis states of the same ladder, by adaptive quadrature."""
-    if (label_a.m, label_a.mu) != (label_b.m, label_b.mu):
-        raise ValueError("labels must belong to the same ladder")
-    ev_a = EigenfunctionEvaluator(label_a)
-    ev_b = EigenfunctionEvaluator(label_b)
-    e_hi = 2.0 * max(max(label_a.nu, label_b.nu) + label_a.m + 1, 1)
-    half = math.sqrt(2.0 * e_hi) + 5.0
-
-    real = integrate(lambda y: ev_a(x - y) * ev_b(x + y) * np.cos(2.0 * p * y),
-                     -half, half, tol).value
-    imag = integrate(lambda y: -ev_a(x - y) * ev_b(x + y) * np.sin(2.0 * p * y),
-                     -half, half, tol).value
-    return complex(real, imag) / math.pi
-
-
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
     """Wigner function sampled on a rectangular phase-space grid.
@@ -359,17 +348,64 @@ def _lattice_step(m: int, k_osc: float, p_max: float) -> float:
     return h
 
 
-def _y_transform(pad: np.ndarray, centres: np.ndarray, stride: int, h: float,
-                 half: float, p: np.ndarray) -> np.ndarray:
-    """(h/pi) sum_{|jh|<=half} conj(pad[c - stride j]) pad[c + stride j] exp(-2ipjh)
-    for each centre c; indices past either end of pad read its end points."""
+def _refuse_fine_lattice(p_max: float, h: float, entries: float) -> None:
+    """ValueError when the y step h for momenta up to p_max makes a kernel or
+    an amplitude lattice of more than _WIGNER_MAX_ENTRIES entries."""
+    if entries > _WIGNER_MAX_ENTRIES:
+        raise ValueError(f"momentum window max|p| = {p_max:.3g} needs a y step of {h:.3g}, "
+                         f"too fine for a lattice of at most {_WIGNER_MAX_ENTRIES} entries")
+
+
+def _y_transform(left: np.ndarray, right: np.ndarray, centres: np.ndarray, stride: int,
+                 h: float, half: float, p: np.ndarray) -> np.ndarray:
+    """(h/pi) sum_{|jh|<=half} left[c - stride j] right[c + stride j] exp(-2ipjh)
+    for each centre c; indices past either end of the pads read their end points."""
     n = math.ceil(half / h)
     j = np.arange(-n, n + 1)
     kernel = (h / math.pi) * np.exp(-2j * np.outer(h * j, p))
+    last = right.size - 1
     blocks = np.array_split(centres, max(1, centres.size * j.size // _WIGNER_BLOCK))
-    return np.concatenate([(np.conj(pad[np.clip(c[:, None] - stride * j, 0, pad.size - 1)])
-                            * pad[np.clip(c[:, None] + stride * j, 0, pad.size - 1)]) @ kernel
+    return np.concatenate([(left[np.clip(c[:, None] - stride * j, 0, last)]
+                            * right[np.clip(c[:, None] + stride * j, 0, last)]) @ kernel
                            for c in blocks])
+
+
+def wigner_cross_term(label_a: StateLabel, label_b: StateLabel,
+                      x: float, p: float, tol: float = 1e-10) -> complex:
+    """Phase-space kernel (1/pi) int dy psi_a(x-y) psi_b(x+y) exp(-2ipy)
+    between two basis states of the same ladder, on the lattice of
+    :func:`wigner_grid`.
+
+    As in a grid at |z| <= 10, k_osc is the turning wave number of rung
+    max(k_a, k_b, 10): below ten rungs the band-limit step would alias the
+    Gaussian momentum tails.  The step is h = _lattice_step(m, k_osc, |p|)
+    and both rungs are evaluated once, on the lattice x + l h/2 over
+    |y| <= k_osc + 6.  The value is the trapezoid sum at step h; its change
+    at step h/2 must stay within the absolute tolerance tol, else
+    NumericalError is raised.  A |p| whose step would pass
+    _WIGNER_MAX_ENTRIES lattice entries raises ValueError before the
+    lattice is built.
+    """
+    if (label_a.m, label_a.mu) != (label_b.m, label_b.mu):
+        raise ValueError("labels must belong to the same ladder")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    m, mu = label_a.m, label_a.mu
+    k_osc = math.sqrt(4.0 * max(mu + (m + 1) * max(label_a.k, label_b.k, 10) + m + 1, 1))
+    half = k_osc + 6.0
+    h = _lattice_step(m, k_osc, abs(p))
+    _refuse_fine_lattice(abs(p), h, 2.0 * (4.0 * half / h if h > 0.0 else math.inf))
+    n = math.ceil(half / h)
+    pad = np.zeros((2, 4 * n + 3))  # the h/2 lattice about x between zero end points
+    pad[:, 1:-1] = wavefunction_rows(m, mu, [label_a.k, label_b.k],
+                                     x + 0.5 * h * np.arange(-2 * n, 2 * n + 1))
+    centre, ps = np.array([2 * n + 1]), np.array([p])
+    value = complex(_y_transform(pad[0], pad[1], centre, 2, h, half, ps)[0, 0])
+    change = abs(_y_transform(pad[0], pad[1], centre, 1, 0.5 * h, half, ps)[0, 0] - value)
+    if not change <= tol:
+        raise NumericalError(f"kernel changes by {change:.3e} from step {h:.3g} to its half, "
+                             f"past tol = {tol:.1e}")
+    return value
 
 
 def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
@@ -414,9 +450,7 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     # or that many per row when rows are closer than one step
     ny = 4.0 * half_y / h if h > 0.0 else math.inf
     lattice = ny * (xs.size if 0.0 < dx < h else 2.0)
-    if max(ny * np_count, lattice * len(c.entries)) > _WIGNER_MAX_ENTRIES:
-        raise ValueError(f"momentum window max|p| = {p_max:.3g} needs a y step of {h:.3g}, "
-                         f"too fine for a lattice of at most {_WIGNER_MAX_ENTRIES} entries")
+    _refuse_fine_lattice(p_max, h, max(ny * np_count, lattice * len(c.entries)))
     if 0.0 < dx < h:  # rows closer than one step share no lattice: 4n + 1 points about each
         n = math.ceil(half_y / h)
         offsets = np.arange(-2 * n, 2 * n + 1)
@@ -432,9 +466,10 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     pad[1:-1] = _amplitudes(c.entries, wavefunction_rows(spec.m, spec.mu, range(len(c.entries)),
                                                          points))
     values_c = np.zeros((nx, np_count), dtype=complex)
-    values_c[inside] = _y_transform(pad, centres, 2, h, half_y, p)
+    left = np.conj(pad)
+    values_c[inside] = _y_transform(left, pad, centres, 2, h, half_y, p)
     rows = slice(None, None, max(1, centres.size // 8))
-    change = float(np.max(np.abs(_y_transform(pad, centres[rows], 1, 0.5 * h, half_y, p)
+    change = float(np.max(np.abs(_y_transform(left, pad, centres[rows], 1, 0.5 * h, half_y, p)
                                  - values_c[inside][rows]), initial=0.0))
 
     scale = float(np.max(np.abs(values_c.real)))

@@ -1,7 +1,7 @@
 """Numerical kernels shared by the whole library.
 
 Signed-log arithmetic, Hermite-family recurrences, Pochhammer products,
-generalized hypergeometric series and adaptive Gauss-Legendre quadrature.
+generalized hypergeometric series and a fixed Gauss-Legendre node set.
 Everything is a pure function of its inputs; there is no shared mutable
 state, so all routines are safe to call from any number of threads.
 """
@@ -10,24 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "NumericalError",
     "SignedLog",
-    "HypergeometricSpec",
     "SeriesResult",
-    "IntegralResult",
     "hermite",
     "mod_hermite",
     "hermite_phi",
     "phi_rows",
     "log_pochhammer",
-    "hypergeometric",
     "signed_series",
-    "integrate",
     "panel_nodes",
 ]
 
@@ -310,31 +305,6 @@ def log_pochhammer(a: float, k: int) -> SignedLog:
 
 
 @dataclass(frozen=True)
-class HypergeometricSpec:
-    """Parameter set of a convergent generalized hypergeometric series pFq.
-
-    All uses here have p <= q, so the series converges for every real
-    argument.  No lower parameter may be zero or a negative integer (each
-    would annihilate a denominator Pochhammer factor).
-    """
-
-    upper: tuple[float, ...]
-    lower: tuple[float, ...]
-    argument: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(float(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(float(b) for b in self.lower))
-        if len(self.upper) > len(self.lower):
-            raise ValueError("series requires p <= q upper/lower parameters")
-        for b in self.lower:
-            if b <= 0.0 and b == int(b):
-                raise ValueError(f"lower parameter {b} is a nonpositive integer")
-        if not math.isfinite(self.argument) or self.argument < 0.0:
-            raise ValueError("argument must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class SeriesResult:
     """A summed series: its value, the number of terms summed and a
     first-order bound on its relative rounding error,
@@ -420,8 +390,7 @@ def signed_series(upper, lower, x: float, relative_tol: float = 1e-12,
                   max_terms: int = MAX_SERIES_TERMS) -> SeriesResult:
     """Sum the pFq series from its log-term array.
 
-    The argument may be negative (alternating series); public callers that
-    promise x >= 0 go through :func:`hypergeometric`.  The terms come from
+    The argument may be negative (alternating series).  The terms come from
     :func:`_log_terms` and are summed once, scaled by the largest of them;
     a SignedLog is built only for the result.  Summation stops at the first
     term t_j whose ratio t_j/t_{j-1} is below one in magnitude AND that is
@@ -432,15 +401,28 @@ def signed_series(upper, lower, x: float, relative_tol: float = 1e-12,
     index, and ``rounding_bound`` bounds the relative rounding error of the
     summation, which cancellation makes large for an alternating series.
 
-    A series that does not terminate and whose terms still grow at index
-    max_terms raises NumericalError before any term is computed.
+    ValueError is raised up front for a relative_tol outside (0, 1e-6], a
+    lower parameter that is a nonpositive integer (it annihilates a
+    denominator factor), a NaN argument, or p > q unless the series
+    terminates.  A series that does not terminate and whose terms still
+    grow at index max_terms raises NumericalError before any term is
+    computed.
     """
+    if not 0.0 < relative_tol <= 1e-6:
+        raise ValueError("relative_tol must lie in (0, 1e-6]")
+    for b in lower:
+        if b <= 0.0 and float(b).is_integer():
+            raise ValueError(f"lower parameter {b} is a nonpositive integer")
+    if math.isnan(x):
+        raise ValueError("series argument is NaN")
+    # an upper parameter -n (n = 0, 1, ...) makes t_{n+1} and all later terms 0
+    end = min((int(-a) + 1 for a in upper if a <= 0.0 and float(a).is_integer()),
+              default=max_terms + 2)
+    if len(upper) > len(lower) and end > max_terms + 1:
+        raise ValueError("a series with p > q upper/lower parameters must terminate")
     if x == 0.0:
         return SeriesResult(SignedLog.ONE, 1, 0.0)
     log_x = math.log(abs(x))
-    # an upper parameter -n (n = 0, 1, ...) makes t_{n+1} and all later terms 0
-    end = min((int(-a) + 1 for a in upper if a <= 0.0 and a == int(a)),
-              default=max_terms + 2)
     if end > max_terms + 1 and _log_ratio(upper, lower, log_x, max_terms - 1) >= 0.0:
         raise NumericalError(
             f"hypergeometric series terms still grow at the {max_terms}-term cap")
@@ -478,107 +460,20 @@ def signed_series(upper, lower, x: float, relative_tol: float = 1e-12,
     return SeriesResult(_scaled_sum(running[stop], log_running[stop]), stop + 1, bound)
 
 
-def hypergeometric(spec: HypergeometricSpec, relative_tol: float = 1e-12) -> SeriesResult:
-    """Evaluate a convergent pFq at nonnegative argument.
-
-    Returns the value as a SignedLog together with the number of series
-    terms used.  Raises NumericalError if the series fails to converge
-    within the hard term cap.
-    """
-    if not 0.0 < relative_tol <= 1e-6:
-        raise ValueError("relative_tol must lie in (0, 1e-6]")
-    return signed_series(spec.upper, spec.lower, spec.argument, relative_tol)
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegralResult:
-    value: float
-    error: float
-
-
-@lru_cache(maxsize=None)
-def _gl_rule(degree: int):
-    nodes, weights = np.polynomial.legendre.leggauss(degree)
-    return nodes, weights
-
-
-def _gl_panel(f, a: float, b: float, degree: int) -> tuple[float, float]:
-    """One Gauss-Legendre panel, f called once on its node array; returns
-    (integral, integral of |f|)."""
-    nodes, weights = _gl_rule(degree)
-    half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * nodes
-    v = f(xs)
-    bad = ~np.isfinite(v)
-    if bad.any():
-        raise NumericalError(f"integrand is not finite at x = {xs[np.argmax(bad)]}")
-    return half * float(weights @ v), half * float(weights @ np.abs(v))
-
-
-def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
-              degree: int = 15, max_depth: int = 48) -> IntegralResult:
-    """Adaptive composite Gauss-Legendre quadrature of f on [a, b].
-
-    f takes an array of nodes and returns the integrand at each of them; it
-    is called once per panel.  A panel is accepted when bisecting it
-    changes its value by less than the panel's proportional share of
-    abs_tol.  The reported error is the sum of those last-refinement changes
-    plus a rounding floor; it bounds the true error for the Gaussian-damped
-    integrands this library meets.
-    Refinement-depth exhaustion raises NumericalError carrying the best
-    available estimate.
-    """
-    if not a < b:
-        raise ValueError("integration requires a < b")
-    if abs_tol <= 0.0:
-        raise ValueError("abs_tol must be positive")
-    if degree < 15:
-        raise ValueError("panel degree must be >= 15")
-    width = b - a
-    # each panel carries its own value, computed once as a half of its parent
-    stack: list[tuple[float, float, int, float]] = [(a, b, 0, _gl_panel(f, a, b, degree)[0])]
-    value = 0.0
-    err = 0.0
-    abs_mass = 0.0
-    while stack:
-        lo, hi, depth, coarse = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left, labs = _gl_panel(f, lo, mid, degree)
-        right, rabs = _gl_panel(f, mid, hi, degree)
-        fine = left + right
-        delta = abs(fine - coarse)
-        if delta <= abs_tol * (hi - lo) / width:
-            value += fine
-            err += delta
-            abs_mass += labs + rabs
-        elif depth >= max_depth:
-            # add the values of the panels still waiting so the error can
-            # carry a usable best estimate
-            best = value + fine + sum(seg for (_, _, _, seg) in stack)
-            raise NumericalError(
-                f"quadrature refinement depth {max_depth} exhausted on [{lo}, {hi}]",
-                best=best, best_error=err + delta + abs_tol)
-        else:
-            stack.append((lo, mid, depth + 1, left))
-            stack.append((mid, hi, depth + 1, right))
-    err = max(err, 1e-15 * abs_mass)
-    return IntegralResult(value, err)
-
-
 def panel_nodes(a: float, b: float, n_panels: int, degree: int = 20):
     """Nodes and weights of composite Gauss-Legendre quadrature on [a, b].
 
-    Fixed (non-adaptive) rule used for the vectorised matrix-element and
-    phase-space integrals, where one node set is shared by thousands of
-    integrands.
+    A fixed (non-adaptive) rule, independent of the trapezoid lattices the
+    library integrates on, and so the reference rule of the tests and of
+    ``ratosc selftest``.
     """
     if n_panels < 1:
         raise ValueError("need at least one panel")
-    nodes, weights = _gl_rule(degree)
+    nodes, weights = np.polynomial.legendre.leggauss(degree)
     edges = np.linspace(a, b, n_panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * np.diff(edges)

@@ -16,9 +16,7 @@ import numpy as np
 from .specfun import mod_hermite, phi_rows
 
 __all__ = [
-    "DeformedOscillator",
     "StateLabel",
-    "EigenfunctionEvaluator",
     "lowest_weights",
     "energy",
     "potential",
@@ -47,28 +45,6 @@ def lowest_weights(m: int) -> list[int]:
     """The m+1 lowest weights, one per ladder: -m-1 and 1..m."""
     _check_order(m)
     return [-m - 1] + list(range(1, m + 1))
-
-
-@dataclass(frozen=True)
-class DeformedOscillator:
-    """A rational deformation of the harmonic oscillator of even order m.
-
-    m = 0 is admitted as the undeformed regression limit (a harmonic
-    oscillator with the energy origin at its ground state).
-    """
-
-    m: int
-
-    def __post_init__(self):
-        _check_order(self.m)
-
-    @property
-    def ladder_weights(self) -> list[int]:
-        return lowest_weights(self.m)
-
-    def spectrum_indices(self, count: int) -> list[int]:
-        """The first `count` state indices: -m-1, 0, 1, 2, ..."""
-        return [-self.m - 1] + list(range(count - 1))
 
 
 @dataclass(frozen=True)
@@ -233,8 +209,10 @@ def _ground_rows(m: int, x: np.ndarray, top, orders) -> list[np.ndarray]:
     return out
 
 
-class EigenfunctionEvaluator:
-    """Position wavefunction of one eigenstate, with analytic derivatives.
+def wavefunction(label: StateLabel, x, derivative_order: int = 0):
+    """Position wavefunction of one eigenstate, or its first or second
+    derivative, at scalar or array x: a float for a scalar x, else an array
+    shaped like x.
 
     A single-state view of :func:`wavefunction_rows`, which holds the
     formulas.  For the added ground state (nu = -m-1) the form
@@ -247,25 +225,11 @@ class EigenfunctionEvaluator:
 
     which is algebraically identical to the textbook quotient of the
     exceptional polynomial by P_m but free of the factorial overflow that
-    kills the literal form near nu ~ 150.  Instances are immutable after
-    construction and safe to share between threads.
+    kills the literal form near nu ~ 150.
     """
-
-    def __init__(self, label: StateLabel):
-        self.label = label
-
-    def __call__(self, x, derivative_order: int = 0):
-        xv = np.asarray(x, dtype=float)
-        flat = xv if xv.ndim < 2 else xv.ravel()
-        lab = self.label
-        out = wavefunction_rows(lab.m, lab.mu, [lab.k], flat, derivative_order)[0]
-        return float(out[0]) if np.isscalar(x) else out.reshape(xv.shape)
-
-
-def wavefunction(label: StateLabel, x, derivative_order: int = 0):
-    """Evaluate the eigenstate wavefunction (or its first or second
-    derivative) at scalar or array x."""
-    return EigenfunctionEvaluator(label)(x, derivative_order)
+    xv = np.asarray(x, dtype=float)
+    row = wavefunction_rows(label.m, label.mu, [label.k], xv.ravel(), derivative_order)[0]
+    return float(row[0]) if np.isscalar(x) else row.reshape(xv.shape)
 
 
 def wavefunction_rows(m: int, mu: int, ks, x, derivative_order: int = 0) -> np.ndarray:
@@ -349,9 +313,7 @@ def verify_hamiltonian(label: StateLabel, grid_step: float = 1e-3) -> float:
     half_range = math.sqrt(2.0 * max(e, 2.0)) + 4.0
     n = int(2.0 * half_range / grid_step) + 1
     x = np.linspace(-half_range, half_range, n)
-    ev = EigenfunctionEvaluator(label)
-    psi = ev(x)
-    d2 = ev(x, 2)
+    psi, d2 = (row[0] for row in _wavefunction_stack(label.m, label.mu, [label.k], x, (0, 2)))
     v = hamiltonian_potential(label.m, x)
     residual = np.abs(-d2 + (v - e) * psi)
     return float(np.max(residual) / np.max(np.abs(psi)))

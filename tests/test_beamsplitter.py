@@ -3,6 +3,7 @@ factorization and linear entropy."""
 
 import cmath
 import math
+import time
 from math import lgamma
 
 import numpy as np
@@ -197,3 +198,25 @@ def test_blocked_purity_matches_double_loop():
     out = split(coefficients(CoherentSpec("nonlinear", 4, -5, 1e3)))
     assert out.K <= 120
     assert linear_entropy(out).value == pytest.approx(1.0 - _reference_purity(out.g), abs=1e-14)
+
+
+def test_distribution_scatter_is_bitwise_the_double_loop():
+    rng = np.random.default_rng(23)
+    for K in (0, 1, 2, 23, 100, 200):
+        out = split(_vector(_random_state(rng, K)))
+        gm = np.abs(out.g) ** 2
+        reference = np.zeros((K + 1, K + 1))
+        for s in range(K + 1):
+            for n2 in range(s + 1):
+                reference[s - n2, n2] = gm[s, n2]
+        assert np.array_equal(two_photon_distribution(out).p, reference)
+
+
+def test_split_refuses_tables_past_the_state_index_bound():
+    # K = 31,117 (m = 8) and K = 8,846 (m = 6): tables of 14.4 GiB and 1.2 GiB
+    for spec in (CoherentSpec("nonlinear", 8, -9, 6.9e25), CoherentSpec("nonlinear", 6, 3, 6e17)):
+        coeffs = coefficients(spec)
+        start = time.process_time()
+        with pytest.raises(ValueError, match="state index"):
+            split(coeffs)
+        assert time.process_time() - start < 0.1

@@ -284,3 +284,9 @@ def test_edge_arguments_exit_cleanly(tmp_path, capsys):
         assert "Traceback" not in err and err.count("\n") <= 1, args
         if option == "--output" or any(bad in value for bad in ("nan", "inf")):
             assert code == 1, args
+    # a linearized closed form past the double range is a numerical failure
+    args = ["energy", "--variant", "linearized", "--m", "4", "--mu=-5", "--z-abs=0:1e160:2",
+            "--output", str(tmp_path / "out.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1

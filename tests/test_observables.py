@@ -114,6 +114,18 @@ def test_linearized_number_moments():
     assert n_fact == pytest.approx((0.5 * 9.0) ** 2, rel=1e-14)
 
 
+def test_linearized_closed_forms_refuse_the_double_range_edge():
+    # <N(N-1)> = |z|^4 / 4 overflows first, then <H> ~ (m+1)|z|^2
+    n_mean, n_fact = number_moments(CoherentSpec("linearized", 4, -5, 1e76))
+    assert n_mean == pytest.approx(5e151, rel=1e-15) and math.isfinite(n_fact)
+    with pytest.raises(NumericalError):
+        number_moments(CoherentSpec("linearized", 4, -5, 1e80))
+    assert math.isfinite(energy_expectation(CoherentSpec("linearized", 4, -5, 1e150)))
+    for az in (1e160, 1.7e308):
+        with pytest.raises(NumericalError):
+            energy_expectation(CoherentSpec("linearized", 4, -5, az))
+
+
 def test_mandel_q_values():
     assert mandel_q(CoherentSpec("nonlinear", 4, -5, 0.0)) == 0.0
     assert mandel_q(CoherentSpec("linearized", 4, 3, 7.7), "closed_form") == 0.0
@@ -242,6 +254,31 @@ def test_wigner_kernel_momentum_marginal():
         assert marginal == pytest.approx(wavefunction(label, x) ** 2, abs=1e-8)
 
 
+def test_wigner_kernel_matches_panel_reference():
+    """The lattice kernel against a fixed composite Gauss-Legendre rule on
+    seeded rung pairs, positions and momenta, across deformation orders."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(30):
+        m = int(rng.choice([0, 2, 4, 6, 12]))
+        mu = int(rng.choice(lowest_weights(m)))
+        ka, kb = (int(k) for k in rng.integers(0, 8, size=2))
+        x, p = float(rng.uniform(-4.0, 4.0)), float(rng.uniform(-6.0, 6.0))
+        k_osc = math.sqrt(4.0 * max(mu + (m + 1) * 10 + m + 1, 1))
+        half = k_osc + 10.0  # past the lattice's support k_osc + 6
+        ys, ws = panel_nodes(-half, half, int(math.ceil(2.0 * half * (k_osc + 2.0 * abs(p)) / 5.0)),
+                             degree=24)
+        psi_a = wavefunction_rows(m, mu, [ka], x - ys)[0]
+        psi_b = wavefunction_rows(m, mu, [kb], x + ys)[0]
+        reference = np.sum(ws * psi_a * psi_b * np.exp(-2j * p * ys)) / math.pi
+        kernel = wigner_cross_term(StateLabel(m, mu, ka), StateLabel(m, mu, kb), x, p)
+        assert abs(kernel - reference) <= 1e-12, (m, mu, ka, kb, x, p)
+    start = time.process_time()
+    for p in (1e300, -1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="too fine"):
+            wigner_cross_term(StateLabel(2, 1, 0), StateLabel(2, 1, 3), 0.5, p)
+    assert time.process_time() - start < 0.1
+
+
 def test_wigner_grid_small_case():
     spec = CoherentSpec("nonlinear", 2, -3, 2.0)
     grid = wigner_grid(spec, window=((-6, 6), (-12, 12)), resolution=(81, 161))
@@ -255,8 +292,8 @@ def test_wigner_grid_small_case():
 
 
 def test_wigner_grid_matches_kernel_double_sum():
-    """Grid values against the literal double sum over adaptive kernel
-    integrals, at a complex eigenvalue so every phase path is exercised."""
+    """Grid values against the literal double sum over per-pair lattice
+    kernels, at a complex eigenvalue so every phase path is exercised."""
     import cmath
 
     spec = CoherentSpec("nonlinear", 2, 1, 1.3 * cmath.exp(0.6j))

@@ -1,4 +1,4 @@
-"""Kernel checks: signed-log arithmetic, recurrences, series, quadrature."""
+"""Kernel checks: signed-log arithmetic, recurrences, series, quadrature nodes."""
 
 import math
 import time
@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 from ratosc.specfun import (
-    HypergeometricSpec,
     NumericalError,
     SignedLog,
     _log_terms,
     hermite,
     hermite_phi,
-    hypergeometric,
-    integrate,
     log_pochhammer,
     mod_hermite,
     panel_nodes,
@@ -168,23 +165,20 @@ def test_log_pochhammer():
 
 
 def test_hypergeometric_argument_zero_is_one():
-    spec = HypergeometricSpec((1.0,), (0.37, 1.2), 0.0)
-    result = hypergeometric(spec)
+    result = signed_series((1.0,), (0.37, 1.2), 0.0)
     assert result.value.to_float() == 1.0
     assert result.terms == 1
 
 
 def test_hypergeometric_exponential_identity():
     # upper and lower parameter cancel, leaving exp(x)
-    spec = HypergeometricSpec((1.0,), (1.0,), 2.5)
-    value = hypergeometric(spec, 1e-13).value.to_float()
+    value = signed_series((1.0,), (1.0,), 2.5, 1e-13).value.to_float()
     assert value == pytest.approx(math.exp(2.5), rel=1e-12)
 
 
 def test_hypergeometric_negative_fractional_parameters():
     lower = (-0.2, -0.4, -0.6, -0.8)
-    spec = HypergeometricSpec((), lower, 1.0)
-    value = hypergeometric(spec, 1e-13).value.to_float()
+    value = signed_series((), lower, 1.0, 1e-13).value.to_float()
     assert value == pytest.approx(F_NEG_PARAMS_AT_ONE, rel=1e-12)
     # first correction term is 1/prod(lower) = 625/24
     k1 = 1.0
@@ -194,22 +188,45 @@ def test_hypergeometric_negative_fractional_parameters():
 
 
 def test_hypergeometric_tolerance_refinement():
-    spec = HypergeometricSpec((1.0,), (0.31, 0.77, 1.4), 250.0)
+    upper, lower = (1.0,), (0.31, 0.77, 1.4)
     for tol in (1e-7, 1e-9, 1e-11):
-        coarse = hypergeometric(spec, tol).value.to_float()
-        fine = hypergeometric(spec, tol / 2).value.to_float()
+        coarse = signed_series(upper, lower, 250.0, tol).value.to_float()
+        fine = signed_series(upper, lower, 250.0, tol / 2).value.to_float()
         assert abs(coarse - fine) / abs(fine) < tol
 
 
 def test_hypergeometric_validation():
     with pytest.raises(ValueError):
-        HypergeometricSpec((1.0, 2.0), (0.5,), 1.0)          # p > q
+        signed_series((1.0, 2.0), (0.5,), 1.0)          # p > q
     with pytest.raises(ValueError):
-        HypergeometricSpec((1.0,), (-2.0, 0.5), 1.0)         # nonpositive integer
+        signed_series((1.0,), (-2.0, 0.5), 1.0)         # nonpositive integer
     with pytest.raises(ValueError):
-        HypergeometricSpec((1.0,), (0.5, 0.5), -1.0)         # negative argument
-    with pytest.raises(ValueError):
-        hypergeometric(HypergeometricSpec((), (0.5,), 1.0), 1e-3)
+        signed_series((), (0.5,), 1.0, 1e-3)
+
+
+def test_signed_series_refuses_bad_input_promptly():
+    # every refusal comes before any term is summed, through the callers too
+    from ratosc.coherent import CoherentSpec, overlap_closed_form
+    from ratosc.observables import energy_expectation
+
+    start = time.process_time()
+    for tol in (0.0, -1e-12, 2e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="relative_tol"):
+            signed_series((1.0,), (0.5,), 1.0, tol)
+    for lower in ((0.0, 0.5), (-2.0, 0.5)):
+        with pytest.raises(ValueError, match="nonpositive integer"):
+            signed_series((1.0,), lower, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        signed_series((1.0,), (0.5,), math.nan)
+    spec = CoherentSpec("nonlinear", 4, -5, 2.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="relative_tol"):
+            energy_expectation(spec, relative_tol=tol)
+        with pytest.raises(ValueError, match="relative_tol"):
+            overlap_closed_form(4, -5, 2.0, relative_tol=tol)
+    with pytest.raises(ValueError, match="NaN"):
+        overlap_closed_form(4, -5, math.nan)
+    assert time.process_time() - start < 0.1
 
 
 def test_signed_series_term_cap():
@@ -221,37 +238,6 @@ def test_signed_series_alternating_argument():
     # exp(-x) through the parameter-cancelled series at negative argument
     value = signed_series((1.0,), (1.0,), -3.0, 1e-13).value.to_float()
     assert value == pytest.approx(math.exp(-3.0), rel=1e-11)
-
-
-def test_integrate_constant():
-    result = integrate(np.ones_like, 0.0, 1.0, 1e-12)
-    assert result.value == pytest.approx(1.0, rel=1e-14)
-
-
-def test_integrate_gaussian():
-    result = integrate(lambda x: np.exp(-x * x), -8.0, 8.0, 1e-12)
-    true = math.sqrt(math.pi)  # tails beyond 8 are < 1e-28
-    assert result.value == pytest.approx(true, rel=1e-12)
-    assert abs(result.value - true) <= result.error
-
-
-def test_integrate_oscillatory_cancellation():
-    # closed form sqrt(pi) exp(-400) ~ 2e-174: indistinguishable from zero
-    # at the requested tolerance, and the estimate must admit that
-    true = math.sqrt(math.pi) * math.exp(-400.0)
-    result = integrate(lambda x: np.cos(40.0 * x) * np.exp(-x * x), -8.0, 8.0, 1e-10)
-    assert abs(result.value - true) < 1e-10
-    assert abs(result.value - true) <= result.error
-
-
-def test_integrate_validation_and_exhaustion():
-    with pytest.raises(ValueError):
-        integrate(np.ones_like, 1.0, 0.0)
-    with pytest.raises(NumericalError) as info:
-        integrate(lambda x: np.exp(-x * x), -30.0, 30.0, 1e-14, max_depth=1)
-    assert info.value.best is not None
-    with pytest.raises(NumericalError):
-        integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
 
 
 def test_panel_nodes_integrate_polynomial_exactly():
@@ -332,18 +318,6 @@ def test_series_refuses_unreachable_peak_at_once():
     with pytest.raises(NumericalError):
         signed_series((), (), 1e9)
     assert time.process_time() - start < 1.0
-
-
-def test_integrate_evaluates_each_node_once():
-    points = []
-
-    def f(u):
-        points.extend(u)
-        return np.exp(-u * u) * np.cos(3.0 * u)
-
-    result = integrate(f, -8.0, 8.0)
-    assert result.value == pytest.approx(math.sqrt(math.pi) * math.exp(-2.25), rel=1e-12)
-    assert len(points) == len(set(points))
 
 
 def test_series_rounding_bound_covers_cancellation():
