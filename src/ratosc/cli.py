@@ -221,9 +221,9 @@ def _cmd_energy(config: RunConfig):
 def _cmd_density(config: RunConfig):
     spec = _spec(config)
     times = config.times or [0.0]
-    x = _grid_values(config.x_grid) if config.x_grid else None
-    x, rho = co.density_profile(spec, times, x=x, tail_tol=config.tail_tol)
     coeffs = co.coefficients(spec, config.tail_tol)
+    x = _grid_values(config.x_grid) if config.x_grid else co._support_grid(coeffs)
+    rho = co._profile_from_coefficients(coeffs, times, x)
     columns = ["x"] + [f"rho_t{i}" for i in range(len(times))]
     rows = np.column_stack([x, rho.T]).tolist()
     meta = {"times": list(times), "K": coeffs.K, "tail_mass": coeffs.tail_mass,
@@ -393,15 +393,17 @@ def _selftest() -> int:
 
     coeffs = co.coefficients(co.CoherentSpec("linearized", 2, 1, 2.0))
     out = bs.split(coeffs)
-    row_norms = np.array([np.sum(np.abs(out.g[k, : k + 1]) ** 2)
-                          for k in range(out.K + 1)])
+    # anti-diagonal k of the (n1, n2) table holds the input weight |A_k|^2
+    flipped = np.fliplr(out.amplitudes)
+    sums = np.array([np.sum(np.abs(flipped.diagonal(out.K - k)) ** 2)
+                     for k in range(out.K + 1)])
     weights = np.abs(coeffs.entries) ** 2
-    check("beamsplitter unitarity", float(np.max(np.abs(row_norms - weights))) < 1e-14)
+    check("beamsplitter unitarity", float(np.max(np.abs(sums - weights))) < 1e-14)
 
     # sub-normalised so the entropy sits far from its clamp at 0
     lin = co.coefficients(co.CoherentSpec("linearized", 2, 1, 5.0))
     out = bs.split(co.CoefficientVector(lin.spec, 0.8 * lin.entries, lin.tail_mass))
-    cols = [out.g[r:, r] for r in range(out.K + 1)]
+    cols = [out.amplitudes[: out.K + 1 - r, r] for r in range(out.K + 1)]
     loop = sum(abs(np.vdot(c2[: min(c1.size, c2.size)], c1[: min(c1.size, c2.size)])) ** 2
                for c1 in cols for c2 in cols)
     check(f"blocked purity matches the double loop at K={out.K}",

@@ -326,7 +326,13 @@ def default_grid(spec: CoherentSpec, tail_tol: float = 1e-14,
                  points_per_wavelength: int = 20, padding: float = 4.0) -> np.ndarray:
     """Position grid wide enough for the classical support at the truncation
     energy and fine enough to resolve the shortest interference fringes."""
-    coeffs = coefficients(spec, tail_tol)
+    return _support_grid(coefficients(spec, tail_tol), points_per_wavelength, padding)
+
+
+def _support_grid(coeffs: CoefficientVector, points_per_wavelength: int = 20,
+                  padding: float = 4.0) -> np.ndarray:
+    """default_grid for an already-built coefficient vector."""
+    spec = coeffs.spec
     nu_max = spec.mu + (spec.m + 1) * coeffs.K
     e_max = 2.0 * max(nu_max + spec.m + 1, 1)
     k_max = math.sqrt(2.0 * e_max)
@@ -339,15 +345,14 @@ def default_grid(spec: CoherentSpec, tail_tol: float = 1e-14,
 def density_profile(spec: CoherentSpec, times, x=None, tail_tol: float = 1e-14):
     """Densities at several times on a shared grid.
 
-    Returns (x, rho) with rho of shape (len(times), len(x)).  The basis
-    functions are evaluated once; only the coefficient phases change with
-    t, and all times are taken by two real matrix products (real and
-    imaginary parts of the phased coefficients) against that basis.
+    Returns (x, rho) with rho of shape (len(times), len(x)).  The
+    coefficients are built once and the basis functions evaluated once; only
+    the coefficient phases change with t, and all times are taken by two
+    real matrix products (real and imaginary parts of the phased
+    coefficients) against that basis.
     """
-    if x is None:
-        x = default_grid(spec, tail_tol)
-    x = np.asarray(x, dtype=float)
     coeffs = coefficients(spec, tail_tol)
+    x = _support_grid(coeffs) if x is None else np.asarray(x, dtype=float)
     return x, _profile_from_coefficients(coeffs, times, x)
 
 

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import mod_hermite, phi_rows
+from .specfun import (
+    NumericalError,
+    mod_hermite,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
+    phi_rows,
+)
 
 __all__ = [
     "StateLabel",
@@ -74,19 +78,42 @@ def energy(label: StateLabel) -> float:
     return 2.0 * (label.nu + label.m + 1)
 
 
+def _top_ratio(m: int, x):
+    """R = P_{m-1}/P_m of the modified Hermite polynomials from one pass of
+    the all-positive recurrence P_{j+1} = 2x P_j + 2j P_{j-1}.
+
+    The pair (P_{j-1}, P_j) is divided by its larger magnitude after every
+    step, so it stays in [-1, 1] where P_m itself would overflow (|x| past
+    ~1e77 at m = 4); at x = 0 the odd orders vanish and R is exactly 0.
+    """
+    lo = x * 0.0
+    hi = x * 0.0 + 1.0
+    for j in range(m):
+        lo, hi = hi, 2.0 * x * hi + 2.0 * j * lo
+        scale = np.maximum(np.abs(lo), np.abs(hi))
+        lo, hi = lo / scale, hi / scale
+    return lo / hi
+
+
 def potential(m: int, x):
     """Deformed potential x^2 - 2 [P''/P - (P'/P)^2 + 1], with P the positive
     even-order modified Hermite polynomial.
 
-    The rational part decays like 2m/x^2, so the curve approaches x^2 - 2
-    at large |x| for every order.  See hamiltonian_potential for the energy
-    origin that pairs with the spectrum convention used here.
+    With P' = 2m P_{m-1}, P'' = 4m(m-1) P_{m-2} and the recurrence, this is
+    x^2 - 2 - 4m (1 - 2xR - 2mR^2) in R = P_{m-1}/P_m alone, which stays
+    finite wherever x^2 does.  An x whose square overflows raises
+    NumericalError.  The rational part decays like 2m/x^2, so the curve
+    approaches x^2 - 2 at large |x| for every order.  See
+    hamiltonian_potential for the energy origin that pairs with the
+    spectrum convention used here.
     """
     _check_order(m)
-    p0 = mod_hermite(m, x)
-    p1 = mod_hermite(m, x, 1)
-    p2 = mod_hermite(m, x, 2)
-    return x * x - 2.0 * (p2 / p0 - (p1 / p0) ** 2 + 1.0)
+    with np.errstate(over="ignore"):
+        x2 = x * x
+    if np.any(np.isinf(x2)):
+        raise NumericalError(f"x^2 overflows at |x| = {float(np.max(np.abs(x))):.3g}")
+    r = _top_ratio(m, x)
+    return x2 - 2.0 - 4.0 * m * (1.0 - 2.0 * x * r - 2.0 * m * r * r)
 
 
 def hamiltonian_potential(m: int, x):

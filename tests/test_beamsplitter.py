@@ -4,6 +4,7 @@ factorization and linear entropy."""
 import cmath
 import math
 import time
+import tracemalloc
 from math import lgamma
 
 import numpy as np
@@ -31,7 +32,10 @@ def _vector(entries, spec=None):
 
 
 def _reference_split(a):
-    """One lgamma call per entry, row by row: the route split replaced."""
+    """One lgamma call per entry, row by row: the route split replaced.
+
+    Row k, column r holds the amplitude at n1 + n2 = k, n2 = r; _arm_layout
+    reads it in the (n1, n2) layout of the split table."""
     K = len(a) - 1
     g = np.zeros((K + 1, K + 1), dtype=complex)
     for k in range(K + 1):
@@ -41,9 +45,18 @@ def _reference_split(a):
     return g
 
 
-def _reference_purity(g):
-    """Double loop over inner products of shifted columns of G."""
-    cols = [g[r:, r] for r in range(g.shape[0])]
+def _arm_layout(g):
+    """The (k, r) table g read as ref[n1 + n2, n2]; zero where n1 + n2 > K."""
+    K = g.shape[0] - 1
+    n1, n2 = np.indices(g.shape)
+    return np.where(n1 + n2 <= K, g[np.minimum(n1 + n2, K), n2], 0.0)
+
+
+def _reference_purity(amp):
+    """Double loop over inner products of the columns of the (n1, n2) table,
+    column n2 cut at n1 = K - n2."""
+    K = amp.shape[0] - 1
+    cols = [amp[: K + 1 - r, r] for r in range(K + 1)]
     purity = 0.0
     for r1, v1 in enumerate(cols):
         for v2 in cols[r1:]:
@@ -61,7 +74,7 @@ def _random_state(rng, K):
 def test_vacuum_input_stays_vacuum():
     out = split(_vector([1.0]))
     assert out.K == 0
-    assert out.g[0, 0] == 1.0
+    assert out.amplitudes[0, 0] == 1.0
     dist = two_photon_distribution(out)
     assert dist.p[0, 0] == 1.0
     assert linear_entropy(out).value == 0.0
@@ -69,8 +82,8 @@ def test_vacuum_input_stays_vacuum():
 
 def test_single_quantum_splits_evenly():
     out = split(_vector([0.0, 1.0]))
-    assert out.g[1, 0] == pytest.approx(1.0 / math.sqrt(2.0))
-    assert out.g[1, 1] == pytest.approx(1.0 / math.sqrt(2.0))
+    assert out.amplitudes[1, 0] == pytest.approx(1.0 / math.sqrt(2.0))
+    assert out.amplitudes[0, 1] == pytest.approx(1.0 / math.sqrt(2.0))
     dist = two_photon_distribution(out)
     assert dist.p[1, 0] == pytest.approx(0.5)
     assert dist.p[0, 1] == pytest.approx(0.5)
@@ -80,7 +93,8 @@ def test_row_norms_reproduce_input_weights():
     coeffs = coefficients(CoherentSpec("nonlinear", 4, -5, 2.0e3))
     out = split(coeffs)
     for k in range(out.K + 1):
-        row = float(np.sum(np.abs(out.g[k, : k + 1]) ** 2))
+        n2 = np.arange(k + 1)
+        row = float(np.sum(np.abs(out.amplitudes[k - n2, n2]) ** 2))
         assert row == pytest.approx(abs(coeffs.entries[k]) ** 2, rel=1e-13)
 
 
@@ -135,7 +149,7 @@ def test_marginal_equals_reduced_state_diagonal():
     marginal = dist.p.sum(axis=1)
     K = out.K
     diagonal = np.array([
-        sum(abs(out.g[n1 + r, r]) ** 2 for r in range(K + 1 - n1))
+        sum(abs(out.amplitudes[n1, r]) ** 2 for r in range(K + 1 - n1))
         for n1 in range(K + 1)
     ])
     assert np.max(np.abs(marginal - diagonal)) < 1e-10
@@ -182,10 +196,11 @@ def test_split_is_bitwise_the_per_entry_route():
     rng = np.random.default_rng(11)
     for K in (0, 1, 2, 17, 64, 137, 200):
         a = _random_state(rng, K)
-        assert np.array_equal(split(_vector(a)).g, _reference_split(a))
+        assert np.array_equal(split(_vector(a)).amplitudes, _arm_layout(_reference_split(a)))
     coeffs = coefficients(CoherentSpec("linearized", 4, -5, 12.0))
     assert coeffs.K <= 200
-    assert np.array_equal(split(coeffs).g, _reference_split(coeffs.entries))
+    assert np.array_equal(split(coeffs).amplitudes,
+                          _arm_layout(_reference_split(coeffs.entries)))
 
 
 def test_blocked_purity_matches_double_loop():
@@ -194,22 +209,38 @@ def test_blocked_purity_matches_double_loop():
     for K in (0, 1, 30, 31, 32, 63, 64, 65, 120):
         out = split(_vector(_random_state(rng, K)))
         assert linear_entropy(out).value == pytest.approx(
-            1.0 - _reference_purity(out.g), abs=1e-14)
+            1.0 - _reference_purity(out.amplitudes), abs=1e-14)
     out = split(coefficients(CoherentSpec("nonlinear", 4, -5, 1e3)))
     assert out.K <= 120
-    assert linear_entropy(out).value == pytest.approx(1.0 - _reference_purity(out.g), abs=1e-14)
+    assert linear_entropy(out).value == pytest.approx(
+        1.0 - _reference_purity(out.amplitudes), abs=1e-14)
 
 
 def test_distribution_scatter_is_bitwise_the_double_loop():
     rng = np.random.default_rng(23)
     for K in (0, 1, 2, 23, 100, 200):
-        out = split(_vector(_random_state(rng, K)))
-        gm = np.abs(out.g) ** 2
+        a = _random_state(rng, K)
+        out = split(_vector(a))
+        gm = np.abs(_reference_split(a)) ** 2  # (k, r) layout, k = n1 + n2
         reference = np.zeros((K + 1, K + 1))
         for s in range(K + 1):
             for n2 in range(s + 1):
                 reference[s - n2, n2] = gm[s, n2]
         assert np.array_equal(two_photon_distribution(out).p, reference)
+
+
+def test_distribution_peak_memory_is_one_table():
+    # the table already sits in its (n1, n2) layout, so P is |amplitudes|^2
+    # with no index arrays beside it
+    K = 600
+    out = split(_vector(_random_state(np.random.default_rng(3), K)))
+    tracemalloc.start()
+    try:
+        two_photon_distribution(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (K + 1) ** 2 * np.dtype(float).itemsize
 
 
 def test_split_refuses_tables_past_the_state_index_bound():

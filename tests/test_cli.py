@@ -2,10 +2,13 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ratosc import coherent as co
 from ratosc.cli import RunConfig, main
 
 
@@ -188,6 +191,43 @@ def test_coeffs_and_potential_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_density_builds_coefficients_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    build = co.coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(co, "coefficients", counted)
+    co.density_profile(co.CoherentSpec("nonlinear", 6, -7, 2.0), [0.0, 0.1])
+    assert len(calls) == 1
+    calls.clear()
+    code, _ = run_cli(["density", "--m", "6", "--mu", "-7", "--z-re", "2", "--times", "0,0.1"],
+                      tmp_path, "density.csv")
+    assert code == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the ```sh block under "## Command line" in
+    README.md, one per `ratosc ...` line."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ratosc ")]
+
+
+def test_readme_commands_exit_zero(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 14
+    for i, args in enumerate(commands):
+        if args[0] != "selftest":  # selftest writes no file and takes no options
+            args = args + ["--output", str(tmp_path / f"{i}-{args[0]}.csv")]
+        assert main(args) == 0, args
+    capsys.readouterr()
+
+
 def test_seventeen_digit_round_trip(tmp_path, capsys):
     code, path = run_cli(
         ["overlap", "--m", "6", "--mu", "-7", "--z-abs", "10:10:1"],
@@ -287,6 +327,11 @@ def test_edge_arguments_exit_cleanly(tmp_path, capsys):
     # a linearized closed form past the double range is a numerical failure
     args = ["energy", "--variant", "linearized", "--m", "4", "--mu=-5", "--z-abs=0:1e160:2",
             "--output", str(tmp_path / "out.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    # so is a potential grid whose x^2 overflows
+    args = ["potential", "--m", "4", "--x-grid=-1e200:1e200:3", "--output", str(tmp_path / "out.csv")]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1

@@ -2,13 +2,15 @@
 ladder elements and the spectral algebra identity."""
 
 import math
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
-from ratosc.specfun import hermite, hermite_phi, mod_hermite, panel_nodes
+from ratosc.specfun import NumericalError, hermite, hermite_phi, mod_hermite, panel_nodes
 from ratosc.system import (
+    MAX_ORDER,
     StateLabel,
     algebra_residual,
     energy,
@@ -72,6 +74,26 @@ def test_potential_well_depth_and_asymptote():
     diff = potential(4, 30.0) - (30.0**2 - 2.0)
     assert 0.0 < diff < 0.01
     assert abs(potential(4, 100.0) - (100.0**2 - 2.0)) < 1e-3
+
+
+def test_potential_ratio_form_matches_quotient_form():
+    """The potential in R = P_{m-1}/P_m against the quotient of the three
+    modified-Hermite evaluations, which overflows past |x| ~ 1e77."""
+    x = np.linspace(-30.0, 30.0, 601)
+    for m in range(0, MAX_ORDER + 1, 2):
+        p0, p1, p2 = (mod_hermite(m, x, d) for d in (0, 1, 2))
+        reference = x * x - 2.0 * (p2 / p0 - (p1 / p0) ** 2 + 1.0)
+        v = potential(m, x)
+        assert np.max(np.abs(v - reference) / np.maximum(1.0, np.abs(reference))) < 1e-13
+        assert potential(m, 0.0) == -2.0 - 4.0 * m
+    far = np.array([-1e150, -1e77, 1e77, 1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = potential(12, far)
+    assert np.all(np.isfinite(v))
+    assert np.allclose(v, far * far, rtol=1e-15, atol=0.0)
+    with pytest.raises(NumericalError, match="overflows"):
+        potential(4, np.array([0.0, 1e200]))
 
 
 def test_hamiltonian_potential_shift():
