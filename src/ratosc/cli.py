@@ -25,6 +25,8 @@ from .specfun import (
     NumericalError,
     SignedLog,
     _log_terms,
+    _ratio_table,
+    _series_limits,
     hermite_phi,
     log_pochhammer,
     panel_nodes,
@@ -236,7 +238,7 @@ def _cmd_cat(config: RunConfig):
     cat = co.cat_coefficients(spec, config.parity, normalize=True,
                               tail_tol=config.tail_tol)
     times = config.times or [0.0]
-    x = _grid_values(config.x_grid) if config.x_grid else co.default_grid(spec, config.tail_tol)
+    x = _grid_values(config.x_grid) if config.x_grid else co._support_grid(cat)
     rho = co._profile_from_coefficients(cat, times, x)
     columns = ["x"] + [f"rho_t{i}" for i in range(len(times))]
     rows = np.column_stack([x, rho.T]).tolist()
@@ -350,6 +352,19 @@ def _selftest() -> int:
         check(f"series kernel reproduces e^x at x = {x:g}",
               float(np.max(np.abs(logs - exact) / np.maximum(np.abs(exact), 1.0))) < 1e-12
               and np.array_equal(signs, np.sign(x) ** np.arange(1000)) and sum_ok)
+
+    # the argument-free series tables are cached per parameter set: a |z|
+    # sweep through warm tables, longest first, must reproduce cold ones
+    params = co.hypergeometric_parameters(2, -3)
+    xs = [sign * co.series_argument(2, az) for az in (1e-3, 1.0, 1e2, 1e4, 1e6)
+          for sign in (1.0, -1.0)]
+    cold = []
+    for x in xs:
+        _ratio_table.cache_clear()
+        _series_limits.cache_clear()
+        cold.append(signed_series((1.0,), params, x))
+    warm = [signed_series((1.0,), params, x) for x in reversed(xs)][::-1]
+    check("series through warm parameter tables are bitwise the cold ones", warm == cold)
 
     x = np.linspace(-46.0, 46.0, 93)  # straddles |x| = 37
     for m, mu, ks in ((2, -3, [0, 1, 300]), (6, -7, range(6))):

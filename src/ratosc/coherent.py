@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .specfun import (
     NumericalError,
     SignedLog,
     _first_count,
-    _log_ratio,
     _log_terms,
+    _series_limits,
     signed_series,
 )
 from .system import ladder_element, lowest_weights, wavefunction_rows
@@ -102,9 +103,11 @@ class CoefficientVector:
         return float(np.sum(np.abs(self.entries) ** 2))
 
 
+@lru_cache(maxsize=64)
 def hypergeometric_parameters(m: int, mu: int) -> tuple[float, ...]:
     """Lower parameters of the normalisation series for ladder (m, mu):
-    (mu - j)/(m+1) + 1 for j = 1..m together with (mu + m + 1)/(m+1) + 1."""
+    (mu - j)/(m+1) + 1 for j = 1..m together with (mu + m + 1)/(m+1) + 1.
+    Cached per ladder: a |z| sweep asks for the same tuple at every point."""
     params = [(mu - j) / (m + 1.0) + 1.0 for j in range(1, m + 1)]
     params.append((mu + m + 1.0) / (m + 1.0) + 1.0)
     return tuple(params)
@@ -151,7 +154,9 @@ def _log_weight_terms(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
     else:
         upper, lower = (), ()
         log_x = 2.0 * math.log(az) - math.log(2.0)
-    if _log_ratio(upper, lower, log_x, MAX_COEFFICIENTS) >= 0.0:
+    # the limits of a series of MAX_COEFFICIENTS + 1 terms hold ln|r| at
+    # index MAX_COEFFICIENTS, the ratio t_{K+1}/t_K of the last admissible K
+    if log_x + _series_limits(upper, lower, MAX_COEFFICIENTS + 1).cap_log >= 0.0:
         raise NumericalError(
             f"coefficient weights still grow at the {MAX_COEFFICIENTS}-entry cap")
     log_tol = math.log(tail_tol)

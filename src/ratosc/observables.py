@@ -54,6 +54,16 @@ __all__ = [
 # energies and number statistics
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _moment_series(m: int, mu: int, order: int):
+    """Lower parameters b + order of the order-th factorial-moment series
+    of ladder (m, mu) and the Pochhammer symbols (b_j)_order, in the order
+    of b; cached per ladder and order, since a |z| sweep reuses them."""
+    b = hypergeometric_parameters(m, mu)
+    return (tuple(bj + order for bj in b),
+            tuple(log_pochhammer(bj, order) for bj in b))
+
+
 def _factorial_moments(m: int, mu: int, abs_z: float, orders,
                        relative_tol: float = 1e-12) -> tuple[float, ...]:
     """Falling-factorial moments <k (k-1) ... (k-order+1)> of the rung number
@@ -71,13 +81,13 @@ def _factorial_moments(m: int, mu: int, abs_z: float, orders,
     den = signed_series((1.0,), b, x, relative_tol).value
     out = []
     for order in orders:
-        num = signed_series((order + 1.0,), tuple(bj + order for bj in b), x,
-                            relative_tol).value
+        shifted, pochhammers = _moment_series(m, mu, order)
+        num = signed_series((order + 1.0,), shifted, x, relative_tol).value
         # ln x from |z|: x itself underflows to 0 for |z| below ~1e-160
         pref = SignedLog(1, order * _log_series_argument(m, abs_z)
                          + math.log(math.factorial(order)))
-        for bj in b:
-            pref = pref / log_pochhammer(bj, order)
+        for poch in pochhammers:
+            pref = pref / poch
         out.append((pref * (num / den)).to_float())
     return tuple(out)
 

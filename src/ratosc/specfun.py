@@ -2,14 +2,18 @@
 
 Signed-log arithmetic, Hermite-family recurrences, Pochhammer products,
 generalized hypergeometric series and a fixed Gauss-Legendre node set.
-Everything is a pure function of its inputs; there is no shared mutable
-state, so all routines are safe to call from any number of threads.
+Everything is a pure function of its inputs.  The only shared state is
+a set of bounded lru caches of the argument-free parts of the series
+(read-only arrays and immutable records), so all routines are safe to
+call from any number of threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +37,17 @@ MAX_SERIES_TERMS = 1_000_000
 _LOG_FLOOR = math.log(1e-35)
 
 _EPS = float(np.finfo(float).eps)
+
+# Ratio tables of the pFq series: one per (upper, lower, power-of-two
+# length), kept only up to _TABLE_MAX_ENTRIES entries, past which a series
+# costs its terms, not its per-call set-up.  A table holds two float64
+# arrays, so the retained tables take at most
+# _TABLE_CACHE_SIZE * _TABLE_MAX_ENTRIES * 16 bytes = 8 MiB.
+_TABLE_MIN_ENTRIES = 32
+_TABLE_MAX_ENTRIES = 1 << 14
+_TABLE_CACHE_SIZE = 32
+# per-parameter-set records (a few hundred bytes each)
+_LIMITS_CACHE_SIZE = 128
 
 # exp() overflows above this; to_float saturates to +-inf instead of raising.
 _LOG_HUGE = math.log(8.98846567431158e307)
@@ -336,10 +351,23 @@ def _ratio_factors(upper, lower, k):
     return num / den
 
 
-def _log_ratio(upper, lower, log_x: float, k: int) -> float:
-    """ln|t_{k+1}/t_k| of the series in :func:`_log_terms`, at one index."""
-    factor = abs(_ratio_factors(upper, lower, float(k)))
-    return log_x + math.log(factor) if factor > 0.0 else -math.inf
+def _ratio_logs(upper, lower, length: int):
+    """ln|r_k| and the sign prefix prod_{i<k} sign(r_i), k = 0..length-1, of
+    the argument-free term ratios r_k = _ratio_factors(upper, lower, k), as
+    read-only arrays.  Past the zero of a terminating series ln|r_k| is
+    -inf and the prefix 0; callers read only up to that zero."""
+    ratio = _ratio_factors(upper, lower, np.arange(length, dtype=float))
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(np.abs(ratio))
+    prefix = np.ones(length)
+    if any(c < 0.0 for c in (*upper, *lower)):
+        np.cumprod(np.sign(ratio[:-1]), out=prefix[1:])
+    log_ratio.flags.writeable = False
+    prefix.flags.writeable = False
+    return log_ratio, prefix
+
+
+_ratio_table = lru_cache(maxsize=_TABLE_CACHE_SIZE)(_ratio_logs)
 
 
 def _log_terms(upper, lower, log_x: float, negative: bool, count: int):
@@ -347,21 +375,55 @@ def _log_terms(upper, lower, log_x: float, negative: bool, count: int):
     t_0 = 1 and t_{k+1}/t_k = x prod_i (a_i + k) / ((k+1) prod_j (b_j + k)).
 
     The argument enters as ln|x| and its sign, so an |x| beyond the double
-    range costs nothing; ln|t_k| is the running sum of the log ratios.  The
+    range costs nothing; ln|t_k| is the running sum of ln|r_k| + ln|x|.
+    The argument-free ln|r_k| and sign prefix come from a cached table of
+    the next power-of-two length (up to _TABLE_MAX_ENTRIES entries; longer
+    series build theirs per call), so a sweep over x at fixed parameters
+    builds them once; every entry is computed on its own, so a slice of a
+    longer table equals a shorter one bitwise.  upper and lower are tuples,
+    since they key the cache, and the signs are returned read-only.  The
     caller keeps count at or below the first zero term of a terminating
     series.
     """
-    ratio = _ratio_factors(upper, lower, np.arange(count - 1, dtype=float))
+    length = max(count, _TABLE_MIN_ENTRIES)
+    if length <= _TABLE_MAX_ENTRIES:
+        log_ratio, prefix = _ratio_table(upper, lower, 1 << (length - 1).bit_length())
+    else:
+        log_ratio, prefix = _ratio_logs(upper, lower, count)
     logs = np.empty(count)
     logs[0] = 0.0
-    np.cumsum(np.log(np.abs(ratio)) + log_x, out=logs[1:])
-    signs = np.ones(count)
-    if negative or any(c < 0.0 for c in (*upper, *lower)):
-        flips = np.sign(ratio)
-        if negative:
-            flips = -flips
-        np.cumprod(flips, out=signs[1:])
+    np.cumsum(log_ratio[:count - 1] + log_x, out=logs[1:])
+    signs = prefix[:count]
+    if negative:
+        # t_k of x < 0 carries the extra sign (-1)^k
+        signs = signs.copy()
+        np.negative(signs[1::2], out=signs[1::2])
+        signs.flags.writeable = False
     return logs, signs
+
+
+class _SeriesLimits(NamedTuple):
+    """The argument-free checks and limits of a series summed to at most
+    max_terms terms."""
+
+    bad_lower: float | None  # a lower parameter that is a nonpositive integer
+    end: int                 # index of the first zero term, or max_terms + 2
+    open_pq: bool            # p > q and the series does not terminate
+    cap_log: float           # ln|r| at index max_terms - 1 (-inf where r = 0)
+
+
+@lru_cache(maxsize=_LIMITS_CACHE_SIZE)
+def _series_limits(upper: tuple, lower: tuple, max_terms: int) -> _SeriesLimits:
+    bad_lower = next((b for b in lower if b <= 0.0 and float(b).is_integer()), None)
+    # an upper parameter -n (n = 0, 1, ...) makes t_{n+1} and all later terms 0
+    end = min((int(-a) + 1 for a in upper if a <= 0.0 and float(a).is_integer()),
+              default=max_terms + 2)
+    open_pq = len(upper) > len(lower) and end > max_terms + 1
+    cap_log = math.nan  # never read: the bad lower parameter is refused first
+    if bad_lower is None:
+        factor = abs(_ratio_factors(upper, lower, float(max_terms - 1)))
+        cap_log = math.log(factor) if factor > 0.0 else -math.inf
+    return _SeriesLimits(bad_lower, end, open_pq, cap_log)
 
 
 def _first_count(log_x: float, slope: int, log_tol: float, cap: int) -> int:
@@ -402,28 +464,29 @@ def signed_series(upper, lower, x: float, relative_tol: float = 1e-12,
     summation, which cancellation makes large for an alternating series.
 
     ValueError is raised up front for a relative_tol outside (0, 1e-6], a
-    lower parameter that is a nonpositive integer (it annihilates a
-    denominator factor), a NaN argument, or p > q unless the series
-    terminates.  A series that does not terminate and whose terms still
+    max_terms below 1, a lower parameter that is a nonpositive integer (it
+    annihilates a denominator factor), a NaN argument, or p > q unless the
+    series terminates.  A series that does not terminate and whose terms still
     grow at index max_terms raises NumericalError before any term is
     computed.
     """
     if not 0.0 < relative_tol <= 1e-6:
         raise ValueError("relative_tol must lie in (0, 1e-6]")
-    for b in lower:
-        if b <= 0.0 and float(b).is_integer():
-            raise ValueError(f"lower parameter {b} is a nonpositive integer")
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
+    upper, lower = tuple(upper), tuple(lower)
+    limits = _series_limits(upper, lower, max_terms)
+    if limits.bad_lower is not None:
+        raise ValueError(f"lower parameter {limits.bad_lower} is a nonpositive integer")
     if math.isnan(x):
         raise ValueError("series argument is NaN")
-    # an upper parameter -n (n = 0, 1, ...) makes t_{n+1} and all later terms 0
-    end = min((int(-a) + 1 for a in upper if a <= 0.0 and float(a).is_integer()),
-              default=max_terms + 2)
-    if len(upper) > len(lower) and end > max_terms + 1:
+    end = limits.end
+    if limits.open_pq:
         raise ValueError("a series with p > q upper/lower parameters must terminate")
     if x == 0.0:
         return SeriesResult(SignedLog.ONE, 1, 0.0)
     log_x = math.log(abs(x))
-    if end > max_terms + 1 and _log_ratio(upper, lower, log_x, max_terms - 1) >= 0.0:
+    if end > max_terms + 1 and log_x + limits.cap_log >= 0.0:
         raise NumericalError(
             f"hypergeometric series terms still grow at the {max_terms}-term cap")
     log_tol = math.log(relative_tol)

@@ -210,6 +210,22 @@ def test_density_builds_coefficients_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cat_builds_coefficients_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    build = co.coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(co, "coefficients", counted)
+    code, _ = run_cli(["cat", "--m", "6", "--mu", "-7", "--z-re", "2", "--parity", "odd"],
+                      tmp_path, "cat.csv")
+    assert code == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def _readme_commands() -> list[list[str]]:
     """The argument lists of the ```sh block under "## Command line" in
     README.md, one per `ratosc ...` line."""

@@ -7,11 +7,30 @@ energy routes, Hermiticity) regardless of where it lands.
 
 import cmath
 import math
+import time
+import warnings
 
 import numpy as np
 
-from ratosc.coherent import CoherentSpec, coefficients, density, eigen_residual
-from ratosc.observables import energy_expectation, moment_matrices, uncertainty
+from ratosc.coherent import (
+    VARIANTS,
+    CoherentSpec,
+    coefficients,
+    density,
+    eigen_residual,
+    hypergeometric_parameters,
+    overlap,
+    overlap_closed_form,
+    series_argument,
+)
+from ratosc.observables import (
+    energy_expectation,
+    mandel_q,
+    moment_matrices,
+    number_moments,
+    uncertainty,
+)
+from ratosc.specfun import NumericalError, signed_series
 from ratosc.system import StateLabel, ladder_element, lowest_weights, wavefunction
 
 RNG = np.random.default_rng(20260808)
@@ -89,3 +108,86 @@ def test_random_uncertainty_floor():
         t = float(RNG.uniform(0.0, 1.0))
         result = uncertainty(CoherentSpec(variant, m, mu, z), t)
         assert result.product >= 0.5 - 1e-9
+
+
+DUAL_ROUTE_TOL = 1e-8  # criterion 2 of the acceptance suite
+OVERLAP_FLOOR = 1e-12  # its absolute floor of the unit-bounded overlap
+
+
+def _outcome(call):
+    """(value, processor seconds); value None for a refusal."""
+    start = time.process_time()
+    try:
+        value = call()
+    except (ValueError, NumericalError):
+        value = None
+    return value, time.process_time() - start
+
+
+def _closed_form_bound(spec) -> float:
+    """Summed rounding bounds of the series behind the nonlinear closed
+    forms, F(order+1; b+order; x) for orders 0, 1 and 2 (0 for the exact
+    linearized laws)."""
+    if spec.variant == "linearized":
+        return 0.0
+    b = hypergeometric_parameters(spec.m, spec.mu)
+    x = series_argument(spec.m, spec.abs_z)
+    return sum(signed_series((order + 1.0,), tuple(bj + order for bj in b), x).rounding_bound
+               for order in (0, 1, 2))
+
+
+def test_statistics_entry_points_answer_or_refuse_promptly():
+    # the documented domain at its edges: even m <= 12, both variants and
+    # |z| log-uniform over 1e-300 .. 1e150
+    rng = np.random.default_rng(20261018)
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(300):
+            m = int(rng.choice(range(0, 13, 2)))
+            mu = int(rng.choice(lowest_weights(m)))
+            variant = str(rng.choice(VARIANTS))
+            az = 10.0 ** rng.uniform(-300.0, 150.0)
+            spec = CoherentSpec(variant, m, mu, az * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+            calls = {"coefficients": lambda: coefficients(spec),
+                     "overlap": lambda: overlap(m, mu, az),
+                     "overlap_closed_form": lambda: overlap_closed_form(m, mu, az)}
+            for method in ("closed_form", "direct"):
+                calls[f"energy_{method}"] = lambda method=method: energy_expectation(spec, method)
+                calls[f"moments_{method}"] = lambda method=method: number_moments(spec, method)
+                calls[f"mandel_{method}"] = lambda method=method: mandel_q(spec, method)
+            got = {}
+            for name, call in calls.items():
+                value, seconds = _outcome(call)
+                assert seconds < 1.0, (name, spec, seconds)
+                if name == "coefficients" and value is not None:
+                    assert np.all(np.isfinite(value.entries)) and math.isfinite(value.tail_mass)
+                elif value is not None:
+                    assert np.all(np.isfinite(value)), (name, spec, value)
+                got[name] = value
+
+            d, d_c = got["overlap"], got["overlap_closed_form"]
+            if d is not None and d_c is not None:
+                excess = max(abs(d - d_c) - OVERLAP_FLOOR, 0.0)
+                assert excess <= DUAL_ROUTE_TOL * max(abs(d), abs(d_c), 1e-300), (m, mu, az)
+            c = got["coefficients"]
+            if c is None or got["moments_closed_form"] is None or got["moments_direct"] is None:
+                continue
+            # The direct route drops weights of relative mass tail_mass past K,
+            # falling at least geometrically, so its share of <N> and <N(N-1)>
+            # stays below 2 tail_mass (K + 2)^2; the closed forms carry the
+            # rounding bounds of their series (up to ~1e-5 at K ~ 1e5).
+            slack = 2.0 * c.tail_mass * (c.K + 2) ** 2
+            rel = DUAL_ROUTE_TOL + _closed_form_bound(spec)
+            base = 2.0 * mu + 2.0 * m + 2.0
+            e_c, e_d = got["energy_closed_form"], got["energy_direct"]
+            assert abs(e_c - e_d) <= rel * abs(e_d) + slack * (abs(base) + 2 * m + 2), spec
+            (n1c, n2c), (n1, n2) = got["moments_closed_form"], got["moments_direct"]
+            d1, d2 = rel * n1 + slack, rel * n2 + slack
+            assert abs(n1c - n1) <= d1 and abs(n2c - n2) <= d2, spec
+            if n1 > 0.0:
+                q = got["mandel_direct"]
+                allowed = (d2 + (2.0 * n1 + abs(q)) * d1) / n1
+                assert abs(got["mandel_closed_form"] - q) <= allowed, spec
+            compared += 1
+    assert compared >= 100

@@ -1,11 +1,20 @@
 """Kernel checks: signed-log arithmetic, recurrences, series, quadrature nodes."""
 
+import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ratosc import specfun
+from ratosc.coherent import (
+    CoherentSpec,
+    _log_weight_terms,
+    hypergeometric_parameters,
+    series_argument,
+)
 from ratosc.specfun import (
     NumericalError,
     SignedLog,
@@ -218,6 +227,8 @@ def test_signed_series_refuses_bad_input_promptly():
             signed_series((1.0,), lower, 1.0)
     with pytest.raises(ValueError, match="NaN"):
         signed_series((1.0,), (0.5,), math.nan)
+    with pytest.raises(ValueError, match="max_terms"):
+        signed_series((1.0,), (0.5,), 1.0, max_terms=0)
     spec = CoherentSpec("nonlinear", 4, -5, 2.0)
     for tol in (0.0, math.nan):
         with pytest.raises(ValueError, match="relative_tol"):
@@ -343,3 +354,116 @@ def test_series_rounding_bound_covers_the_log_sum():
     for x in (300.0, 700.0, 2000.0):
         res = signed_series((), (), x, 1e-14)
         assert abs(res.value.log_mag - x) <= res.rounding_bound
+
+
+# ---------------------------------------------------------------------------
+# per-parameter-set tables
+# ---------------------------------------------------------------------------
+
+def _clear_tables():
+    specfun._ratio_table.cache_clear()
+    specfun._series_limits.cache_clear()
+
+
+def _series_bits(result):
+    """A SeriesResult as exact bit patterns."""
+    return (result.value.sign, result.value.log_mag.hex(), result.terms,
+            result.rounding_bound.hex())
+
+
+def _weight_bits(spec):
+    try:
+        logs, tail = _log_weight_terms(spec, 1e-14)
+    except NumericalError as exc:  # the linearized weights at large |z|
+        return str(exc)
+    return logs.tobytes(), tail.hex()
+
+
+def _ladder_sweep(m, mu, abs_zs):
+    """(series call, weight spec) pairs of a |z| sweep on ladder (m, mu)."""
+    b = hypergeometric_parameters(m, mu)
+    cases = []
+    for az in abs_zs:
+        x = series_argument(m, az)
+        for order in (0, 1, 2):
+            shifted = tuple(bj + order for bj in b)
+            cases.append(((order + 1.0,), shifted, x))
+            cases.append(((order + 1.0,), shifted, -x))
+    specs = [CoherentSpec(variant, m, mu, az) for az in abs_zs
+             for variant in ("nonlinear", "linearized")]
+    return cases, specs
+
+
+def test_cold_and_warm_tables_agree_bitwise():
+    cases, specs = _ladder_sweep(4, -5, 10.0 ** np.linspace(-3.0, 6.0, 10))
+    cases += [(upper, lower, x) for _, upper, lower, x in _series_grid(per_kind=10)]
+    for upper, lower, x in cases:
+        _clear_tables()
+        cold = _series_bits(signed_series(upper, lower, x))
+        assert _series_bits(signed_series(upper, lower, x)) == cold, (upper, lower, x)
+    for spec in specs:
+        _clear_tables()
+        cold = _weight_bits(spec)
+        assert _weight_bits(spec) == cold, spec
+
+
+def test_sweep_order_does_not_change_results():
+    # ascending |z| fills the tables short first, descending long first
+    for m, mu in ((2, -3), (6, -7)):
+        cases, specs = _ladder_sweep(m, mu, 10.0 ** np.linspace(-2.0, 7.0, 19))
+        _clear_tables()
+        up = [_series_bits(signed_series(*case)) for case in cases]
+        up_weights = [_weight_bits(spec) for spec in specs]
+        _clear_tables()
+        down = [_series_bits(signed_series(*case)) for case in reversed(cases)][::-1]
+        down_weights = [_weight_bits(spec) for spec in reversed(specs)][::-1]
+        assert up == down and up_weights == down_weights, (m, mu)
+    # a slice of a longer table is bitwise a fresh shorter one, and the
+    # longest cached table a slice of the per-call route of long series
+    params = ((1.0,), hypergeometric_parameters(2, -3))
+    longest = specfun._TABLE_MAX_ENTRIES
+    per_call = specfun._ratio_logs(*params, 3 * longest)
+    for length in (1, 2, 33, 64, 1000, longest):
+        fresh = specfun._ratio_logs(*params, length)
+        cached = specfun._ratio_table(*params, longest)
+        for a, b, c in zip(fresh, cached, per_call):
+            assert a.tobytes() == b[:length].tobytes() == c[:length].tobytes()
+
+
+def test_log_terms_cannot_write_into_a_cached_table():
+    _clear_tables()
+    upper, lower = (1.0,), (-0.5, 1.5)
+    table = [a.copy() for a in specfun._ratio_table(upper, lower, 32)]
+    for negative in (False, True):
+        logs, signs = _log_terms(upper, lower, 0.3, negative, 20)
+        logs[:] = 7.0  # a fresh array per call
+        with pytest.raises(ValueError):
+            signs[1] = 7.0
+    for cached in specfun._ratio_table(upper, lower, 32):
+        with pytest.raises(ValueError):
+            cached[0] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip(table, specfun._ratio_table(upper, lower, 32)))
+    assert specfun._ratio_table.cache_info().misses == 1
+    logs, signs = _log_terms(upper, lower, 0.3, True, 20)
+    assert list(signs[:4]) == [1.0, 1.0, -1.0, 1.0]  # (-1)^k sign(0.3^k (1)_k/((-0.5)_k (1.5)_k))
+
+
+def test_retained_tables_stay_within_their_bound():
+    # 50 parameter sets whose first pass fills a table of the largest
+    # retained length, then one ~777,000-term series past it
+    _clear_tables()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(50):
+            assert signed_series((), (1.0 + i / 8.0,), 1.2e8).terms > specfun._TABLE_MAX_ENTRIES // 2
+        long = signed_series((1.0,), hypergeometric_parameters(2, -3), series_argument(2, 1e10))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert long.terms > 700_000
+    table_bytes = specfun._TABLE_CACHE_SIZE * specfun._TABLE_MAX_ENTRIES * 16
+    assert retained > 0.9 * table_bytes  # the tables are kept ...
+    assert retained <= table_bytes + 65536  # ... within their bound plus records
