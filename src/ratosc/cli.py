@@ -373,6 +373,20 @@ def _selftest() -> int:
         check(f"stacked derivative rows match single-order rows (m={m}, mu={mu})",
               all(np.array_equal(a, b) for a, b in zip(stack, single)))
 
+    # the densities on a mirror-symmetric grid evaluate the basis on x >= 0
+    # only and take the rest from psi_nu(-x) = (-1)^(nu+1) psi_nu(x)
+    rows = sy.wavefunction_rows(6, -7, range(8), x)
+    signs = np.where((-7 + 7 * np.arange(8)) % 2, 1.0, -1.0)[:, None]
+    check("eigenfunction parity psi(-x) = (-1)^(nu+1) psi(x) holds to the bit",
+          np.array_equal(sy.wavefunction_rows(6, -7, range(8), -x), signs * rows))
+    spec = co.CoherentSpec("nonlinear", 4, -5, 2e3)
+    coeffs = co.coefficients(spec)
+    grid = co.default_grid(spec)
+    unfolded = np.abs(co._amplitudes(coeffs.entries, sy.wavefunction_rows(
+        4, -5, range(coeffs.K + 1), grid))) ** 2
+    check("density folded across x = 0 matches the unfolded sum (m=4, |z|=2e3)",
+          float(np.max(np.abs(co.density(spec, grid) - unfolded))) <= 1e-14 * float(unfolded.max()))
+
     # 200 Gauss-Legendre panels on the same interval, with <p^2> as
     # -int psi psi'' rather than the lattice's int psi' psi'
     mats = ob.moment_matrices(4, -5, 8)

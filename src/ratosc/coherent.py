@@ -299,31 +299,57 @@ def _amplitudes(entries: np.ndarray, psi: np.ndarray) -> np.ndarray:
 _PROFILE_BLOCK = 32  # times per block of the imaginary-part product
 
 
+def _squared_amplitudes(c: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
+    """out = |c @ psi|^2 for complex c of shape (T, K+1) and a real basis psi
+    of shape (K+1, N); out is a (T, N) array or a view of one.
+
+    (Re c @ psi)^2 is written into out and squared in place; the imaginary
+    part goes through one reused block buffer of _PROFILE_BLOCK times, so
+    the work space beyond out stays small.
+    """
+    np.matmul(np.ascontiguousarray(c.real), psi, out=out)
+    np.square(out, out=out)
+    c_imag = np.ascontiguousarray(c.imag)
+    buf = np.empty((min(len(c), _PROFILE_BLOCK), psi.shape[1]))
+    for start in range(0, len(c), _PROFILE_BLOCK):
+        stop = min(start + _PROFILE_BLOCK, len(c))
+        part = buf[:stop - start]
+        np.matmul(c_imag[start:stop], psi, out=part)
+        np.square(part, out=part)
+        out[start:stop] += part
+
+
 def _profile_from_coefficients(coeffs: CoefficientVector, times, x: np.ndarray) -> np.ndarray:
     """Densities |sum_k A_k exp(-i (2m+2) t k) psi_k(x)|^2 for each t, shape
     (len(times), len(x)).
 
-    The basis is evaluated once.  The phased coefficients C form one
-    (times, K+1) matrix and rho = (Re C @ psi)^2 + (Im C @ psi)^2 comes from
-    real products, squared in place; the imaginary part goes through one
-    reused block buffer, so the work space beyond rho stays small.
+    The basis is evaluated once and every time is taken by the real
+    products of :func:`_squared_amplitudes` with the phased coefficients C.
+    On a grid that is mirror-symmetric to the bit, x[i] == -x[n-1-i] (the
+    default grid is), the basis is evaluated on the half x[n//2:] only: by
+    the parity psi_nu(-x) = (-1)^(nu+1) psi_nu(x) of
+    :func:`~ratosc.system.wavefunction_rows`, the mirrored half of rho is
+    |(C s) @ psi|^2 with s_k = (-1)^(nu_k+1), taken against the reversed
+    columns of the same half basis.
     """
     spec = coeffs.spec
     ks = np.arange(len(coeffs.entries))
-    psi = wavefunction_rows(spec.m, spec.mu, ks, x)
     # modulo the period pi/(m+1), as in evolve, so every finite time stays finite
     times = np.fmod(np.atleast_1d(np.asarray(times, dtype=float)), math.pi / (spec.m + 1))
     c = coeffs.entries * np.exp(-1j * (2 * spec.m + 2) * times[:, None] * ks)
-    rho = np.ascontiguousarray(c.real) @ psi
-    np.square(rho, out=rho)
-    c_imag = np.ascontiguousarray(c.imag)
-    buf = np.empty((min(times.size, _PROFILE_BLOCK), x.size))
-    for start in range(0, times.size, _PROFILE_BLOCK):
-        stop = min(start + _PROFILE_BLOCK, times.size)
-        part = buf[:stop - start]
-        np.matmul(c_imag[start:stop], psi, out=part)
-        np.square(part, out=part)
-        rho[start:stop] += part
+    n = x.size
+    rho = np.empty((times.size, n))
+    if x.ndim != 1 or not np.array_equal(x, -x[::-1]):
+        _squared_amplitudes(c, wavefunction_rows(spec.m, spec.mu, ks, x), rho)
+        return rho
+    half = n // 2  # x[half:] holds the points x >= 0; x[half] = 0 for odd n
+    psi = wavefunction_rows(spec.m, spec.mu, ks, x[half:])
+    _squared_amplitudes(c, psi, rho[:, half:])
+    # x[j] = -x[n-1-j] for j < half: the reversed columns of psi, less the
+    # centre column of an odd grid, against the parity-signed coefficients
+    parity = np.where(coeffs.nus % 2, 1.0, -1.0)
+    mirrored = np.ascontiguousarray(psi[:, n - 2 * half:][:, ::-1])
+    _squared_amplitudes(c * parity, mirrored, rho[:, :half])
     return rho
 
 
@@ -344,7 +370,10 @@ def _support_grid(coeffs: CoefficientVector, points_per_wavelength: int = 20,
     half_range = k_max + padding
     step = 2.0 * math.pi / k_max / points_per_wavelength
     n = max(int(math.ceil(2.0 * half_range / step)) + 1, 101)
-    return np.linspace(-half_range, half_range, n)
+    # mirror-symmetric to the bit, x[i] == -x[n-1-i], so that the density
+    # is folded across x = 0; each point moves by at most 1 ulp
+    x = np.linspace(-half_range, half_range, n)
+    return 0.5 * (x - x[::-1])
 
 
 def density_profile(spec: CoherentSpec, times, x=None, tail_tol: float = 1e-14):

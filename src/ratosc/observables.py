@@ -202,9 +202,10 @@ def _moment_sums(m: int, mu: int, K: int, x: np.ndarray) -> np.ndarray:
     psi_a' psi_b' over the nodes x >= 0 and their mirror images -x, stacked
     as a (4, K+1, K+1) array; a node at 0 counts once.
 
-    psi_nu(-x) = (-1)^(nu+1) psi_nu(x) exactly, so the mirror images are
-    not evaluated: f(x) + f(-x) is f(x) times 0 or 2.  The sums run over
-    blocks of _MOMENT_BLOCK nodes, one basis pass (orders 0 and 1) each.
+    By the parity of :func:`~ratosc.system.wavefunction_rows` the mirror
+    images are not evaluated: f(x) + f(-x) is f(x) times 0 or 2.  The sums
+    run over blocks of _MOMENT_BLOCK nodes, one basis pass (orders 0 and 1)
+    each.
     """
     sums = np.zeros((4, K + 1, K + 1))
     for start in range(0, x.size, _MOMENT_BLOCK):

@@ -270,11 +270,12 @@ def phi_rows(rows, x) -> dict[int, np.ndarray]:
     offset = np.where(deep, log_start, 0.0) if np.any(deep) else None
     vb = math.pi ** -0.25 * np.exp(log_start if offset is None else log_start - offset)
     va = np.zeros_like(vb)
+    # exp(offset/2) changes only where the offset does, at a rescale
+    half = None if offset is None else np.exp(0.5 * offset)
 
     def emit(v):
-        if offset is None:
+        if half is None:
             return v.copy()
-        half = np.exp(0.5 * offset)
         return v * half * half
 
     out: dict[int, np.ndarray] = {}
@@ -290,6 +291,7 @@ def phi_rows(rows, x) -> dict[int, np.ndarray]:
                 va = np.where(big, va / _PHI_RESCALE, va)
                 vb = np.where(big, vb / _PHI_RESCALE, vb)
                 offset = np.where(big, offset + _PHI_LOG_RESCALE, offset)
+                half = np.exp(0.5 * offset)
         if (k + 1) in wanted_set:
             out[k + 1] = emit(vb)
     return out

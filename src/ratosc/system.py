@@ -269,6 +269,13 @@ def wavefunction_rows(m: int, mu: int, ks, x, derivative_order: int = 0) -> np.n
     is the one-order view of the kernel that also fills several derivative
     orders from one basis pass (the moment matrices take orders 0 and 1
     that way); each order's rows are bitwise the same either way.
+
+    Parity holds to the bit: the d-th derivative obeys
+    psi_nu^(d)(-x) = (-1)^(nu+1+d) psi_nu^(d)(x) exactly, since every step
+    of the recurrences only flips signs under x -> -x.  The moment sums
+    (observables._moment_sums) and the densities on a mirror-symmetric grid
+    (coherent._profile_from_coefficients) evaluate one half of the points
+    and take the other half from this identity.
     """
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order must be 0, 1 or 2")

@@ -27,6 +27,7 @@ from ratosc.coherent import (
     overlap_closed_form,
     series_argument,
 )
+from ratosc.coherent import _PROFILE_BLOCK, _profile_from_coefficients, _support_grid
 from ratosc.specfun import NumericalError
 from ratosc.system import StateLabel, ladder_element, lowest_weights, wavefunction, wavefunction_rows
 
@@ -364,3 +365,60 @@ def test_density_profile_matches_per_time_loop():
         scale = np.max(ref, axis=1, keepdims=True)
         assert np.max(np.abs(rho - ref) / scale) <= 1e-14
         assert np.all(rho >= 0.0)
+
+
+def _halves_apart(coeffs, times, x):
+    # both halves of a symmetric grid as separate calls; neither half is
+    # mirror-symmetric, so each is evaluated on its own points
+    half = len(x) // 2
+    return np.hstack([_profile_from_coefficients(coeffs, times, x[:half]),
+                      _profile_from_coefficients(coeffs, times, x[half:])])
+
+
+def test_folded_density_matches_halves_evaluated_apart():
+    spec = CoherentSpec("nonlinear", 6, -7, 1e8 * cmath.exp(0.7j))
+    cases = [(coefficients(spec), 2 * _PROFILE_BLOCK + 5),
+             (coefficients(CoherentSpec("linearized", 4, 3, 2.0 - 3.0j)), 1),
+             (coefficients(CoherentSpec("nonlinear", 0, -1, 40.0)), 3),
+             # entries are exactly zero on every even k
+             (cat_coefficients(CoherentSpec("nonlinear", 4, -5, 30.0), "odd"),
+              _PROFILE_BLOCK + 1)]
+    for coeffs, count in cases:
+        grid = _support_grid(coeffs)
+        times = np.linspace(0.0, 0.3, count)
+        for x in (grid, grid[1:-1], grid[:-1] - grid[:-1][::-1], np.array([-1.3, 1.3])):
+            assert np.array_equal(x, -x[::-1])
+            rho = _profile_from_coefficients(coeffs, times, x)
+            ref = _halves_apart(coeffs, times, x)
+            assert rho.shape == (count, len(x))
+            assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(ref)
+            assert np.all(rho >= 0.0)
+
+
+def test_default_grid_is_mirror_symmetric_within_an_ulp_of_linspace():
+    for spec in (CoherentSpec("nonlinear", 2, -3, 6500.0), CoherentSpec("nonlinear", 6, -7, 1e8),
+                 CoherentSpec("linearized", 4, -5, 3.0), CoherentSpec("nonlinear", 12, 5, 0.0)):
+        x = default_grid(spec)
+        assert np.array_equal(x, -x[::-1])
+        if len(x) % 2:
+            assert x[len(x) // 2] == 0.0
+        linear = np.linspace(-x[-1], x[-1], len(x))
+        assert np.max(np.abs(x - linear)) <= np.spacing(x[-1])
+
+
+def test_asymmetric_grid_keeps_the_unfolded_products():
+    # the unfolded path: one basis pass on every point, the real part as one
+    # product over all times, the imaginary part in blocks of _PROFILE_BLOCK
+    coeffs = coefficients(CoherentSpec("nonlinear", 4, -5, 2.0e3 * cmath.exp(0.4j)))
+    spec = coeffs.spec
+    x = np.linspace(-30.0, 41.0, 1201)
+    times = np.linspace(0.0, 0.5, 2 * _PROFILE_BLOCK + 3)
+    ks = np.arange(len(coeffs.entries))
+    psi = wavefunction_rows(spec.m, spec.mu, ks, x)
+    c = coeffs.entries * np.exp(-1j * (2 * spec.m + 2) * times[:, None] * ks)
+    expected = np.ascontiguousarray(c.real) @ psi
+    np.square(expected, out=expected)
+    for start in range(0, len(times), _PROFILE_BLOCK):
+        part = np.ascontiguousarray(c.imag[start:start + _PROFILE_BLOCK]) @ psi
+        expected[start:start + _PROFILE_BLOCK] += part * part
+    assert np.array_equal(_profile_from_coefficients(coeffs, times, x), expected)

@@ -330,3 +330,20 @@ def test_stacked_orders_are_bitwise_the_single_order_rows():
             assert len(stack) == len(orders)
             for rows, order in zip(stack, orders):
                 assert np.array_equal(rows, single[order])
+
+
+def test_wavefunction_rows_parity_is_bitwise():
+    # psi_nu^(d)(-x) = (-1)^(nu+1+d) psi_nu^(d)(x) to the bit, which the moment
+    # sums and the folded densities rely on; the grid runs from 0 through the
+    # log-offset range past |x| = 37.4 to the clip at 1e6 and beyond it
+    x = np.concatenate([np.linspace(0.0, 60.0, 241), [100.0, 1e3, 1e5, 1e6, 3e6]])
+    for m in (0, 2, 4, 12):
+        weights = lowest_weights(m)
+        for mu in {weights[0], weights[-1]}:  # -m-1 and m
+            ks = [0, 1, 2, 5, 20, 60]
+            nus = np.array([StateLabel(m, mu, k).nu for k in ks])
+            for order in (0, 1, 2):
+                sign = np.where((nus + 1 + order) % 2, -1.0, 1.0)[:, None]
+                right = wavefunction_rows(m, mu, ks, x, order)
+                assert np.all(np.isfinite(right))
+                assert np.array_equal(wavefunction_rows(m, mu, ks, -x, order), sign * right)
