@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -313,6 +314,22 @@ def _cmd_entropy(config: RunConfig):
     return ["abs_z", "linear_entropy", "error_bound"], rows, {}
 
 
+def _exact_rational_factors(m: int, t: float) -> tuple[float, float, float]:
+    """R = P_{m-1}/P_m and its first two derivatives at the float t, each
+    rounded once from exact rationals: P_{m-3}..P_m by the recurrence,
+    P_n' = 2n P_{n-1} and the quotient rule (m >= 1)."""
+    from fractions import Fraction  # selftest only; kept out of every CLI start
+
+    p = [Fraction(0)] * 3 + [Fraction(1)]  # P_{-3}..P_0
+    for j in range(m):
+        p.append(2 * Fraction(t) * p[-1] + 2 * j * p[-2])
+    h3, h2, h1, h0 = p[-4:]
+    r = h1 / h0
+    r1 = (2 * (m - 1) * h2 - 2 * m * h1 * r) / h0
+    r2 = (4 * (m - 1) * (m - 2) * h3 - 4 * m * h1 * r1 - 4 * m * (m - 1) * h2 * r) / h0
+    return float(r), float(r1), float(r2)
+
+
 def _selftest() -> int:
     """Compact oracle-equivalence suite; prints one line per check."""
     checks: list[tuple[str, bool]] = []
@@ -372,6 +389,20 @@ def _selftest() -> int:
         single = [sy.wavefunction_rows(m, mu, ks, x, d) for d in (0, 1, 2)]
         check(f"stacked derivative rows match single-order rows (m={m}, mu={mu})",
               all(np.array_equal(a, b) for a, b in zip(stack, single)))
+
+    grid = np.linspace(-40.0, 40.0, 321)
+    exact = np.array([_exact_rational_factors(12, t) for t in grid]).T
+    check("rational factors R, R', R'' match exact rationals (m=12)", all(
+        np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e))
+        for g, e in zip(sy._rational_factors(12, sy._top_ratio(12, grid)[0], grid), exact)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            far = sy._wavefunction_stack(12, -13, range(3), np.array([-1e300, 1e300]), (0, 1, 2))
+        except RuntimeWarning:
+            far = [np.nan]
+    check("eigenfunction rows at x = -1e300, 1e300 are finite, without warnings",
+          np.all(np.isfinite(far)))
 
     # the densities on a mirror-symmetric grid evaluate the basis on x >= 0
     # only and take the rest from psi_nu(-x) = (-1)^(nu+1) psi_nu(x)

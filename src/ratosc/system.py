@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
+    _PHI_X_ZERO,
     NumericalError,
     mod_hermite,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
     phi_rows,
@@ -79,20 +80,29 @@ def energy(label: StateLabel) -> float:
 
 
 def _top_ratio(m: int, x):
-    """R = P_{m-1}/P_m of the modified Hermite polynomials from one pass of
-    the all-positive recurrence P_{j+1} = 2x P_j + 2j P_{j-1}.
-
-    The pair (P_{j-1}, P_j) is divided by its larger magnitude after every
-    step, so it stays in [-1, 1] where P_m itself would overflow (|x| past
-    ~1e77 at m = 4); at x = 0 the odd orders vanish and R is exactly 0.
+    """(R, 1/P_m) with R = P_{m-1}/P_m, from one pass of the all-positive
+    modified Hermite recurrence P_{j+1} = 2x P_j + 2j P_{j-1}, the model's
+    only one.  The pair (P_{j-1}, P_j) is divided by its larger magnitude
+    after every step and the scales are kept as a reciprocal, so nothing
+    overflows where P_m would (|x| past ~1e77 at m = 4): 1/P_m underflows
+    to 0.  At x = 0 the odd orders vanish and R is exactly 0.  Every
+    derivative the model needs is a function of R (:func:`_rational_factors`).
     """
     lo = x * 0.0
-    hi = x * 0.0 + 1.0
+    hi = inv = x * 0.0 + 1.0
     for j in range(m):
         lo, hi = hi, 2.0 * x * hi + 2.0 * j * lo
         scale = np.maximum(np.abs(lo), np.abs(hi))
-        lo, hi = lo / scale, hi / scale
-    return lo / hi
+        lo, hi, inv = lo / scale, hi / scale, inv / scale
+    return lo / hi, inv / hi
+
+
+def _rational_factors(m: int, r, x):
+    """(R, R', R'') from R = P_{m-1}/P_m, m > 0: R' = 1 - 2xR - 2mR^2 and
+    R'' = -2R - 2xR' - 4mRR'.  Each term is odd (R, R'') or even (R') in x,
+    so parity holds to the bit."""
+    r1 = 1.0 - 2.0 * x * r - 2.0 * m * r * r
+    return r, r1, -2.0 * r - 2.0 * x * r1 - 4.0 * m * r * r1
 
 
 def potential(m: int, x):
@@ -100,8 +110,8 @@ def potential(m: int, x):
     even-order modified Hermite polynomial.
 
     With P' = 2m P_{m-1}, P'' = 4m(m-1) P_{m-2} and the recurrence, this is
-    x^2 - 2 - 4m (1 - 2xR - 2mR^2) in R = P_{m-1}/P_m alone, which stays
-    finite wherever x^2 does.  An x whose square overflows raises
+    x^2 - 2 - 4m R' in R = P_{m-1}/P_m alone, R' = 1 - 2xR - 2mR^2, which
+    stays finite wherever x^2 does.  An x whose square overflows raises
     NumericalError.  The rational part decays like 2m/x^2, so the curve
     approaches x^2 - 2 at large |x| for every order.  See
     hamiltonian_potential for the energy origin that pairs with the
@@ -112,8 +122,8 @@ def potential(m: int, x):
         x2 = x * x
     if np.any(np.isinf(x2)):
         raise NumericalError(f"x^2 overflows at |x| = {float(np.max(np.abs(x))):.3g}")
-    r = _top_ratio(m, x)
-    return x2 - 2.0 - 4.0 * m * (1.0 - 2.0 * x * r - 2.0 * m * r * r)
+    _, r1, _ = _rational_factors(m, _top_ratio(m, x)[0], x)
+    return x2 - 2.0 - 4.0 * m * r1
 
 
 def hamiltonian_potential(m: int, x):
@@ -189,53 +199,6 @@ def algebra_residual(m: int, nu: int) -> float:
 # eigenfunctions
 # ---------------------------------------------------------------------------
 
-def _mod_hermite_top(m: int, x):
-    """(P_{m-3}, P_{m-2}, P_{m-1}, P_m) from one pass of the all-positive
-    recurrence P_{j+1} = 2x P_j + 2j P_{j-1}, with P_n = 0 for n < 0."""
-    h3 = h2 = h1 = x * 0.0
-    h0 = x * 0.0 + 1.0
-    for j in range(m):
-        h3, h2, h1, h0 = h2, h1, h0, 2.0 * x * h0 + 2.0 * j * h1
-    return h3, h2, h1, h0
-
-
-def _rational_factors(m: int, top):
-    """The ratio R = P_{m-1}/P_m of modified Hermite polynomials entering
-    the stable eigenfunction form, with its first two derivatives.
-
-    ``top`` is P_{m-3}..P_m from :func:`_mod_hermite_top`; the derivatives
-    follow from P_n' = 2n P_{n-1}.
-    """
-    h3, h2, h1, h0 = top
-    p0, p1, p2 = h0, 2.0 * m * h1, 4.0 * m * (m - 1) * h2
-    q0, q1, q2 = h1, 2.0 * (m - 1) * h2, 4.0 * (m - 1) * (m - 2) * h3
-    r = q0 / p0
-    r1 = q1 / p0 - q0 * p1 / (p0 * p0)
-    r2 = (q2 / p0 - 2.0 * q1 * p1 / (p0 * p0)
-          - q0 * p2 / (p0 * p0) + 2.0 * q0 * p1 * p1 / (p0 * p0 * p0))
-    return r, r1, r2
-
-
-def _ground_rows(m: int, x: np.ndarray, top, orders) -> list[np.ndarray]:
-    """The added ground state N exp(-x^2/2)/P_m(x) and its first two
-    derivatives, one row per entry of ``orders``; ``top`` is
-    P_{m-3}..P_m from :func:`_mod_hermite_top`."""
-    norm = math.sqrt(2.0 ** m * math.factorial(m) / math.sqrt(math.pi))
-    _, h2, h1, p0 = top
-    g = np.exp(-0.5 * x * x) / p0
-    h = 2.0 * m * h1 / p0
-    out = []
-    for order in orders:
-        if order == 0:
-            out.append(norm * g)
-        elif order == 1:
-            out.append(-norm * (x + h) * g)
-        else:
-            hh = 4.0 * m * (m - 1) * h2 / p0
-            out.append(norm * ((x + h) ** 2 - 1.0 - hh + h * h) * g)
-    return out
-
-
 def wavefunction(label: StateLabel, x, derivative_order: int = 0):
     """Position wavefunction of one eigenstate, or its first or second
     derivative, at scalar or array x: a float for a scalar x, else an array
@@ -252,7 +215,8 @@ def wavefunction(label: StateLabel, x, derivative_order: int = 0):
 
     which is algebraically identical to the textbook quotient of the
     exceptional polynomial by P_m but free of the factorial overflow that
-    kills the literal form near nu ~ 150.
+    kills the literal form near nu ~ 150.  It is finite for every finite
+    x, and exactly 0 past |x| = 1e6.
     """
     xv = np.asarray(x, dtype=float)
     row = wavefunction_rows(label.m, label.mu, [label.k], xv.ravel(), derivative_order)[0]
@@ -265,10 +229,14 @@ def wavefunction_rows(m: int, mu: int, ks, x, derivative_order: int = 0) -> np.n
 
     Returns an array of shape (len(ks), len(x)).  With
     phi_n' = sqrt(2n) phi_{n-1} - x phi_n and phi_n'' = (x^2 - 2n - 1) phi_n
-    the derivatives of the two-term form are exact, like the values.  This
-    is the one-order view of the kernel that also fills several derivative
-    orders from one basis pass (the moment matrices take orders 0 and 1
-    that way); each order's rows are bitwise the same either way.
+    the derivatives of the two-term form are exact, like the values.  R
+    enters with R' = 1 - 2xR - 2mR^2 and R'' = -2R - 2xR' - 4mRR', and the
+    ground row with P_m'/P_m = 2mR, all from the rescaled R of one pass:
+    no P_m is formed, so the rows are finite for every finite x, and
+    exactly 0 past |x| = 1e6.  This is the one-order view of the kernel
+    that also fills several derivative orders from one basis pass (the
+    moment matrices take orders 0 and 1 that way); each order's rows are
+    bitwise the same either way.
 
     Parity holds to the bit: the d-th derivative obeys
     psi_nu^(d)(-x) = (-1)^(nu+1+d) psi_nu^(d)(x) exactly, since every step
@@ -293,26 +261,26 @@ def _wavefunction_stack(m: int, mu: int, ks, x, orders) -> list[np.ndarray]:
     places like the results of three one-order calls; one block measured
     about 1 MB more peak resident memory on the moment matrices.
     """
-    x = np.asarray(x, dtype=float)
+    # every row is 0 past the phi_rows clip; clipping keeps x^2 and x phi finite
+    x = np.clip(np.asarray(x, dtype=float), -_PHI_X_ZERO, _PHI_X_ZERO)
     nus = [StateLabel(m, mu, k).nu for k in ks]
     top_order = max(orders)
     # phi_{nu-1} enters the derivatives only
     span = (-1, 0, 1) if top_order else (0, 1)
     needed = {max(nu + d, 0) for nu in nus if nu >= 0 for d in span}
     rows = phi_rows(needed, x) if needed else {}
-    ground = [i for i, nu in enumerate(nus) if nu == -m - 1]
-    top = _mod_hermite_top(m, x) if (m > 0 and needed) or ground else None
+    r, inv_pm = _top_ratio(m, x)
+    r, r1, r2 = _rational_factors(m, r, x) if m else (0.0, 0.0, 0.0)
     out = [np.empty((len(nus), x.size), dtype=float) for _ in orders]
-    for i in ground:
-        for dst, row in zip(out, _ground_rows(m, x, top, orders)):
-            dst[i] = row
-    if m > 0 and needed:
-        r, r1, r2 = _rational_factors(m, top)
-    else:
-        r = r1 = r2 = 0.0
-    del top  # the excited rows need only R and its derivatives
     for i, nu in enumerate(nus):
         if nu == -m - 1:
+            # N exp(-x^2/2)/P_m: log-derivative -s, s = x + P_m'/P_m = x + 2mR, s' = 1 + 2mR'
+            norm = math.sqrt(2.0 ** m * math.factorial(m) / math.sqrt(math.pi))
+            g = norm * np.exp(-0.5 * x * x) * inv_pm
+            s = x + 2.0 * m * r
+            ground = (g, -s * g, (s * s - 1.0 - 2.0 * m * r1) * g)
+            for dst, order in zip(out, orders):
+                dst[i] = ground[order]
             continue
         alpha = math.sqrt((nu + 1.0) / (nu + m + 1.0))
         beta = 2.0 * m / math.sqrt(2.0 * (nu + m + 1.0))

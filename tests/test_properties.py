@@ -12,11 +12,13 @@ import warnings
 
 import numpy as np
 
+from ratosc.cli import main
 from ratosc.coherent import (
     VARIANTS,
     CoherentSpec,
     coefficients,
     density,
+    density_profile,
     eigen_residual,
     hypergeometric_parameters,
     overlap,
@@ -31,7 +33,15 @@ from ratosc.observables import (
     uncertainty,
 )
 from ratosc.specfun import NumericalError, signed_series
-from ratosc.system import StateLabel, ladder_element, lowest_weights, wavefunction
+from ratosc.system import (
+    MAX_STATE_INDEX,
+    StateLabel,
+    ladder_element,
+    lowest_weights,
+    potential,
+    wavefunction,
+    wavefunction_rows,
+)
 
 RNG = np.random.default_rng(20260808)
 
@@ -191,3 +201,52 @@ def test_statistics_entry_points_answer_or_refuse_promptly():
                 assert abs(got["mandel_closed_form"] - q) <= allowed, spec
             compared += 1
     assert compared >= 100
+
+
+def _far_grid(rng, count):
+    """x log-uniform over 1e-300 .. 1e300 with random signs, plus 0 and the
+    oscillator-function clip +-1e6."""
+    x = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-300.0, 300.0, count)
+    return np.concatenate([x, [0.0, 1e6, -1e6]])
+
+
+def test_spatial_entry_points_answer_or_refuse_promptly(tmp_path):
+    # the documented domain at its edges: even m <= 12, nu <= 1e4, |z|
+    # log-uniform and x out to +-1e300 (uncertainty and wigner_grid are left
+    # out: their cost at large truncations is a separate matter)
+    rng = np.random.default_rng(20261019)
+    answered = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(40):
+            m = int(rng.choice(range(0, 13, 2)))
+            mu = int(rng.choice(lowest_weights(m)))
+            k = int(np.expm1(rng.uniform(0.0, math.log1p((MAX_STATE_INDEX - mu) // (m + 1)))))
+            variant = str(rng.choice(VARIANTS))
+            az = 10.0 ** rng.uniform(-3.0, 12.0)
+            spec = CoherentSpec(variant, m, mu, az * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+            x = _far_grid(rng, 6)
+            calls = {f"rows_{order}": lambda order=order: wavefunction_rows(m, mu, [0, k], x, order)
+                     for order in (0, 1, 2)}
+            calls.update({f"potential_{j}": lambda j=j: potential(m, x[j:j + 1])
+                          for j in range(x.size)})
+            calls["density"] = lambda: density(spec, x)
+            calls["density_profile"] = lambda: density_profile(spec, [0.0, 0.3], x)[1]
+            for name, call in calls.items():
+                value, seconds = _outcome(call)
+                assert seconds < 1.0, (name, m, mu, k, spec, seconds)
+                if value is not None:
+                    assert np.all(np.isfinite(value)), (name, m, mu, k, spec, x)
+                    answered += 1
+    assert answered >= 200
+
+    # the commands that write spatial columns answer on a grid out to 1e300
+    out = tmp_path / "out.csv"
+    for m, mu, k, z in ((4, -5, 1, 3.0), (12, -13, 0, 40.0), (2, 1, 700, 2.5)):
+        for args in (["eigenstate", "--k", str(k)],
+                     ["density", "--z-re", str(z), "--times", "0,0.1"],
+                     ["cat", "--z-re", str(z), "--parity", "odd"]):
+            code = main(args + ["--m", str(m), "--mu", str(mu),
+                                "--x-grid=-1e300:1e300:5", "--output", str(out)])
+            assert code == 0, args
+            assert "nan" not in out.read_text().lower(), args

@@ -24,7 +24,8 @@ from ratosc.system import (
     wavefunction,
     wavefunction_rows,
 )
-from ratosc.system import _mod_hermite_top, _rational_factors, _wavefunction_stack
+from ratosc.cli import _exact_rational_factors
+from ratosc.system import _rational_factors, _top_ratio, _wavefunction_stack
 
 # spot values frozen from 30-digit evaluations of the quotient form
 PSI_SPOTS = [
@@ -307,16 +308,14 @@ def test_wavefunction_rows_straddle_underflow_point():
 
 
 def test_rational_factors_match_modified_hermite_quotients():
-    x = np.linspace(-9.0, 9.0, 181)
+    # exact rational quotients of P_{m-1}, P_m and their derivatives at the
+    # float grid points, each factor within 1e-13 of its peak on the grid
+    x = np.linspace(-40.0, 40.0, 321)
     for m in range(2, 13, 2):
-        p0, p1, p2 = (mod_hermite(m, x, d) for d in (0, 1, 2))
-        q0, q1, q2 = (mod_hermite(m - 1, x, d) for d in (0, 1, 2))
-        expected = (q0 / p0,
-                    q1 / p0 - q0 * p1 / (p0 * p0),
-                    (q2 / p0 - 2.0 * q1 * p1 / (p0 * p0)
-                     - q0 * p2 / (p0 * p0) + 2.0 * q0 * p1 * p1 / (p0 * p0 * p0)))
-        for got, want in zip(_rational_factors(m, _mod_hermite_top(m, x)), expected):
-            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        got = _rational_factors(m, _top_ratio(m, x)[0], x)
+        exact = np.array([_exact_rational_factors(m, t) for t in x]).T
+        for g, e in zip(got, exact):
+            assert np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e)), m
 
 
 def test_stacked_orders_are_bitwise_the_single_order_rows():
@@ -335,8 +334,10 @@ def test_stacked_orders_are_bitwise_the_single_order_rows():
 def test_wavefunction_rows_parity_is_bitwise():
     # psi_nu^(d)(-x) = (-1)^(nu+1+d) psi_nu^(d)(x) to the bit, which the moment
     # sums and the folded densities rely on; the grid runs from 0 through the
-    # log-offset range past |x| = 37.4 to the clip at 1e6 and beyond it
-    x = np.concatenate([np.linspace(0.0, 60.0, 241), [100.0, 1e3, 1e5, 1e6, 3e6]])
+    # log-offset range past |x| = 37.4 to the clip at 1e6 and beyond it,
+    # out to where an unscaled P_m or x^2 would overflow
+    x = np.concatenate([np.linspace(0.0, 60.0, 241),
+                        [100.0, 1e3, 1e5, 1e6, 3e6, 1e80, 1e160, 1e300]])
     for m in (0, 2, 4, 12):
         weights = lowest_weights(m)
         for mu in {weights[0], weights[-1]}:  # -m-1 and m
