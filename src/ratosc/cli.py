@@ -2,8 +2,10 @@
 
 Every computation in the library is exposed as a subcommand that writes a
 machine-readable CSV or JSON file (17-significant-digit values, metadata
-header) and optionally a basic plot.  Exit codes: 0 success, 1 usage or
-validation error, 2 numerical failure.
+header) and optionally a basic plot.  One table, ``_COMMAND_TABLE``, names
+each subcommand's handler, the options it reads and their defaults; a
+subcommand takes no other option, and its header records exactly those.
+Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """Everything a subcommand needs, normalised from argv.
+    """The settings of one run; a subcommand reads only the fields its
+    ``_COMMAND_TABLE`` entry names, and the rest keep these defaults.
 
     Round-trips through to_dict/from_dict unchanged, which is what makes
     the output metadata reproducible.
@@ -62,6 +66,8 @@ class RunConfig:
     z_re: float = 0.0
     z_im: float = 0.0
     z_abs_grid: list = field(default_factory=list)   # [min, max, count]
+    z_re_grid: list = field(default_factory=list)
+    z_im_grid: list = field(default_factory=list)
     times: list = field(default_factory=list)
     x_grid: list = field(default_factory=list)
     p_grid: list = field(default_factory=list)
@@ -85,19 +91,41 @@ class RunConfig:
         return complex(self.z_re, self.z_im)
 
 
-def _parse_grid(text: str, name: str) -> list:
+def _grid(text: str) -> list:
+    """A min:max:count option value as [min, max, count]."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"{name} must look like min:max:count, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must look like min:max:count, got {text!r}")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"cannot parse {name} {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}: {exc}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"{name} bounds must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"bounds must be finite, got {text!r}")
     if count < 1 or hi < lo:
-        raise UsageError(f"{name} needs max >= min and count >= 1")
+        raise argparse.ArgumentTypeError("needs max >= min and count >= 1")
     return [lo, hi, count]
+
+
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _number(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _times(text: str) -> list:
+    return [_number(t) for t in text.split(",")]
 
 
 def _grid_values(grid: list) -> np.ndarray:
@@ -113,9 +141,11 @@ def _format_column(values) -> list[str]:
 
 def _write_rows(config: RunConfig, columns: list[str], rows, meta: dict) -> str:
     path = config.output or f"{config.command}.{config.fmt}"
+    shown = ("command", *_COMMAND_TABLE[config.command].reads, "output", "fmt", "plot")
+    settings = {key: value for key, value in config.to_dict().items() if key in shown}
     if config.fmt == "csv":
         lines = [f"# ratosc {__version__}"]
-        for key, value in config.to_dict().items():
+        for key, value in settings.items():
             lines.append(f"# {key} = {value}")
         for key, value in meta.items():
             lines.append(f"# {key} = {value}")
@@ -124,7 +154,7 @@ def _write_rows(config: RunConfig, columns: list[str], rows, meta: dict) -> str:
         text = "\n".join(lines) + "\n"
     else:
         payload = {
-            "config": config.to_dict(),
+            "config": settings,
             "meta": meta,
             "columns": columns,
             "data": [[float(v) for v in row] for row in rows],
@@ -212,38 +242,36 @@ def _cmd_coeffs(config: RunConfig):
     return ["k", "re_A", "im_A", "weight"], rows, meta
 
 
-def _cmd_energy(config: RunConfig):
+def _dual_route(config: RunConfig, quantity, columns: tuple[str, str]):
+    """A |z| sweep of one statistic by its closed form and its direct sum."""
     rows = []
     for az in _grid_values(config.z_abs_grid):
         spec = co.CoherentSpec(config.variant, config.m, config.mu, complex(az))
-        rows.append([az, ob.energy_expectation(spec, "closed_form"),
-                     ob.energy_expectation(spec, "direct", config.tail_tol)])
-    return ["abs_z", "energy_closed_form", "energy_direct"], rows, {}
+        rows.append([az, quantity(spec, "closed_form"),
+                     quantity(spec, "direct", config.tail_tol)])
+    return ["abs_z", *columns], rows, {}
 
 
-def _cmd_density(config: RunConfig):
-    spec = _spec(config)
+def _profile(config: RunConfig, coeffs: co.CoefficientVector, meta: dict):
+    """Density rows at --times on --x-grid, or else on the support grid."""
     times = config.times or [0.0]
-    coeffs = co.coefficients(spec, config.tail_tol)
     x = _grid_values(config.x_grid) if config.x_grid else co._support_grid(coeffs)
     rho = co._profile_from_coefficients(coeffs, times, x)
     columns = ["x"] + [f"rho_t{i}" for i in range(len(times))]
-    rows = np.column_stack([x, rho.T]).tolist()
-    meta = {"times": list(times), "K": coeffs.K, "tail_mass": coeffs.tail_mass,
-            "period": math.pi / (spec.m + 1)}
-    return columns, rows, meta
+    return columns, np.column_stack([x, rho.T]).tolist(), meta
+
+
+def _cmd_density(config: RunConfig):
+    coeffs = co.coefficients(_spec(config), config.tail_tol)
+    meta = {"times": config.times or [0.0], "K": coeffs.K, "tail_mass": coeffs.tail_mass,
+            "period": math.pi / (config.m + 1)}
+    return _profile(config, coeffs, meta)
 
 
 def _cmd_cat(config: RunConfig):
-    spec = _spec(config)
-    cat = co.cat_coefficients(spec, config.parity, normalize=True,
+    cat = co.cat_coefficients(_spec(config), config.parity, normalize=True,
                               tail_tol=config.tail_tol)
-    times = config.times or [0.0]
-    x = _grid_values(config.x_grid) if config.x_grid else co._support_grid(cat)
-    rho = co._profile_from_coefficients(cat, times, x)
-    columns = ["x"] + [f"rho_t{i}" for i in range(len(times))]
-    rows = np.column_stack([x, rho.T]).tolist()
-    return columns, rows, {"parity": config.parity, "K": cat.K}
+    return _profile(config, cat, {"parity": config.parity, "K": cat.K})
 
 
 def _cmd_overlap(config: RunConfig):
@@ -271,26 +299,17 @@ def _cmd_wigner(config: RunConfig):
 
 
 def _cmd_uncertainty(config: RunConfig):
-    re_values = _grid_values(config.x_grid) if config.x_grid else np.linspace(-2, 2, 11)
-    im_values = _grid_values(config.p_grid) if config.p_grid else np.linspace(-2, 2, 11)
+    if len(config.times) > 1:
+        raise UsageError(f"uncertainty takes one time, got --times {config.times}")
     t = config.times[0] if config.times else 0.0
     rows = []
-    for re_z in re_values:
-        for im_z in im_values:
+    for re_z in _grid_values(config.z_re_grid):
+        for im_z in _grid_values(config.z_im_grid):
             spec = co.CoherentSpec(config.variant, config.m, config.mu,
                                    complex(re_z, im_z))
             res = ob.uncertainty(spec, t, config.tail_tol, config.quad_tol)
             rows.append([re_z, im_z, res.sigma_x, res.sigma_p, res.product])
     return ["re_z", "im_z", "sigma_x", "sigma_p", "product"], rows, {"t": t}
-
-
-def _cmd_mandel(config: RunConfig):
-    rows = []
-    for az in _grid_values(config.z_abs_grid):
-        spec = co.CoherentSpec(config.variant, config.m, config.mu, complex(az))
-        rows.append([az, ob.mandel_q(spec, "closed_form"),
-                     ob.mandel_q(spec, "direct", config.tail_tol)])
-    return ["abs_z", "q_closed_form", "q_direct"], rows, {}
 
 
 def _cmd_beamsplitter(config: RunConfig):
@@ -476,111 +495,91 @@ def _selftest() -> int:
     return 0 if all(ok for _, ok in checks) else 2
 
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "potential": _cmd_potential,
-    "eigenstate": _cmd_eigenstate,
-    "coeffs": _cmd_coeffs,
-    "energy": _cmd_energy,
-    "density": _cmd_density,
-    "cat": _cmd_cat,
-    "overlap": _cmd_overlap,
-    "wigner": _cmd_wigner,
-    "uncertainty": _cmd_uncertainty,
-    "mandel": _cmd_mandel,
-    "beamsplitter": _cmd_beamsplitter,
-    "entropy": _cmd_entropy,
+# RunConfig field -> (flag, argparse keywords).  A subcommand gets the
+# flags of the fields its table entry reads, plus output, fmt and plot.
+_OPTIONS = {
+    "variant": ("--variant", {"choices": co.VARIANTS}),
+    "m": ("--m", {"type": int}),
+    "mu": ("--mu", {"type": int}),
+    "z_re": ("--z-re", {"type": _number}),
+    "z_im": ("--z-im", {"type": _number}),
+    "z_abs_grid": ("--z-abs", {"type": _grid, "required": True, "help": "|z| grid min:max:count"}),
+    "z_re_grid": ("--z-re-grid", {"type": _grid, "help": "Re z grid min:max:count"}),
+    "z_im_grid": ("--z-im-grid", {"type": _grid, "help": "Im z grid min:max:count"}),
+    "times": ("--times", {"type": _times, "help": "comma-separated list of times"}),
+    "x_grid": ("--x-grid", {"type": _grid, "help": "min:max:count"}),
+    "p_grid": ("--p-grid", {"type": _grid, "help": "min:max:count"}),
+    "k": ("--k", {"type": int, "help": "ladder step (eigenstate, spectrum depth)"}),
+    "parity": ("--parity", {"choices": ("even", "odd")}),
+    "tail_tol": ("--tail-tol", {"type": _tolerance}),
+    "quad_tol": ("--quad-tol", {"type": _tolerance}),
+    "output": ("--output", {}),
+    "fmt": ("--format", {"choices": ("csv", "json")}),
+    "plot": ("--plot", {"action": "store_true"}),
 }
 
-_Z_ABS_COMMANDS = {"energy", "overlap", "mandel", "entropy"}
-_GRID_DEFAULTS = {
-    "potential": ("-8:8:321", None),
-    "eigenstate": ("-8:8:321", None),
-    "wigner": ("-8:8:161", "-8:8:161"),
+
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], tuple]   # -> (columns, rows, meta)
+    reads: tuple[str, ...]                  # RunConfig fields besides output, fmt, plot
+    defaults: dict = {}                     # option text used when the flag is absent
+
+
+_STATE = ("variant", "m", "mu")
+_SWEEP = (*_STATE, "z_abs_grid", "tail_tol")
+_COMMAND_TABLE = {
+    "spectrum": _Command(_cmd_spectrum, ("m", "k")),
+    "potential": _Command(_cmd_potential, ("m", "x_grid"), {"x_grid": "-8:8:321"}),
+    "eigenstate": _Command(_cmd_eigenstate, ("m", "mu", "k", "x_grid"), {"x_grid": "-8:8:321"}),
+    "coeffs": _Command(_cmd_coeffs, (*_STATE, "z_re", "z_im", "tail_tol")),
+    "energy": _Command(lambda config: _dual_route(config, ob.energy_expectation,
+                                                  ("energy_closed_form", "energy_direct")), _SWEEP),
+    "density": _Command(_cmd_density,
+                        (*_STATE, "z_re", "z_im", "times", "x_grid", "tail_tol")),
+    "cat": _Command(_cmd_cat, (*_STATE, "z_re", "parity", "times", "x_grid", "tail_tol")),
+    "overlap": _Command(_cmd_overlap, ("m", "mu", "z_abs_grid")),
+    "wigner": _Command(_cmd_wigner,
+                       (*_STATE, "z_re", "z_im", "x_grid", "p_grid", "tail_tol"),
+                       {"x_grid": "-8:8:161", "p_grid": "-8:8:161"}),
+    "uncertainty": _Command(_cmd_uncertainty,
+                            (*_STATE, "z_re_grid", "z_im_grid", "times", "tail_tol", "quad_tol"),
+                            {"z_re_grid": "-2:2:11", "z_im_grid": "-2:2:11"}),
+    "mandel": _Command(lambda config: _dual_route(config, ob.mandel_q,
+                                                  ("q_closed_form", "q_direct")), _SWEEP),
+    "beamsplitter": _Command(_cmd_beamsplitter, (*_STATE, "z_re", "z_im", "tail_tol")),
+    "entropy": _Command(_cmd_entropy, _SWEEP),
 }
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="ratosc",
+    parser = _Parser(prog="ratosc", allow_abbrev=False,
                      description="Coherent-state diagnostics for rational "
                                  "extensions of the harmonic oscillator")
     parser.add_argument("--version", action="version", version=f"ratosc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--variant", choices=co.VARIANTS, default="nonlinear")
-        p.add_argument("--m", type=int, default=4)
-        p.add_argument("--mu", type=int, default=-5)
-        p.add_argument("--z-re", type=float, default=0.0)
-        p.add_argument("--z-im", type=float, default=0.0)
-        p.add_argument("--z-abs", type=str, default=None,
-                       help="magnitude grid min:max:count (grid commands)")
-        p.add_argument("--times", type=str, default=None,
-                       help="comma-separated list of times")
-        p.add_argument("--x-grid", type=str, default=None, help="min:max:count")
-        p.add_argument("--p-grid", type=str, default=None, help="min:max:count")
-        p.add_argument("--k", type=int, default=0, help="ladder step (eigenstate, spectrum depth)")
-        p.add_argument("--parity", choices=("even", "odd"), default="even")
-        p.add_argument("--tail-tol", type=float, default=1e-14)
-        p.add_argument("--quad-tol", type=float, default=1e-10)
-        p.add_argument("--output", type=str, default="")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--plot", action="store_true")
-
-    sub.add_parser("selftest")
+    for name, command in _COMMAND_TABLE.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for dest in (*command.reads, "output", "fmt", "plot"):
+            flag, keywords = _OPTIONS[dest]
+            # an absent flag leaves the RunConfig default in place
+            p.add_argument(flag, dest=dest, **keywords,
+                           default=command.defaults.get(dest, argparse.SUPPRESS))
+    sub.add_parser("selftest", allow_abbrev=False)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    x_default, p_default = _GRID_DEFAULTS.get(args.command, (None, None))
-    config = RunConfig(
-        command=args.command,
-        variant=args.variant,
-        m=args.m,
-        mu=args.mu,
-        z_re=args.z_re,
-        z_im=args.z_im,
-        z_abs_grid=_parse_grid(args.z_abs, "--z-abs") if args.z_abs else [],
-        times=[float(t) for t in args.times.split(",")] if args.times else [],
-        x_grid=_parse_grid(args.x_grid or x_default, "--x-grid")
-        if (args.x_grid or x_default) else [],
-        p_grid=_parse_grid(args.p_grid or p_default, "--p-grid")
-        if (args.p_grid or p_default) else [],
-        k=args.k,
-        parity=args.parity,
-        tail_tol=args.tail_tol,
-        quad_tol=args.quad_tol,
-        output=args.output,
-        fmt=args.fmt,
-        plot=args.plot,
-    )
-    if config.m < 0 or config.m % 2 != 0 or config.m > sy.MAX_ORDER:
-        raise UsageError(f"--m must be an even integer in [0, {sy.MAX_ORDER}]")
-    if config.command in ("spectrum", "potential"):
-        config.mu = -config.m - 1  # unused by these commands; normalised
-    elif config.mu not in sy.lowest_weights(config.m):
+def run(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    if args.command == "selftest":
+        return _selftest()
+    config = RunConfig(**vars(args))
+    command = _COMMAND_TABLE[config.command]
+    # a bad --m raises ValueError here or at the library's first call
+    if "mu" in command.reads and config.mu not in sy.lowest_weights(config.m):
         raise UsageError(
             f"--mu {config.mu} is not a lowest weight for m = {config.m}; "
             f"choose one of {sy.lowest_weights(config.m)}")
-    if not all(map(math.isfinite, (config.z_re, config.z_im, *config.times))):
-        raise UsageError("--z-re, --z-im and --times must be finite")
-    if not (0.0 < config.tail_tol < math.inf and 0.0 < config.quad_tol < math.inf):
-        raise UsageError("--tail-tol and --quad-tol must be positive and finite")
-    if config.command in _Z_ABS_COMMANDS and not config.z_abs_grid:
-        raise UsageError(f"{config.command} requires --z-abs min:max:count")
-    if config.command == "cat" and (config.z_im != 0.0 or config.z_re < 0.0):
-        raise UsageError("cat states require real z >= 0 (--z-re)")
-    return config
-
-
-def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "selftest":
-        return _selftest()
-    config = _config_from_args(args)
-    columns, rows, meta = _COMMANDS[config.command](config)
+    columns, rows, meta = command.handler(config)
     path = _write_rows(config, columns, rows, meta)
     plot_path = _maybe_plot(config, columns, rows)
     print(f"wrote {path}" + (f" and {plot_path}" if plot_path else ""))

@@ -147,7 +147,7 @@ def test_wigner_rows_are_row_major(tmp_path, capsys):
 def test_uncertainty_and_beamsplitter_and_entropy(tmp_path, capsys):
     code, path = run_cli(
         ["uncertainty", "--variant", "linearized", "--m", "4", "--mu", "-5",
-         "--x-grid=-1:1:3", "--p-grid=-1:1:3"], tmp_path, "u.csv")
+         "--z-re-grid=-1:1:3", "--z-im-grid=-1:1:3"], tmp_path, "u.csv")
     assert code == 0
     rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
     products = [float(r.split(",")[4]) for r in rows]
@@ -282,11 +282,6 @@ def test_cat_csv_matches_per_time_loop(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _csv_data(path):
-    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
-    return np.array([[float(v) for v in r.split(",")] for r in rows])
-
-
 def test_huge_times_give_the_reduced_time_density(tmp_path, capsys):
     # the state repeats with period pi/(m+1); times are reduced modulo it
     base = ["density", "--m", "2", "--mu=-3", "--z-re=3"]
@@ -318,13 +313,14 @@ def test_edge_arguments_exit_cleanly(tmp_path, capsys):
                     "--x-grid=-4:4:9"],
         "wigner": ["--m", "2", "--mu", "-3", "--z-re", "1", "--x-grid=-4:4:5",
                    "--p-grid=-4:4:5"],
-        "uncertainty": ["--m", "4", "--mu", "-5", "--x-grid=0:1:2", "--p-grid=0:0:1"],
+        "uncertainty": ["--m", "4", "--mu", "-5", "--z-re-grid=0:1:2", "--z-im-grid=0:0:1"],
         "energy": ["--m", "4", "--mu", "-5", "--z-abs", "0:2:3"],
     }
     scalars = ["nan", "inf", "-inf", "-1", "0", "1e-300", "x"]
     grids = ["nan:1:3", "-inf:1:3", "0:inf:3", "1:1:3", "2:1:3", "0:1:1", "0:1:0"]
     options = {"--times": scalars, "--tail-tol": scalars, "--quad-tol": scalars,
                "--z-re": scalars, "--x-grid": grids, "--p-grid": grids, "--z-abs": grids,
+               "--z-re-grid": grids, "--z-im-grid": grids,
                "--output": [str(tmp_path / "missing" / "out.csv"), str(tmp_path)]}
     rng = np.random.default_rng(20261018)
     for _ in range(40):
@@ -351,3 +347,78 @@ def test_edge_arguments_exit_cleanly(tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+# The options each command reads besides --output, --format and --plot,
+# with values that make a small run.
+_STATE = {"--variant": "linearized", "--m": "2", "--mu": "-3"}
+_SWEEP = {**_STATE, "--z-abs": "0:1:2", "--tail-tol": "1e-12"}
+_POINT = {**_STATE, "--z-re": "1", "--z-im": "0.5", "--tail-tol": "1e-12"}
+READS = {
+    "spectrum": {"--m": "2", "--k": "1"},
+    "potential": {"--m": "2", "--x-grid": "-1:1:3"},
+    "eigenstate": {"--m": "2", "--mu": "-3", "--k": "1", "--x-grid": "-1:1:3"},
+    "coeffs": _POINT,
+    "beamsplitter": _POINT,
+    "energy": _SWEEP,
+    "mandel": _SWEEP,
+    "entropy": _SWEEP,
+    "density": {**_POINT, "--times": "0,0.1", "--x-grid": "-1:1:3"},
+    "cat": {**_STATE, "--z-re": "1", "--parity": "odd", "--times": "0,0.1",
+            "--x-grid": "-1:1:3", "--tail-tol": "1e-12"},
+    "overlap": {"--m": "2", "--mu": "-3", "--z-abs": "0:1:2"},
+    "wigner": {**_POINT, "--x-grid": "-1:1:3", "--p-grid": "-1:1:3"},
+    "uncertainty": {**_STATE, "--z-re-grid": "0:1:2", "--z-im-grid": "0:0:1", "--times": "0.1",
+                    "--tail-tol": "1e-12", "--quad-tol": "1e-9"},
+}
+# every option each command accepted before each took only what it reads
+ALL_OPTIONS = {**_SWEEP, **_POINT, "--times": "0", "--x-grid": "-1:1:3", "--p-grid": "-1:1:3",
+               "--k": "1", "--parity": "odd", "--quad-tol": "1e-9"}
+
+
+def _field(flag):
+    return {"--z-abs": "z_abs_grid", "--format": "fmt"}.get(flag, flag[2:].replace("-", "_"))
+
+
+def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
+    fields = set(RunConfig("spectrum").to_dict())
+    for command, reads in READS.items():
+        args = [command] + [f"{flag}={value}" for flag, value in reads.items()]
+        expected = {"command", *map(_field, reads), "output", "fmt", "plot"}
+        code, out = run_cli(args, tmp_path, f"{command}.csv")
+        assert code == 0, args
+        keys = {line[2:].split(" = ")[0] for line in out.read_text().splitlines()
+                if line.startswith("# ") and " = " in line}
+        assert keys & fields == expected, command
+        code, out = run_cli(args + ["--format", "json"], tmp_path, f"{command}.json")
+        assert code == 0, args
+        assert set(json.loads(out.read_text())["config"]) == expected, command
+        for flag, value in ALL_OPTIONS.items():
+            if flag in reads:
+                continue
+            code, out = run_cli(args + [f"{flag}={value}"], tmp_path, f"{command}-{flag}.csv")
+            err = capsys.readouterr().err
+            assert code == 1, (command, flag)
+            assert err.count("\n") == 1 and "unrecognized arguments" in err, (command, flag)
+            assert not out.exists(), (command, flag)
+    capsys.readouterr()
+
+
+def test_abbreviated_options_are_refused(tmp_path, capsys):
+    code, out = run_cli(["uncertainty", "--z-re", "3"], tmp_path, "u.csv")
+    assert code == 1 and not out.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out = run_cli(["coeffs", "--z-re", "1", "--tail", "1e-12"], tmp_path, "c.csv")
+    assert code == 1 and not out.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_uncertainty_takes_one_time(tmp_path, capsys):
+    base = ["uncertainty", "--z-re-grid=0:1:2", "--z-im-grid=0:0:1"]
+    code, out = run_cli(base + ["--times", "0,0.3"], tmp_path, "two.csv")
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.count("\n") == 1
+    code, out = run_cli(base + ["--times", "0.3"], tmp_path, "one.csv")
+    assert code == 0
+    assert "# t = 0.3" in out.read_text().splitlines()
+    capsys.readouterr()
