@@ -21,14 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import (
-    NumericalError,
-    SignedLog,
-    _first_count,
-    _log_terms,
-    _series_limits,
-    signed_series,
-)
+from .specfun import SignedLog, _series_terms, signed_series
 from .system import ladder_element, lowest_weights, wavefunction_rows
 
 __all__ = [
@@ -132,13 +125,12 @@ def _log_weight_terms(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
     """Log of the unnormalised weights t_k = |A_k F^{1/2}|^2 up to the
     truncation index K >= min_index, plus the certified relative tail bound.
 
-    The weights are series terms from the shared log-term kernel: for the
-    nonlinear variant those of F(1; b; x), since the ladder elements obey
-    a^2(nu_{k+1}) = (2m+2)^{m+1} prod_j (b_j + k); for the linearized one
-    those of the series with no parameters at x = |z|^2/2.  Both enter
-    through ln x, so no |z| underflows.  The term ratios t_{k+1}/t_k are
-    monotone decreasing once below one, so a geometric majorant bounds the
-    dropped mass.  NumericalError is raised at once when the weights still
+    The weights are series terms, cut at tail_tol by the rule of every
+    series (:func:`~ratosc.specfun._series_terms`): for the nonlinear
+    variant those of F(1; b; x), since the ladder elements obey
+    a^2(nu_{k+1}) = (2m+2)^{m+1} prod_j (b_j + k), for the linearized one
+    those of e^x at x = |z|^2/2.  Both enter through ln x, so no |z|
+    underflows.  NumericalError is raised at once when the weights still
     grow at index MAX_COEFFICIENTS, and after the terms are computed when
     the tail bound is not met by then.
     """
@@ -154,31 +146,9 @@ def _log_weight_terms(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
     else:
         upper, lower = (), ()
         log_x = 2.0 * math.log(az) - math.log(2.0)
-    # the limits of a series of MAX_COEFFICIENTS + 1 terms hold ln|r| at
-    # index MAX_COEFFICIENTS, the ratio t_{K+1}/t_K of the last admissible K
-    if log_x + _series_limits(upper, lower, MAX_COEFFICIENTS + 1).cap_log >= 0.0:
-        raise NumericalError(
-            f"coefficient weights still grow at the {MAX_COEFFICIENTS}-entry cap")
-    log_tol = math.log(tail_tol)
-    cap = MAX_COEFFICIENTS + 3  # t_0 .. t_{K+2} for the last admissible K
-    count = max(_first_count(log_x, len(lower) + 1 - len(upper), log_tol, cap),
-                min_index + 3)
-    while True:
-        logs, _ = _log_terms(upper, lower, log_x, False, count)
-        log_ratio = np.diff(logs)  # ln(t_{k+1}/t_k), k = 0 .. count-2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            # the tail beyond index k is bounded by t_{k+1} / (1 - t_{k+2}/t_{k+1})
-            log_tail = logs[1:-1] - np.log1p(-np.exp(log_ratio[1:]))
-        log_sum = np.logaddexp.accumulate(logs[:-2])
-        ok = (log_ratio[:-1] < 0.0) & (log_tail <= log_tol + log_sum)
-        ok[:min_index] = False
-        stops = np.flatnonzero(ok)
-        if stops.size:
-            K = int(stops[0])
-            return logs[:K + 1], math.exp(log_tail[K] - log_sum[K])
-        if count >= cap:
-            raise NumericalError("coefficient truncation did not converge")
-        count = min(2 * count, cap)
+    terms = _series_terms(upper, lower, log_x, False, math.log(tail_tol),
+                          MAX_COEFFICIENTS, min_index)
+    return terms.logs, terms.tail
 
 
 def coefficients(spec: CoherentSpec, tail_tol: float = 1e-14,
@@ -191,8 +161,10 @@ def coefficients(spec: CoherentSpec, tail_tol: float = 1e-14,
 
     linearized: A_k = exp(-|z|^2/4) (z/sqrt(2))^k / sqrt(k!).
 
-    The truncation index K is the smallest index whose geometric tail bound
-    on sum |A_k|^2 drops below tail_tol; the bound is reported as tail_mass.
+    The truncation index K is the first index past which a geometric bound
+    on the dropped |A_k|^2, the terms of the normalisation series cut by the
+    rule of every series (:func:`_log_weight_terms`), is below tail_tol; the
+    bound is reported as tail_mass.
     """
     logs, tail = _log_weight_terms(spec, tail_tol, min_index)
     if spec.abs_z == 0.0:
@@ -223,8 +195,7 @@ def _log_sum_exp(logs: np.ndarray) -> float:
 # normalisation and overlaps
 # ---------------------------------------------------------------------------
 
-def normalization_F(m: int, mu: int, abs_z: float,
-                    relative_tol: float = 1e-12) -> SignedLog:
+def normalization_F(m: int, mu: int, abs_z: float) -> SignedLog:
     """Squared-norm series F = sum |z|^{2k} / D_k^2, evaluated through its
     closed hypergeometric form (one upper parameter equal to 1)."""
     if mu not in lowest_weights(m):
@@ -232,7 +203,7 @@ def normalization_F(m: int, mu: int, abs_z: float,
     if abs_z < 0.0:
         raise ValueError("abs_z must be >= 0")
     return signed_series((1.0,), hypergeometric_parameters(m, mu),
-                         series_argument(m, abs_z), relative_tol).value
+                         series_argument(m, abs_z)).value
 
 
 def overlap(m: int, mu: int, abs_z: float, tail_tol: float = 1e-16) -> float:
@@ -251,16 +222,15 @@ def overlap(m: int, mu: int, abs_z: float, tail_tol: float = 1e-16) -> float:
     return float(np.sum(signs * weights))
 
 
-def overlap_closed_form(m: int, mu: int, abs_z: float,
-                        relative_tol: float = 1e-12) -> float:
+def overlap_closed_form(m: int, mu: int, abs_z: float) -> float:
     """The same overlap via the ratio of the normalisation series at
     negated and positive argument, summed in signed-log arithmetic."""
     if mu not in lowest_weights(m):
         raise ValueError(f"mu = {mu} is not a lowest weight for m = {m}")
     params = hypergeometric_parameters(m, mu)
     x = series_argument(m, abs_z)
-    num = signed_series((1.0,), params, -x, relative_tol).value
-    den = signed_series((1.0,), params, x, relative_tol).value
+    num = signed_series((1.0,), params, -x).value
+    den = signed_series((1.0,), params, x).value
     return (num / den).to_float()
 
 

@@ -64,8 +64,7 @@ def _moment_series(m: int, mu: int, order: int):
             tuple(log_pochhammer(bj, order) for bj in b))
 
 
-def _factorial_moments(m: int, mu: int, abs_z: float, orders,
-                       relative_tol: float = 1e-12) -> tuple[float, ...]:
+def _factorial_moments(m: int, mu: int, abs_z: float, orders) -> tuple[float, ...]:
     """Falling-factorial moments <k (k-1) ... (k-order+1)> of the rung number
     for the nonlinear weights, one per entry of orders, via the
     shifted-parameter series ratio
@@ -78,11 +77,11 @@ def _factorial_moments(m: int, mu: int, abs_z: float, orders,
         return (0.0,) * len(orders)
     b = hypergeometric_parameters(m, mu)
     x = series_argument(m, abs_z)
-    den = signed_series((1.0,), b, x, relative_tol).value
+    den = signed_series((1.0,), b, x).value
     out = []
     for order in orders:
         shifted, pochhammers = _moment_series(m, mu, order)
-        num = signed_series((order + 1.0,), shifted, x, relative_tol).value
+        num = signed_series((order + 1.0,), shifted, x).value
         # ln x from |z|: x itself underflows to 0 for |z| below ~1e-160
         pref = SignedLog(1, order * _log_series_argument(m, abs_z)
                          + math.log(math.factorial(order)))
@@ -100,7 +99,7 @@ def _finite(value: float, name: str) -> float:
 
 
 def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
-                       tail_tol: float = 1e-14, relative_tol: float = 1e-12) -> float:
+                       tail_tol: float = 1e-14) -> float:
     """<H> in the coherent state.
 
     closed_form evaluates the hypergeometric ratio (nonlinear) or the
@@ -119,12 +118,12 @@ def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
         raise ValueError("method must be 'closed_form' or 'direct'")
     if spec.variant == "linearized":
         return _finite(base + (spec.m + 1.0) * (spec.abs_z * spec.abs_z), "<H>")
-    (mean_k,) = _factorial_moments(spec.m, spec.mu, spec.abs_z, (1,), relative_tol)
+    (mean_k,) = _factorial_moments(spec.m, spec.mu, spec.abs_z, (1,))
     return base + (2.0 * spec.m + 2.0) * mean_k
 
 
 def number_moments(spec: CoherentSpec, method: str = "closed_form",
-                   tail_tol: float = 1e-14, relative_tol: float = 1e-12):
+                   tail_tol: float = 1e-14):
     """(<N>, <N(N-1)>) for the rung-number operator N |mu + (m+1)k> = k |...>;
     NumericalError where the linearized closed form leaves the double range."""
     if method == "direct":
@@ -137,11 +136,11 @@ def number_moments(spec: CoherentSpec, method: str = "closed_form",
     if spec.variant == "linearized":
         n = 0.5 * (spec.abs_z * spec.abs_z)
         return n, _finite(n * n, "<N(N-1)>")
-    return _factorial_moments(spec.m, spec.mu, spec.abs_z, (1, 2), relative_tol)
+    return _factorial_moments(spec.m, spec.mu, spec.abs_z, (1, 2))
 
 
 def mandel_q(spec: CoherentSpec, method: str = "closed_form",
-             tail_tol: float = 1e-14, relative_tol: float = 1e-12) -> float:
+             tail_tol: float = 1e-14) -> float:
     """Mandel parameter (<N(N-1)> - <N>^2) / <N>.
 
     Zero marks Poisson statistics, negative sub-Poissonian.  The value at
@@ -153,7 +152,7 @@ def mandel_q(spec: CoherentSpec, method: str = "closed_form",
         return 0.0
     if method == "closed_form" and spec.variant == "linearized":
         return 0.0
-    n1, n2 = number_moments(spec, method, tail_tol, relative_tol)
+    n1, n2 = number_moments(spec, method, tail_tol)
     if n1 == 0.0:
         return 0.0
     return (n2 - n1 * n1) / n1

@@ -37,6 +37,8 @@ MAX_SERIES_TERMS = 1_000_000
 _LOG_FLOOR = math.log(1e-35)
 
 _EPS = float(np.finfo(float).eps)
+# signed_series stops where the dropped terms are below eps/2 of the sum
+_LOG_HALF_EPS = math.log(0.5 * _EPS)
 
 # Ratio tables of the pFq series: one per (upper, lower, power-of-two
 # length), kept only up to _TABLE_MAX_ENTRIES entries, past which a series
@@ -67,14 +69,12 @@ _PHI_X_ZERO = 1e6
 class NumericalError(RuntimeError):
     """An iterative numerical procedure failed to converge.
 
-    ``best`` and ``best_error`` carry the most accurate estimate available
-    at the point of failure when the failing routine has one.
+    ``best_error`` carries the error estimate at the point of failure when
+    the failing routine has one.
     """
 
-    def __init__(self, message: str, best: float | None = None,
-                 best_error: float | None = None):
+    def __init__(self, message: str, best_error: float | None = None):
         super().__init__(message)
-        self.best = best
         self.best_error = best_error
 
 
@@ -328,12 +328,13 @@ class SeriesResult:
 
         terms * eps * (1 + sum_j |ln(t_{j+1}/t_j)|) * sum|t_k| / |sum t_k|.
 
-    The 1 covers the summation and the log sum the running sum of log
-    ratios that gives the terms, whose rounding dominates for a long series
-    of one sign (e^x at x = 700 is off by 8e-13 relative).  The last factor
-    is the cancellation of an alternating series (e^x at x = -30 gives a
-    bound above 1e4, so no digit of the value is certain).  The bound is
-    reported, not enforced.
+    The dropped terms are below eps/2 of the sum, so truncation adds
+    nothing.  The 1 covers the summation and the log sum the running sum of
+    log ratios that gives the terms, whose rounding dominates for a long
+    series of one sign (e^x at x = 700 is off by 8e-13 relative).  The last
+    factor is the cancellation of an alternating series (e^x at x = -30
+    gives a bound above 1e4, so no digit of the value is certain).  The
+    bound is reported, not enforced.
     """
 
     value: SignedLog
@@ -405,27 +406,33 @@ def _log_terms(upper, lower, log_x: float, negative: bool, count: int):
 
 
 class _SeriesLimits(NamedTuple):
-    """The argument-free checks and limits of a series summed to at most
-    max_terms terms."""
+    """The argument-free checks and limits of a series truncated at an
+    index of at most max_index."""
 
     bad_lower: float | None  # a lower parameter that is a nonpositive integer
-    end: int                 # index of the first zero term, or max_terms + 2
+    end: int                 # index of the first zero term, at most max_index + 3
     open_pq: bool            # p > q and the series does not terminate
-    cap_log: float           # ln|r| at index max_terms - 1 (-inf where r = 0)
+    cap_log: float           # ln|r| at index max_index (-inf where r = 0)
+    signed: bool             # some term is negative at x > 0
 
 
 @lru_cache(maxsize=_LIMITS_CACHE_SIZE)
-def _series_limits(upper: tuple, lower: tuple, max_terms: int) -> _SeriesLimits:
+def _series_limits(upper: tuple, lower: tuple, max_index: int) -> _SeriesLimits:
     bad_lower = next((b for b in lower if b <= 0.0 and float(b).is_integer()), None)
-    # an upper parameter -n (n = 0, 1, ...) makes t_{n+1} and all later terms 0
-    end = min((int(-a) + 1 for a in upper if a <= 0.0 and float(a).is_integer()),
-              default=max_terms + 2)
-    open_pq = len(upper) > len(lower) and end > max_terms + 1
-    cap_log = math.nan  # never read: the bad lower parameter is refused first
-    if bad_lower is None:
-        factor = abs(_ratio_factors(upper, lower, float(max_terms - 1)))
-        cap_log = math.log(factor) if factor > 0.0 else -math.inf
-    return _SeriesLimits(bad_lower, end, open_pq, cap_log)
+    # an upper parameter -n (n = 0, 1, ...) makes t_{n+1} and all later terms
+    # 0; a zero past t_{max_index+2}, the last term computed, counts as none
+    end = min([int(-a) + 1 for a in upper if a <= 0.0 and float(a).is_integer()]
+              + [max_index + 3])
+    open_pq = len(upper) > len(lower) and end == max_index + 3
+    if bad_lower is not None:  # refused before any limit is read
+        return _SeriesLimits(bad_lower, end, open_pq, math.nan, False)
+    factor = abs(_ratio_factors(upper, lower, float(max_index)))
+    cap_log = math.log(factor) if factor > 0.0 else -math.inf
+    # at x > 0 a term is negative only past a negative ratio r_k, and only
+    # the k < -c of a negative parameter c have a negative factor
+    n_neg = min(max([math.ceil(-c) for c in (*upper, *lower) if c < 0.0] + [0]), end - 1)
+    signed = bool(np.any(_ratio_factors(upper, lower, np.arange(float(n_neg))) < 0.0))
+    return _SeriesLimits(bad_lower, end, open_pq, cap_log, signed)
 
 
 def _first_count(log_x: float, slope: int, log_tol: float, cap: int) -> int:
@@ -443,86 +450,103 @@ def _first_count(log_x: float, slope: int, log_tol: float, cap: int) -> int:
     return min(int(k_peak + 3.0 * math.sqrt(digits) * width) + 32, cap)
 
 
-def _scaled_sum(scaled: float, log_mag: float) -> SignedLog:
-    """A sum held as its value scaled by the largest term, with its log."""
-    if scaled == 0.0:
-        return SignedLog.ZERO
-    return SignedLog(1 if scaled > 0.0 else -1, float(log_mag))
+class _Terms(NamedTuple):
+    """The terms t_0..t_K of a series truncated by :func:`_series_terms`."""
+
+    logs: np.ndarray   # ln|t_k|, k = 0..K
+    steps: np.ndarray  # ln|t_{k+1}/t_k|, k = 0..K-1
+    peak: float        # the largest ln|t_k| computed
+    total: float       # sum_{k<=K} t_k / e^peak
+    abs_total: float   # sum_{k<=K} |t_k| / e^peak
+    tail: float        # bound on |sum_{k>K} t_k| / |sum_{k<=K} t_k|
 
 
-def signed_series(upper, lower, x: float, relative_tol: float = 1e-12,
-                  max_terms: int = MAX_SERIES_TERMS) -> SeriesResult:
-    """Sum the pFq series from its log-term array.
-
-    The argument may be negative (alternating series).  The terms come from
-    :func:`_log_terms` and are summed once, scaled by the largest of them;
-    a SignedLog is built only for the result.  Summation stops at the first
-    term t_j whose ratio t_j/t_{j-1} is below one in magnitude AND that is
-    below relative_tol times the running sum (or negligibly small against
-    the largest term so far), which prevents premature truncation in the
-    regime where terms first grow by many orders of magnitude; a zero upper
-    factor ends the series.  ``terms`` counts the terms up to the stopping
-    index, and ``rounding_bound`` bounds the relative rounding error of the
-    summation, which cancellation makes large for an alternating series.
-
-    ValueError is raised up front for a relative_tol outside (0, 1e-6], a
-    max_terms below 1, a lower parameter that is a nonpositive integer (it
-    annihilates a denominator factor), a NaN argument, or p > q unless the
-    series terminates.  A series that does not terminate and whose terms still
-    grow at index max_terms raises NumericalError before any term is
-    computed.
+def _series_terms(upper: tuple, lower: tuple, log_x: float, negative: bool,
+                  log_tol: float, max_index: int, min_index: int = 0) -> _Terms:
+    """The terms of the series of :func:`_log_terms` up to the first
+    K >= min_index with t_{K+1} < t_K and t_{K+1} / (1 - |t_{K+2}/t_{K+1}|)
+    <= exp(log_tol) |sum_{k<=K} t_k|: the truncation rule of every series of
+    the library.  The left side, a geometric bound on the dropped terms
+    while their ratios do not grow, is returned over |sum| as ``tail``.
+    Where a term is negative the sum also stops at a falling t_{K+1} below
+    1e-35 of the largest term; a terminating series that meets neither
+    stops at its last nonzero term, with tail 0.  One array pass computes,
+    scales and sums the terms; it is sized by :func:`_first_count` and
+    doubled while no K qualifies.  NumericalError is raised up front where
+    the terms still grow at index max_index, and after the last pass where
+    no K <= max_index qualifies.
     """
-    if not 0.0 < relative_tol <= 1e-6:
-        raise ValueError("relative_tol must lie in (0, 1e-6]")
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
+    limits = _series_limits(upper, lower, max_index)
+    end = limits.end
+    open_end = end == max_index + 3
+    if open_end and log_x + limits.cap_log >= 0.0:
+        raise NumericalError(f"series terms still grow at the {max_index + 1}-term cap")
+    count = min(max(_first_count(log_x, len(lower) + 1 - len(upper), log_tol, end),
+                    min_index + 3), end)
+    alternating = negative or limits.signed
+    while True:
+        logs, signs = _log_terms(upper, lower, log_x, negative, count)
+        peak = float(logs.max())
+        scaled = np.exp(logs - peak)
+        running = np.cumsum(signs * scaled if alternating else scaled)
+        steps = logs[1:] - logs[:-1]  # ln|t_{k+1}/t_k|
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # ln(exp(log_tol) |sum_{k<=K} t_k|), K = 0..count-3
+            partial = np.abs(running[:-2]) if alternating else running[:-2]
+            log_limit = np.log(partial) + (peak + log_tol)
+            # a ratio t_{K+2}/t_{K+1} of one or more gives nan or inf: no stop
+            log_tail = logs[1:-1] - np.log1p(-np.exp(steps[1:]))
+        falls = steps[:-1] < 0.0
+        ok = falls & (log_tail <= log_limit)
+        if alternating:
+            ok |= falls & (logs[1:-1] < np.maximum.accumulate(logs[:-2]) + _LOG_FLOOR)
+        ok[:min_index] = False
+        K = int(ok.argmax()) if ok.size else -1
+        if K >= 0 and ok[K]:
+            tail = math.exp(log_tail[K] - log_limit[K] + log_tol)
+            break
+        if count == end:
+            if open_end:
+                raise NumericalError(f"series did not converge within {max_index + 1} terms")
+            K, tail = count - 1, 0.0
+            break
+        count = min(2 * count, end)
+    total = float(running[K])
+    abs_total = float(np.sum(scaled[:K + 1])) if alternating else total
+    return _Terms(logs[:K + 1], steps[:K], peak, total, abs_total, tail)
+
+
+def signed_series(upper, lower, x: float) -> SeriesResult:
+    """Sum the pFq series to double precision: its terms, for an argument
+    of either sign, stop where those dropped are below eps/2 of the sum
+    (:func:`_series_terms`), and a SignedLog is built only for the result.
+    ``rounding_bound`` bounds the relative rounding error of the sum, which
+    cancellation makes large for an alternating series.
+
+    ValueError is raised up front for a lower parameter that is a
+    nonpositive integer (it annihilates a denominator factor), a NaN
+    argument, or p > q unless the series terminates; NumericalError, also
+    up front, where the terms still grow at the MAX_SERIES_TERMS cap.
+    """
     upper, lower = tuple(upper), tuple(lower)
-    limits = _series_limits(upper, lower, max_terms)
+    limits = _series_limits(upper, lower, MAX_SERIES_TERMS - 1)
     if limits.bad_lower is not None:
         raise ValueError(f"lower parameter {limits.bad_lower} is a nonpositive integer")
     if math.isnan(x):
         raise ValueError("series argument is NaN")
-    end = limits.end
     if limits.open_pq:
         raise ValueError("a series with p > q upper/lower parameters must terminate")
     if x == 0.0:
         return SeriesResult(SignedLog.ONE, 1, 0.0)
-    log_x = math.log(abs(x))
-    if end > max_terms + 1 and log_x + limits.cap_log >= 0.0:
-        raise NumericalError(
-            f"hypergeometric series terms still grow at the {max_terms}-term cap")
-    log_tol = math.log(relative_tol)
-    count = _first_count(log_x, len(lower) + 1 - len(upper), log_tol, max_terms + 1)
-    while True:
-        logs, signs = _log_terms(upper, lower, log_x, x < 0.0, min(count, end))
-        peak = float(logs.max())
-        running = np.cumsum(signs * np.exp(logs - peak))
-        with np.errstate(divide="ignore"):
-            log_running = np.log(np.abs(running)) + peak
-        later = logs[1:]
-        stop_here = (later < logs[:-1]) & (
-            (later < log_running[1:] + log_tol)
-            | (later < np.maximum.accumulate(logs)[1:] + _LOG_FLOOR))
-        if stop_here.any():
-            stop = int(np.argmax(stop_here)) + 1
-            break
-        if count >= end:
-            stop = end - 1
-            break
-        if count > max_terms:
-            raise NumericalError(
-                f"hypergeometric series did not converge within {max_terms} terms",
-                best=_scaled_sum(running[-1], log_running[-1]).to_float())
-        count = min(2 * count, max_terms + 1)
-    total = abs(float(running[stop]))
-    if signs[:stop + 1].min() > 0.0:  # one sign: sum|t_k| = |sum t_k|
-        abs_sum = total
-    else:
-        abs_sum = float(np.sum(np.exp(logs[:stop + 1] - peak)))
-    steps = logs[1:stop + 1] - logs[:stop]  # ln|t_{j+1}/t_j|
-    log_path = 1.0 + float(np.add.reduce(np.abs(steps, out=steps)))
-    bound = (stop + 1) * _EPS * log_path * abs_sum / total if total > 0.0 else math.inf
-    return SeriesResult(_scaled_sum(running[stop], log_running[stop]), stop + 1, bound)
+    t = _series_terms(upper, lower, math.log(abs(x)), x < 0.0, _LOG_HALF_EPS,
+                      MAX_SERIES_TERMS - 1)
+    terms, total = len(t.logs), abs(t.total)
+    if total == 0.0:
+        return SeriesResult(SignedLog.ZERO, terms, math.inf)
+    log_path = 1.0 + float(np.add.reduce(np.abs(t.steps)))
+    bound = terms * _EPS * log_path * t.abs_total / total
+    value = SignedLog(1 if t.total > 0.0 else -1, math.log(total) + t.peak)
+    return SeriesResult(value, terms, bound)
 
 
 # ---------------------------------------------------------------------------

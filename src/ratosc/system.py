@@ -90,8 +90,9 @@ def _top_ratio(m: int, x):
     """
     lo = x * 0.0
     hi = inv = x * 0.0 + 1.0
+    two_x = 2.0 * x
     for j in range(m):
-        lo, hi = hi, 2.0 * x * hi + 2.0 * j * lo
+        lo, hi = hi, two_x * hi + 2.0 * j * lo
         scale = np.maximum(np.abs(lo), np.abs(hi))
         lo, hi, inv = lo / scale, hi / scale, inv / scale
     return lo / hi, inv / hi

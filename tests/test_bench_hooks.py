@@ -2,9 +2,10 @@
 
 bench/tracer.py patches module attributes by name; a renamed or removed
 function would leave its hook dangling and only fail a traced run.
-bench/workloads.py builds the argv of its CLI tasks; a refused option
-would only fail a benchmark run.  Both files are loaded here by path; the
-tracer is never installed.
+bench/workloads.py builds the argv of its CLI tasks and calls the library
+with the arguments of its statistics tasks; a refused option or a changed
+signature would only fail a benchmark run.  Both files are loaded here by
+path; the tracer is never installed.
 """
 
 import importlib
@@ -42,3 +43,23 @@ def test_every_benchmark_cli_argv_parses():
     for task in tasks:
         argv = workloads._cli_argv(task, Path("out.csv"))
         assert cli._build_parser().parse_args(argv).command == task["command"], argv
+
+
+def test_every_statistics_task_kind_runs(tmp_path):
+    # one task of each kind (each command of the CLI kind), on the two ends
+    # of its |z| list, through the benchmark's own domain check, build,
+    # run and output check
+    workloads = _load("workloads")
+    tasks = {}
+    for task in workloads.make_inputs("statistics", 1):
+        tasks.setdefault((task["kind"], task.get("command")), task)
+    assert {kind for kind, _ in tasks} == {"energy", "mandel", "overlap", "entropy", "cli"}
+    for task in tasks.values():
+        if "abs_zs" in task:
+            task["abs_zs"] = [task["abs_zs"][0], task["abs_zs"][-1]]
+        if "z_abs" in task:
+            task["z_abs"][2] = 2
+    workloads.check_domain(list(tasks.values()))
+    for task in tasks.values():
+        run, check = workloads.build(task, tmp_path)
+        check(run())

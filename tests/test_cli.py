@@ -315,10 +315,11 @@ def test_edge_arguments_exit_cleanly(tmp_path, capsys):
                    "--p-grid=-4:4:5"],
         "uncertainty": ["--m", "4", "--mu", "-5", "--z-re-grid=0:1:2", "--z-im-grid=0:0:1"],
         "energy": ["--m", "4", "--mu", "-5", "--z-abs", "0:2:3"],
+        "spectrum": ["--m", "4", "--k", "2"],
     }
     scalars = ["nan", "inf", "-inf", "-1", "0", "1e-300", "x"]
     grids = ["nan:1:3", "-inf:1:3", "0:inf:3", "1:1:3", "2:1:3", "0:1:1", "0:1:0"]
-    options = {"--times": scalars, "--tail-tol": scalars, "--quad-tol": scalars,
+    options = {"--times": scalars, "--tail-tol": scalars, "--quad-tol": scalars, "--k": scalars,
                "--z-re": scalars, "--x-grid": grids, "--p-grid": grids, "--z-abs": grids,
                "--z-re-grid": grids, "--z-im-grid": grids,
                "--output": [str(tmp_path / "missing" / "out.csv"), str(tmp_path)]}
@@ -336,6 +337,15 @@ def test_edge_arguments_exit_cleanly(tmp_path, capsys):
         assert "Traceback" not in err and err.count("\n") <= 1, args
         if option == "--output" or any(bad in value for bad in ("nan", "inf")):
             assert code == 1, args
+        if option == "--k" and value.startswith("-"):
+            assert code == 1, args
+    # every --k value of spectrum: only a nonnegative integer is a depth
+    for value in scalars:
+        args = ["spectrum", "--m", "4", f"--k={value}", "--output", str(tmp_path / "out.csv")]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") <= 1, args
+        assert code == (0 if value == "0" else 1), args
     # a linearized closed form past the double range is a numerical failure
     args = ["energy", "--variant", "linearized", "--m", "4", "--mu=-5", "--z-abs=0:1e160:2",
             "--output", str(tmp_path / "out.csv")]

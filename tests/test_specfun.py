@@ -181,13 +181,13 @@ def test_hypergeometric_argument_zero_is_one():
 
 def test_hypergeometric_exponential_identity():
     # upper and lower parameter cancel, leaving exp(x)
-    value = signed_series((1.0,), (1.0,), 2.5, 1e-13).value.to_float()
+    value = signed_series((1.0,), (1.0,), 2.5).value.to_float()
     assert value == pytest.approx(math.exp(2.5), rel=1e-12)
 
 
 def test_hypergeometric_negative_fractional_parameters():
     lower = (-0.2, -0.4, -0.6, -0.8)
-    value = signed_series((), lower, 1.0, 1e-13).value.to_float()
+    value = signed_series((), lower, 1.0).value.to_float()
     assert value == pytest.approx(F_NEG_PARAMS_AT_ONE, rel=1e-12)
     # first correction term is 1/prod(lower) = 625/24
     k1 = 1.0
@@ -197,11 +197,15 @@ def test_hypergeometric_negative_fractional_parameters():
 
 
 def test_hypergeometric_tolerance_refinement():
+    # the truncation drops nothing a double can hold: the exact sum of
+    # twice as many of the same terms differs by the rounding bound at most
     upper, lower = (1.0,), (0.31, 0.77, 1.4)
-    for tol in (1e-7, 1e-9, 1e-11):
-        coarse = signed_series(upper, lower, 250.0, tol).value.to_float()
-        fine = signed_series(upper, lower, 250.0, tol / 2).value.to_float()
-        assert abs(coarse - fine) / abs(fine) < tol
+    eps = np.finfo(float).eps
+    for x in (250.0, 3.0, -3.0, 1e6):
+        res = signed_series(upper, lower, x)
+        logs, signs = _log_terms(upper, lower, math.log(abs(x)), x < 0.0, 2 * res.terms + 2)
+        value, refined = res.value.to_float(), math.fsum(signs * np.exp(logs))
+        assert abs(value - refined) <= (res.rounding_bound + eps) * abs(refined), x
 
 
 def test_hypergeometric_validation():
@@ -209,45 +213,26 @@ def test_hypergeometric_validation():
         signed_series((1.0, 2.0), (0.5,), 1.0)          # p > q
     with pytest.raises(ValueError):
         signed_series((1.0,), (-2.0, 0.5), 1.0)         # nonpositive integer
-    with pytest.raises(ValueError):
-        signed_series((), (0.5,), 1.0, 1e-3)
 
 
 def test_signed_series_refuses_bad_input_promptly():
     # every refusal comes before any term is summed, through the callers too
-    from ratosc.coherent import CoherentSpec, overlap_closed_form
-    from ratosc.observables import energy_expectation
+    from ratosc.coherent import overlap_closed_form
 
     start = time.process_time()
-    for tol in (0.0, -1e-12, 2e-6, math.nan, math.inf):
-        with pytest.raises(ValueError, match="relative_tol"):
-            signed_series((1.0,), (0.5,), 1.0, tol)
     for lower in ((0.0, 0.5), (-2.0, 0.5)):
         with pytest.raises(ValueError, match="nonpositive integer"):
             signed_series((1.0,), lower, 1.0)
     with pytest.raises(ValueError, match="NaN"):
         signed_series((1.0,), (0.5,), math.nan)
-    with pytest.raises(ValueError, match="max_terms"):
-        signed_series((1.0,), (0.5,), 1.0, max_terms=0)
-    spec = CoherentSpec("nonlinear", 4, -5, 2.0)
-    for tol in (0.0, math.nan):
-        with pytest.raises(ValueError, match="relative_tol"):
-            energy_expectation(spec, relative_tol=tol)
-        with pytest.raises(ValueError, match="relative_tol"):
-            overlap_closed_form(4, -5, 2.0, relative_tol=tol)
     with pytest.raises(ValueError, match="NaN"):
         overlap_closed_form(4, -5, math.nan)
     assert time.process_time() - start < 0.1
 
 
-def test_signed_series_term_cap():
-    with pytest.raises(NumericalError):
-        signed_series((1.0,), (1.0,), 500.0, 1e-12, max_terms=10)
-
-
 def test_signed_series_alternating_argument():
     # exp(-x) through the parameter-cancelled series at negative argument
-    value = signed_series((1.0,), (1.0,), -3.0, 1e-13).value.to_float()
+    value = signed_series((1.0,), (1.0,), -3.0).value.to_float()
     assert value == pytest.approx(math.exp(-3.0), rel=1e-11)
 
 
@@ -257,31 +242,47 @@ def test_panel_nodes_integrate_polynomial_exactly():
     assert value == pytest.approx((3.0**7 - (-2.0) ** 7) / 7.0, rel=1e-14)
 
 
-def _reference_series(upper, lower, x, relative_tol=1e-12, max_terms=100_000):
-    """Term-by-term signed-log summation: the loop the array kernel replaced."""
-    total = SignedLog.ONE
+def _reference_series(upper, lower, x, max_terms=100_000):
+    """Term-by-term signed-log summation with the truncation rule of the
+    array kernel, at eps/2: stop at the first K with t_{K+1} < t_K and
+    t_{K+1} / (1 - |t_{K+2}/t_{K+1}|) <= eps/2 |sum_{k<=K} t_k|, or, once
+    a term is negative, t_{K+1} < 1e-35 of the largest term."""
     if x == 0.0:
-        return total, 1
-    term = SignedLog.ONE
+        return SignedLog.ONE, 1
+    log_tol = math.log(np.finfo(float).eps / 2.0)
+    terms = [SignedLog.ONE]
+    ended = False
+    total = SignedLog.ONE
     peak = 0.0
-    for k in range(max_terms):
-        num = x
-        for a in upper:
-            num *= a + k
-        den = k + 1.0
-        for b in lower:
-            den *= b + k
-        ratio = num / den
-        if ratio == 0.0:
-            return total, k + 1
-        term = term * SignedLog.from_float(ratio)
-        total = total + term
-        peak = max(peak, term.log_mag)
-        if abs(ratio) < 1.0:
-            if total.sign != 0 and term.log_mag < total.log_mag + math.log(relative_tol):
-                return total, k + 2
-            if term.log_mag < peak + math.log(1e-35):
-                return total, k + 2
+    alternating = False
+    for K in range(max_terms):
+        while not ended and len(terms) < K + 3:
+            k = len(terms) - 1
+            num = x
+            for a in upper:
+                num *= a + k
+            den = k + 1.0
+            for b in lower:
+                den *= b + k
+            ratio = num / den
+            ended = ratio == 0.0
+            if not ended:
+                terms.append(terms[-1] * SignedLog.from_float(ratio))
+        if len(terms) < K + 3:  # no t_{K+2}: the series ends, every term is summed
+            for term in terms[K + 1:]:
+                total = total + term
+            return total, len(terms)
+        t0, t1, t2 = terms[K:K + 3]
+        alternating = alternating or t1.sign < 0 or t2.sign < 0
+        if t1.log_mag < t0.log_mag:
+            r = math.exp(t2.log_mag - t1.log_mag)
+            if r < 1.0 and total.sign != 0 and (
+                    t1.log_mag - math.log1p(-r) <= total.log_mag + log_tol):
+                return total, K + 1
+            if alternating and t1.log_mag < peak + math.log(1e-35):
+                return total, K + 1
+        total = total + t1
+        peak = max(peak, t1.log_mag)
     raise AssertionError("reference series did not converge")
 
 
@@ -306,7 +307,10 @@ def _series_grid(seed=20261018, per_kind=40):
 
 
 def test_series_kernel_matches_term_loop():
-    for kind, upper, lower, x in _series_grid():
+    # in the last case t_3 ~ 8e-18 is below eps/2 of the sum, but t_3 > t_2:
+    # the sum stops only past the rise, at K = 3
+    cases = _series_grid() + [("rising", (-1.0 + 1e-9,), (-2.0 + 1e-8,), 1e-5)]
+    for kind, upper, lower, x in cases:
         expected, terms = _reference_series(upper, lower, x)
         result = signed_series(upper, lower, x)
         assert result.terms == terms, (kind, upper, lower, x)
@@ -335,12 +339,12 @@ def test_series_rounding_bound_covers_cancellation():
     # e^x at negative x: the alternating sum loses every digit near x = -30,
     # and the reported bound must say so
     for x in (-20.0, -30.0):
-        res = signed_series((), (), x, 1e-14)
+        res = signed_series((), (), x)
         value = res.value.to_float()
         assert abs(value - math.exp(x)) <= res.rounding_bound * abs(value)
         assert res.rounding_bound > 1.0
     # a series of one sign: the bound is terms * eps * (1 + sum_j |ln(x / (j+1))|)
-    res = signed_series((), (), 30.0, 1e-14)
+    res = signed_series((), (), 30.0)
     eps = np.finfo(float).eps
     log_path = 1.0 + sum(abs(math.log(30.0 / (j + 1))) for j in range(res.terms - 1))
     assert res.rounding_bound == pytest.approx(res.terms * eps * log_path, rel=1e-12)
@@ -352,7 +356,7 @@ def test_series_rounding_bound_covers_the_log_sum():
     # long series of one sign: the running sum of log ratios, not the
     # summation, sets the error of e^x, and the bound must cover it
     for x in (300.0, 700.0, 2000.0):
-        res = signed_series((), (), x, 1e-14)
+        res = signed_series((), (), x)
         assert abs(res.value.log_mag - x) <= res.rounding_bound
 
 
