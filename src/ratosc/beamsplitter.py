@@ -29,10 +29,11 @@ __all__ = [
 
 
 _EPS = float(np.finfo(float).eps)
-# Rows of the table multiplied per matrix product in linear_entropy.
-# Larger blocks mean fewer products, but each block product and the BLAS
-# work space sit in memory beside the (K+1)^2 table: at K = 622, 32-row
-# blocks raised the peak resident size by ~1.2 MB and 16-row ones by ~0.7.
+# Rows of the table per pass of split and per matrix product of
+# linear_entropy.  Larger blocks mean fewer passes, but each block and the
+# BLAS work space sit in memory beside the (K+1)^2 table: at K = 622,
+# 32-row purity blocks raised the peak resident size by ~1.2 MB, 16-row
+# ones by ~0.7.
 _PURITY_BLOCK = 16
 
 
@@ -60,9 +61,10 @@ def split(coeffs: CoefficientVector) -> OutputState:
     """Balanced splitting of the input superposition against vacuum.
 
     Square roots of the binomials are assembled in log space from one
-    table of ln j!, so entries stay accurate out to n1 + n2 well past 100;
-    each total k = n1 + n2 is one anti-diagonal of the table, and the
-    entries at (n1, n2) and (n2, n1) are bitwise equal.  Anti-diagonal
+    table of ln j!, so entries stay accurate out to n1 + n2 well past 100,
+    and (n1, n2) and (n2, n1) take the same expression in k = n1 + n2 and
+    r = min(n1, n2), so they are bitwise equal.  The table is filled in
+    blocks of 16 rows over the columns the first row reaches.  Anti-diagonal
     norms satisfy sum_{n1+n2=k} |amplitudes[n1, n2]|^2 = |A_k|^2 exactly
     (binomial theorem).  A truncation whose top state index passes
     system.MAX_STATE_INDEX raises ValueError before the (K+1)^2 table is
@@ -73,11 +75,15 @@ def split(coeffs: CoefficientVector) -> OutputState:
     StateLabel(coeffs.spec.m, coeffs.spec.mu, K)  # validates the top state index
     log_fact = np.array([lgamma(j + 1) for j in range(K + 1)])
     amp = np.zeros((K + 1, K + 1), dtype=complex)
-    for k in range(K + 1):
-        n2 = np.arange(k + 1)
-        r = np.minimum(n2, k - n2)  # bitwise-identical entries for n2 and k-n2
+    for i0 in range(0, K + 1, _PURITY_BLOCK):
+        n1 = np.arange(i0, min(i0 + _PURITY_BLOCK, K + 1))[:, None]
+        n2 = np.arange(K + 1 - i0)
+        k = np.minimum(n1 + n2, K)  # past the anti-diagonal: any valid index, zeroed below
+        r = np.minimum(n1, n2)  # bitwise-identical entries for (n1, n2) and (n2, n1)
         logs = log_fact[k] - log_fact[r] - log_fact[k - r]
-        amp[k - n2, n2] = a[k] * np.exp(0.5 * logs - 0.5 * k * math.log(2.0))
+        block = a[k] * np.exp(0.5 * logs - 0.5 * k * math.log(2.0))
+        block[n1 + n2 > K] = 0.0
+        amp[i0:i0 + _PURITY_BLOCK, :n2.size] = block
     return OutputState(amp, coeffs.tail_mass)
 
 
@@ -125,7 +131,8 @@ def linear_entropy(out: OutputState) -> EntropyResult:
     contiguous rows and each pair of blocks is multiplied once, the
     off-diagonal pairs counted twice by symmetry; row n1 vanishes past
     column K - n1, so a pair multiplies only the columns its later block
-    reaches, and no second (K+1) x (K+1) array is formed beside T.  All
+    reaches, that block is conjugated once for all its earlier partners,
+    and no second (K+1) x (K+1) array is formed beside T.  All
     sums run to the truncation K, and twice the dropped coefficient mass
     bounds the truncation error of the purity (Cauchy-Schwarz).
     error_bound adds to that a rounding term 4 (K+1) ln(K+2) eps times the
@@ -136,10 +143,11 @@ def linear_entropy(out: OutputState) -> EntropyResult:
     amp = out.amplitudes
     K = out.K
     purity = 0.0
-    for i0 in range(0, K + 1, _PURITY_BLOCK):
-        for j0 in range(i0, K + 1, _PURITY_BLOCK):
-            w = K + 1 - j0
-            block = amp[i0:i0 + _PURITY_BLOCK, :w] @ amp[j0:j0 + _PURITY_BLOCK, :w].conj().T
+    for j0 in range(0, K + 1, _PURITY_BLOCK):
+        w = K + 1 - j0
+        later = amp[j0:j0 + _PURITY_BLOCK, :w].conj().T
+        for i0 in range(0, j0 + 1, _PURITY_BLOCK):
+            block = amp[i0:i0 + _PURITY_BLOCK, :w] @ later
             inner = float(np.vdot(block, block).real)
             purity += inner if j0 == i0 else 2.0 * inner
     value = 1.0 - purity

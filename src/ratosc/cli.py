@@ -31,6 +31,7 @@ from .specfun import (
     _log_terms,
     _ratio_table,
     _series_limits,
+    _series_stack,
     hermite_phi,
     log_pochhammer,
     panel_nodes,
@@ -380,7 +381,7 @@ def _selftest() -> int:
     # the series with no parameters is e^x: its terms are x^k/k!; at x = -30
     # the alternating sum can only come within eps sum_k |t_k| = eps e^30
     for x in (700.0, -30.0):
-        logs, signs = _log_terms((), (), math.log(abs(x)), x < 0.0, 1000)
+        logs, signs = (a[:, 0] for a in _log_terms([((), (), x < 0.0)], math.log(abs(x)), 1000))
         exact = np.array([k * math.log(abs(x)) - math.lgamma(k + 1) for k in range(1000)])
         value = signed_series((), (), x).value
         if x > 0.0:
@@ -403,6 +404,13 @@ def _selftest() -> int:
         cold.append(signed_series((1.0,), params, x))
     warm = [signed_series((1.0,), params, x) for x in reversed(xs)][::-1]
     check("series through warm parameter tables are bitwise the cold ones", warm == cold)
+
+    # the closed forms sum their series as the rows of one stacked pass
+    b, x = co.hypergeometric_parameters(4, -5), co.series_argument(4, 1e5)
+    rows = [((k + 1.0,), tuple(bj + k for bj in b), neg) for k in (0, 1, 2) for neg in (0, 1)]
+    alone = [signed_series(upper, lower, -x if neg else x) for upper, lower, neg in rows]
+    check("every row of a stacked series pass is bitwise signed_series (m=4, mu=-5, |z|=1e5)",
+          _series_stack(rows, x) == alone)
 
     x = np.linspace(-46.0, 46.0, 93)  # straddles |x| = 37
     for m, mu, ks in ((2, -3, [0, 1, 300]), (6, -7, range(6))):

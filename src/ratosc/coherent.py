@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import SignedLog, _series_terms, signed_series
+from .specfun import SignedLog, _series_stack, _series_terms, signed_series
 from .system import ladder_element, lowest_weights, wavefunction_rows
 
 __all__ = [
@@ -121,34 +121,37 @@ def _log_series_argument(m: int, abs_z: float) -> float:
     return 2.0 * math.log(abs_z) - (m + 1) * math.log(2 * m + 2)
 
 
-def _log_weight_terms(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
-    """Log of the unnormalised weights t_k = |A_k F^{1/2}|^2 up to the
-    truncation index K >= min_index, plus the certified relative tail bound.
+def _log_weights(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
+    """ln|A_k|^2 of the normalised weights up to the truncation index
+    K >= min_index, plus the certified relative tail bound.
 
-    The weights are series terms, cut at tail_tol by the rule of every
-    series (:func:`~ratosc.specfun._series_terms`): for the nonlinear
-    variant those of F(1; b; x), since the ladder elements obey
-    a^2(nu_{k+1}) = (2m+2)^{m+1} prod_j (b_j + k), for the linearized one
-    those of e^x at x = |z|^2/2.  Both enter through ln x, so no |z|
-    underflows.  NumericalError is raised at once when the weights still
-    grow at index MAX_COEFFICIENTS, and after the terms are computed when
-    the tail bound is not met by then.
+    The unnormalised weights are series terms, cut at tail_tol by the rule
+    of every series (:func:`~ratosc.specfun._series_terms`): for the
+    nonlinear variant those of F(1; b; x), since the ladder elements obey
+    a^2(nu_{k+1}) = (2m+2)^{m+1} prod_j (b_j + k), normalised by their
+    truncated sum (the dropped mass is below tail_tol, far under double
+    resolution); for the linearized one those of e^x at x = |z|^2/2,
+    normalised by e^x.  Both enter through ln x, so no |z| underflows.
+    coefficients and the statistics that need only |A_k|^2 read them here.
+    NumericalError is raised at once when the weights still grow at index
+    MAX_COEFFICIENTS, and after the terms are computed when the tail bound
+    is not met by then.
     """
     if not 0.0 < tail_tol <= 1e-8:
         raise ValueError("tail_tol must lie in (0, 1e-8]")
     m, mu = spec.m, spec.mu
     az = spec.abs_z
-    if az == 0.0:
-        return np.zeros(min_index + 1), 0.0
+    if az == 0.0:  # A_0 = 1 and every later entry 0
+        return np.where(np.arange(min_index + 1), -np.inf, 0.0), 0.0
     if spec.variant == "nonlinear":
-        upper, lower = (1.0,), hypergeometric_parameters(m, mu)
-        log_x = _log_series_argument(m, az)
+        row, log_x = ((1.0,), hypergeometric_parameters(m, mu), False), _log_series_argument(m, az)
     else:
-        upper, lower = (), ()
-        log_x = 2.0 * math.log(az) - math.log(2.0)
-    terms = _series_terms(upper, lower, log_x, False, math.log(tail_tol),
-                          MAX_COEFFICIENTS, min_index)
-    return terms.logs, terms.tail
+        row, log_x = ((), (), False), 2.0 * math.log(az) - math.log(2.0)
+    (t,) = _series_terms([row], log_x, math.log(tail_tol), MAX_COEFFICIENTS, min_index)
+    if spec.variant == "linearized":
+        return t.logs - 0.5 * az ** 2, t.tail
+    peak = float(np.maximum.reduce(t.logs))
+    return t.logs - (peak + math.log(float(np.add.reduce(np.exp(t.logs - peak))))), t.tail
 
 
 def coefficients(spec: CoherentSpec, tail_tol: float = 1e-14,
@@ -163,32 +166,21 @@ def coefficients(spec: CoherentSpec, tail_tol: float = 1e-14,
 
     The truncation index K is the first index past which a geometric bound
     on the dropped |A_k|^2, the terms of the normalisation series cut by the
-    rule of every series (:func:`_log_weight_terms`), is below tail_tol; the
+    rule of every series (:func:`_log_weights`), is below tail_tol; the
     bound is reported as tail_mass.
     """
-    logs, tail = _log_weight_terms(spec, tail_tol, min_index)
+    log_w, tail = _log_weights(spec, tail_tol, min_index)
     if spec.abs_z == 0.0:
-        entries = np.zeros(len(logs), dtype=complex)
+        entries = np.zeros(len(log_w), dtype=complex)
         entries[0] = 1.0
         return CoefficientVector(spec, entries, 0.0)
+    mags = np.exp(0.5 * log_w)
     if spec.variant == "nonlinear":
-        # normalise against the truncated sum: the dropped mass is below
-        # tail_tol, orders of magnitude under double-precision resolution
-        log_f = _log_sum_exp(logs)
-        signs = np.where(np.arange(len(logs)) % 2 == 0, 1.0, -1.0)
-    else:
-        log_f = 0.5 * spec.abs_z ** 2
-        signs = np.ones(len(logs))
-    mags = np.exp(0.5 * (logs - log_f))
+        np.negative(mags[1::2], out=mags[1::2])  # the sign (-1)^k
     theta = cmath.phase(spec.z)
-    phases = np.exp(1j * theta * np.arange(len(logs))) if theta != 0.0 else np.ones(len(logs))
-    entries = signs * mags * phases
+    phases = np.exp(1j * theta * np.arange(len(log_w))) if theta != 0.0 else np.ones(len(log_w))
+    entries = mags * phases
     return CoefficientVector(spec, entries.astype(complex), tail)
-
-
-def _log_sum_exp(logs: np.ndarray) -> float:
-    peak = float(np.max(logs))
-    return peak + math.log(float(np.sum(np.exp(logs - peak))))
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +206,21 @@ def overlap(m: int, mu: int, abs_z: float, tail_tol: float = 1e-16) -> float:
     double precision even when |z| = 1e8 makes the unnormalised terms span
     hundreds of orders of magnitude.
     """
-    spec = CoherentSpec("nonlinear", m, mu, complex(abs_z))
-    logs, _ = _log_weight_terms(spec, tail_tol)
-    log_f = _log_sum_exp(logs)
-    weights = np.exp(logs - log_f)
-    signs = np.where(np.arange(len(logs)) % 2 == 0, 1.0, -1.0)
+    weights = np.exp(_log_weights(CoherentSpec("nonlinear", m, mu, complex(abs_z)), tail_tol)[0])
+    signs = np.where(np.arange(len(weights)) % 2 == 0, 1.0, -1.0)
     return float(np.sum(signs * weights))
 
 
 def overlap_closed_form(m: int, mu: int, abs_z: float) -> float:
     """The same overlap via the ratio of the normalisation series at
-    negated and positive argument, summed in signed-log arithmetic."""
+    negated and positive argument, summed as one stacked pair and divided
+    in signed-log arithmetic."""
     if mu not in lowest_weights(m):
         raise ValueError(f"mu = {mu} is not a lowest weight for m = {m}")
     params = hypergeometric_parameters(m, mu)
-    x = series_argument(m, abs_z)
-    num = signed_series((1.0,), params, -x).value
-    den = signed_series((1.0,), params, x).value
-    return (num / den).to_float()
+    num, den = _series_stack([((1.0,), params, True), ((1.0,), params, False)],
+                             series_argument(m, abs_z))
+    return (num.value / den.value).to_float()
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,21 @@ from .coherent import (
     CoherentSpec,
     _amplitudes,
     _log_series_argument,
+    _log_weights,
     coefficients,
     evolve,
     hypergeometric_parameters,
     series_argument,
 )
 from .specfun import (
+    _LOG_HALF_EPS,
+    MAX_SERIES_TERMS,
     NumericalError,
     SignedLog,
+    _series_terms,
     log_pochhammer,
     panel_nodes,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
-    signed_series,
+    signed_series,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 )
 from .system import (
     MAX_STATE_INDEX,
@@ -56,12 +60,15 @@ __all__ = [
 
 @lru_cache(maxsize=64)
 def _moment_series(m: int, mu: int, order: int):
-    """Lower parameters b + order of the order-th factorial-moment series
-    of ladder (m, mu) and the Pochhammer symbols (b_j)_order, in the order
-    of b; cached per ladder and order, since a |z| sweep reuses them."""
+    """The stack row (order+1; b+order) of the order-th factorial-moment
+    series of ladder (m, mu) and its prefactor order! / prod_j (b_j)_order
+    as one SignedLog; cached per ladder and order, since a |z| sweep
+    reuses them."""
     b = hypergeometric_parameters(m, mu)
-    return (tuple(bj + order for bj in b),
-            tuple(log_pochhammer(bj, order) for bj in b))
+    pref = SignedLog(1, math.log(math.factorial(order)))
+    for bj in b:
+        pref = pref / log_pochhammer(bj, order)
+    return ((order + 1.0,), tuple(bj + order for bj in b), False), pref
 
 
 def _factorial_moments(m: int, mu: int, abs_z: float, orders) -> tuple[float, ...]:
@@ -71,24 +78,25 @@ def _factorial_moments(m: int, mu: int, abs_z: float, orders) -> tuple[float, ..
 
         order! x^order / prod_j (b_j)_order * F(order+1; b+order; x) / F(1; b; x).
 
-    The denominator F(1; b; x) is summed once for all orders.
+    The denominator F(1; b; x) and the numerators of all orders, series of
+    positive terms, are summed in one stacked pass to the tolerance of
+    signed_series, and ln F is formed as signed_series forms it.
     """
     if abs_z == 0.0:
         return (0.0,) * len(orders)
-    b = hypergeometric_parameters(m, mu)
+    moments = [_moment_series(m, mu, order) for order in orders]
+    rows = [((1.0,), hypergeometric_parameters(m, mu), False)] + [row for row, _ in moments]
     x = series_argument(m, abs_z)
-    den = signed_series((1.0,), b, x).value
-    out = []
-    for order in orders:
-        shifted, pochhammers = _moment_series(m, mu, order)
-        num = signed_series((order + 1.0,), shifted, x).value
-        # ln x from |z|: x itself underflows to 0 for |z| below ~1e-160
-        pref = SignedLog(1, order * _log_series_argument(m, abs_z)
-                         + math.log(math.factorial(order)))
-        for poch in pochhammers:
-            pref = pref / poch
-        out.append((pref * (num / den)).to_float())
-    return tuple(out)
+    if x == 0.0:  # |z| below ~1e-160: every F is 1
+        log_den, *log_nums = [0.0] * len(rows)
+    else:  # ln F as signed_series forms it
+        log_den, *log_nums = [math.log(t.total) + t.peak for t in _series_terms(
+            rows, math.log(x), _LOG_HALF_EPS, MAX_SERIES_TERMS - 1)]
+    # ln x from |z|: finite where x itself underflows
+    log_x = _log_series_argument(m, abs_z)
+    return tuple(SignedLog(pref.sign, order * log_x + pref.log_mag
+                           + (log_num - log_den)).to_float()
+                 for order, (_, pref), log_num in zip(orders, moments, log_nums))
 
 
 def _finite(value: float, name: str) -> float:
@@ -110,9 +118,8 @@ def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
     """
     base = 2.0 * spec.mu + 2.0 * spec.m + 2.0
     if method == "direct":
-        c = coefficients(spec, tail_tol)
-        k = np.arange(len(c.entries), dtype=float)
-        w = np.abs(c.entries) ** 2
+        w = np.exp(_log_weights(spec, tail_tol)[0])
+        k = np.arange(len(w), dtype=float)
         return float(np.sum((base + (2.0 * spec.m + 2.0) * k) * w))
     if method != "closed_form":
         raise ValueError("method must be 'closed_form' or 'direct'")
@@ -127,9 +134,8 @@ def number_moments(spec: CoherentSpec, method: str = "closed_form",
     """(<N>, <N(N-1)>) for the rung-number operator N |mu + (m+1)k> = k |...>;
     NumericalError where the linearized closed form leaves the double range."""
     if method == "direct":
-        c = coefficients(spec, tail_tol)
-        k = np.arange(len(c.entries), dtype=float)
-        w = np.abs(c.entries) ** 2
+        w = np.exp(_log_weights(spec, tail_tol)[0])
+        k = np.arange(len(w), dtype=float)
         return float(np.sum(k * w)), float(np.sum(k * (k - 1.0) * w))
     if method != "closed_form":
         raise ValueError("method must be 'closed_form' or 'direct'")
@@ -147,10 +153,10 @@ def mandel_q(spec: CoherentSpec, method: str = "closed_form",
     z = 0 is defined as the limit 0; the linearized variant is identically
     Poissonian, so its closed form returns exactly 0.  Q = O(<N>) as
     |z| -> 0, so where <N> underflows to 0 the value is that limit, 0.
+    A bad method, or a bad tail_tol on the direct route, raises ValueError
+    at z = 0 too, as in number_moments.
     """
-    if spec.abs_z == 0.0:
-        return 0.0
-    if method == "closed_form" and spec.variant == "linearized":
+    if method == "closed_form" and (spec.abs_z == 0.0 or spec.variant == "linearized"):
         return 0.0
     n1, n2 = number_moments(spec, method, tail_tol)
     if n1 == 0.0:

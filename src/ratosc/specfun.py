@@ -373,34 +373,39 @@ def _ratio_logs(upper, lower, length: int):
 _ratio_table = lru_cache(maxsize=_TABLE_CACHE_SIZE)(_ratio_logs)
 
 
-def _log_terms(upper, lower, log_x: float, negative: bool, count: int):
-    """ln|t_k| and sign(t_k) for k = 0..count-1 of the series sum_k t_k with
-    t_0 = 1 and t_{k+1}/t_k = x prod_i (a_i + k) / ((k+1) prod_j (b_j + k)).
+def _log_terms(rows, log_x: float, count: int, signed: bool = True):
+    """ln|t_k| and sign(t_k), k = 0..count-1, of the series sum_k t_k with
+    t_0 = 1 and t_{k+1}/t_k = x prod_i (a_i + k) / ((k+1) prod_j (b_j + k))
+    at -|x| where negative is set: column j of two (count, len(rows))
+    arrays holds row j (upper, lower, negative) of rows.  The terms run
+    down the outer axis, so a slice of terms is contiguous however many
+    rows there are.
 
-    The argument enters as ln|x| and its sign, so an |x| beyond the double
-    range costs nothing; ln|t_k| is the running sum of ln|r_k| + ln|x|.
-    The argument-free ln|r_k| and sign prefix come from a cached table of
-    the next power-of-two length (up to _TABLE_MAX_ENTRIES entries; longer
-    series build theirs per call), so a sweep over x at fixed parameters
-    builds them once; every entry is computed on its own, so a slice of a
-    longer table equals a shorter one bitwise.  upper and lower are tuples,
-    since they key the cache, and the signs are returned read-only.  The
-    caller keeps count at or below the first zero term of a terminating
-    series.
+    ln|t_k| is the running sum of ln|r_k| + ln|x|, so an |x| beyond the
+    double range costs nothing.  The argument-free ln|r_k| and sign prefix
+    come from a cached table of the next power-of-two length (up to
+    _TABLE_MAX_ENTRIES entries; longer series build theirs per call), every
+    entry computed on its own, so a row is bitwise the same in any stack
+    and through warm or cold tables.  upper and lower are tuples, since
+    they key the cache; the signs are read-only, or None unless signed.
+    count stays at or below the first zero term of a terminating series.
     """
-    length = max(count, _TABLE_MIN_ENTRIES)
-    if length <= _TABLE_MAX_ENTRIES:
-        log_ratio, prefix = _ratio_table(upper, lower, 1 << (length - 1).bit_length())
-    else:
-        log_ratio, prefix = _ratio_logs(upper, lower, count)
-    logs = np.empty(count)
+    logs = np.empty((count, len(rows)))
+    signs = np.empty((count, len(rows))) if signed else None
     logs[0] = 0.0
-    np.cumsum(log_ratio[:count - 1] + log_x, out=logs[1:])
-    signs = prefix[:count]
-    if negative:
-        # t_k of x < 0 carries the extra sign (-1)^k
-        signs = signs.copy()
-        np.negative(signs[1::2], out=signs[1::2])
+    length = max(count, _TABLE_MIN_ENTRIES)
+    for j, (upper, lower, negative) in enumerate(rows):
+        if length <= _TABLE_MAX_ENTRIES:
+            log_ratio, prefix = _ratio_table(upper, lower, 1 << (length - 1).bit_length())
+        else:
+            log_ratio, prefix = _ratio_logs(upper, lower, count)
+        np.add(log_ratio[:count - 1], log_x, out=logs[1:, j])
+        if signed:
+            signs[:, j] = prefix[:count]
+            if negative:  # t_k of x < 0 carries the extra sign (-1)^k
+                np.negative(signs[1::2, j], out=signs[1::2, j])
+    np.add.accumulate(logs, axis=0, out=logs)  # 0 + a is a: row 0 adds nothing
+    if signed:
         signs.flags.writeable = False
     return logs, signs
 
@@ -435,6 +440,7 @@ def _series_limits(upper: tuple, lower: tuple, max_index: int) -> _SeriesLimits:
     return _SeriesLimits(bad_lower, end, open_pq, cap_log, signed)
 
 
+@lru_cache(maxsize=16)  # the rows of a stack mostly share their first count
 def _first_count(log_x: float, slope: int, log_tol: float, cap: int) -> int:
     """Terms to compute in a first pass: the peak index |x|^{1/slope} of a
     series whose term ratio falls like x / k^slope, plus a Gaussian tail
@@ -461,59 +467,72 @@ class _Terms(NamedTuple):
     tail: float        # bound on |sum_{k>K} t_k| / |sum_{k<=K} t_k|
 
 
-def _series_terms(upper: tuple, lower: tuple, log_x: float, negative: bool,
-                  log_tol: float, max_index: int, min_index: int = 0) -> _Terms:
-    """The terms of the series of :func:`_log_terms` up to the first
+def _series_terms(rows, log_x: float, log_tol: float, max_index: int,
+                  min_index: int = 0) -> list[_Terms]:
+    """The terms of each series (upper, lower, negative) of rows, a stack
+    that shares ln|x| (:func:`_log_terms`), each up to its first
     K >= min_index with t_{K+1} < t_K and t_{K+1} / (1 - |t_{K+2}/t_{K+1}|)
     <= exp(log_tol) |sum_{k<=K} t_k|: the truncation rule of every series of
     the library.  The left side, a geometric bound on the dropped terms
     while their ratios do not grow, is returned over |sum| as ``tail``.
     Where a term is negative the sum also stops at a falling t_{K+1} below
     1e-35 of the largest term; a terminating series that meets neither
-    stops at its last nonzero term, with tail 0.  One array pass computes,
-    scales and sums the terms; it is sized by :func:`_first_count` and
-    doubled while no K qualifies.  NumericalError is raised up front where
-    the terms still grow at index max_index, and after the last pass where
-    no K <= max_index qualifies.
+    stops at its last nonzero term, with tail 0.  The rows that share a
+    count are computed, scaled and summed in one array pass; a count is
+    sized by :func:`_first_count` and a row's is doubled while no K
+    qualifies, so each row is bitwise a one-row stack.  NumericalError is
+    raised up front where the terms still grow at index max_index, and
+    after the last pass where no K <= max_index qualifies.
     """
-    limits = _series_limits(upper, lower, max_index)
-    end = limits.end
-    open_end = end == max_index + 3
-    if open_end and log_x + limits.cap_log >= 0.0:
-        raise NumericalError(f"series terms still grow at the {max_index + 1}-term cap")
-    count = min(max(_first_count(log_x, len(lower) + 1 - len(upper), log_tol, end),
-                    min_index + 3), end)
-    alternating = negative or limits.signed
-    while True:
-        logs, signs = _log_terms(upper, lower, log_x, negative, count)
-        peak = float(logs.max())
+    limits, counts = [], []
+    for upper, lower, _ in rows:
+        lim = _series_limits(upper, lower, max_index)
+        if lim.end == max_index + 3 and log_x + lim.cap_log >= 0.0:
+            raise NumericalError(f"series terms still grow at the {max_index + 1}-term cap")
+        limits.append(lim)
+        first = _first_count(log_x, len(lower) + 1 - len(upper), log_tol, lim.end)
+        counts.append(min(max(first, min_index + 3), lim.end))
+    out = [None] * len(rows)
+    todo = list(range(len(rows)))
+    while todo:
+        count = counts[todo[0]]
+        group = [i for i in todo if counts[i] == count]  # the rows of this pass
+        alternating = [rows[i][2] or limits[i].signed for i in group]
+        signed = any(alternating)
+        logs, signs = _log_terms([rows[i] for i in group], log_x, count, signed)
+        peak = np.maximum.reduce(logs)
         scaled = np.exp(logs - peak)
-        running = np.cumsum(signs * scaled if alternating else scaled)
-        steps = logs[1:] - logs[:-1]  # ln|t_{k+1}/t_k|
+        running = np.add.accumulate(signs * scaled if signed else scaled)
         with np.errstate(divide="ignore", invalid="ignore"):
+            steps = logs[1:] - logs[:-1]  # ln|t_{k+1}/t_k|
             # ln(exp(log_tol) |sum_{k<=K} t_k|), K = 0..count-3
-            partial = np.abs(running[:-2]) if alternating else running[:-2]
+            partial = np.abs(running[:-2]) if signed else running[:-2]
             log_limit = np.log(partial) + (peak + log_tol)
             # a ratio t_{K+2}/t_{K+1} of one or more gives nan or inf: no stop
             log_tail = logs[1:-1] - np.log1p(-np.exp(steps[1:]))
-        falls = steps[:-1] < 0.0
+            falls = steps[:-1] < 0.0
         ok = falls & (log_tail <= log_limit)
-        if alternating:
-            ok |= falls & (logs[1:-1] < np.maximum.accumulate(logs[:-2]) + _LOG_FLOOR)
+        if signed:
+            ok |= falls & np.array(alternating, dtype=bool) & (
+                logs[1:-1] < np.maximum.accumulate(logs[:-2]) + _LOG_FLOOR)
         ok[:min_index] = False
-        K = int(ok.argmax()) if ok.size else -1
-        if K >= 0 and ok[K]:
-            tail = math.exp(log_tail[K] - log_limit[K] + log_tol)
-            break
-        if count == end:
-            if open_end:
+        stops = ok.argmax(axis=0).tolist() if count > 2 else [0] * len(group)
+        for j, i in enumerate(group):
+            K = stops[j]
+            if count > 2 and ok[K, j]:
+                tail = math.exp(log_tail[K, j] - log_limit[K, j] + log_tol)
+            elif count < limits[i].end:
+                counts[i] = min(2 * count, limits[i].end)
+                continue
+            elif limits[i].end == max_index + 3:
                 raise NumericalError(f"series did not converge within {max_index + 1} terms")
-            K, tail = count - 1, 0.0
-            break
-        count = min(2 * count, end)
-    total = float(running[K])
-    abs_total = float(np.sum(scaled[:K + 1])) if alternating else total
-    return _Terms(logs[:K + 1], steps[:K], peak, total, abs_total, tail)
+            else:
+                K, tail = count - 1, 0.0
+            total = float(running[K, j])
+            abs_total = float(np.add.reduce(scaled[:K + 1, j])) if alternating[j] else total
+            out[i] = _Terms(logs[:K + 1, j], steps[:K, j], float(peak[j]), total, abs_total, tail)
+        todo = [i for i in todo if out[i] is None]
+    return out
 
 
 def signed_series(upper, lower, x: float) -> SeriesResult:
@@ -528,25 +547,35 @@ def signed_series(upper, lower, x: float) -> SeriesResult:
     argument, or p > q unless the series terminates; NumericalError, also
     up front, where the terms still grow at the MAX_SERIES_TERMS cap.
     """
-    upper, lower = tuple(upper), tuple(lower)
-    limits = _series_limits(upper, lower, MAX_SERIES_TERMS - 1)
-    if limits.bad_lower is not None:
-        raise ValueError(f"lower parameter {limits.bad_lower} is a nonpositive integer")
-    if math.isnan(x):
-        raise ValueError("series argument is NaN")
-    if limits.open_pq:
-        raise ValueError("a series with p > q upper/lower parameters must terminate")
+    return _series_stack([(tuple(upper), tuple(lower), x < 0.0)], abs(x))[0]
+
+
+def _series_stack(rows, x: float) -> list[SeriesResult]:
+    """:func:`signed_series` of each row (upper, lower, negative) of a stack,
+    at the argument -x where negative is set and at x >= 0 elsewhere, from
+    one stacked pass of :func:`_series_terms`; each result is bitwise that
+    of signed_series on its row alone."""
+    for upper, lower, _ in rows:
+        limits = _series_limits(upper, lower, MAX_SERIES_TERMS - 1)
+        if limits.bad_lower is not None:
+            raise ValueError(f"lower parameter {limits.bad_lower} is a nonpositive integer")
+        if math.isnan(x):
+            raise ValueError("series argument is NaN")
+        if limits.open_pq:
+            raise ValueError("a series with p > q upper/lower parameters must terminate")
     if x == 0.0:
-        return SeriesResult(SignedLog.ONE, 1, 0.0)
-    t = _series_terms(upper, lower, math.log(abs(x)), x < 0.0, _LOG_HALF_EPS,
-                      MAX_SERIES_TERMS - 1)
-    terms, total = len(t.logs), abs(t.total)
-    if total == 0.0:
-        return SeriesResult(SignedLog.ZERO, terms, math.inf)
-    log_path = 1.0 + float(np.add.reduce(np.abs(t.steps)))
-    bound = terms * _EPS * log_path * t.abs_total / total
-    value = SignedLog(1 if t.total > 0.0 else -1, math.log(total) + t.peak)
-    return SeriesResult(value, terms, bound)
+        return [SeriesResult(SignedLog.ONE, 1, 0.0)] * len(rows)
+    out = []
+    for t in _series_terms(rows, math.log(x), _LOG_HALF_EPS, MAX_SERIES_TERMS - 1):
+        terms, total = len(t.logs), abs(t.total)
+        if total == 0.0:
+            out.append(SeriesResult(SignedLog.ZERO, terms, math.inf))
+            continue
+        log_path = 1.0 + float(np.add.reduce(np.abs(t.steps)))
+        bound = terms * _EPS * log_path * t.abs_total / total
+        out.append(SeriesResult(SignedLog(1 if t.total > 0.0 else -1, math.log(total) + t.peak),
+                                terms, bound))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,8 @@ def test_entropy_invariant_under_eigenvalue_phase():
 
 def test_split_is_bitwise_the_per_entry_route():
     rng = np.random.default_rng(11)
-    for K in (0, 1, 2, 17, 64, 137, 200):
+    # the table is filled in blocks of 16 rows: both edges of the first two
+    for K in (0, 1, 2, 15, 16, 17, 31, 32, 33, 64, 137, 200):
         a = _random_state(rng, K)
         assert np.array_equal(split(_vector(a)).amplitudes, _arm_layout(_reference_split(a)))
     coeffs = coefficients(CoherentSpec("linearized", 4, -5, 12.0))

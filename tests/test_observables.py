@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from ratosc import observables
-from ratosc.coherent import CoherentSpec, _amplitudes, coefficients, density
+from ratosc.coherent import (
+    CoherentSpec,
+    _amplitudes,
+    coefficients,
+    density,
+    hypergeometric_parameters,
+)
 from ratosc.observables import (
     _factorial_moments,
     energy_expectation,
@@ -140,6 +146,31 @@ def test_mandel_q_negative_for_nonlinear_order4():
     for mu in lowest_weights(4):
         for az in (1.0, 10.0, 1e3, 1e5):
             assert mandel_q(CoherentSpec("nonlinear", 4, mu, az)) < 0.0
+
+
+def test_statistics_refuse_bad_method_and_tail_tol_at_zero():
+    # the z = 0 and linearized shortcuts of mandel_q come after its checks,
+    # so the three statistics refuse the same arguments everywhere
+    for spec in (CoherentSpec("nonlinear", 4, -5, 0), CoherentSpec("linearized", 4, -5, 0),
+                 CoherentSpec("nonlinear", 4, -5, 3.0), CoherentSpec("linearized", 6, 1, 2.0)):
+        for quantity in (energy_expectation, number_moments, mandel_q):
+            with pytest.raises(ValueError, match="method"):
+                quantity(spec, "bogus")
+            with pytest.raises(ValueError, match="tail_tol"):
+                quantity(spec, "direct", tail_tol=1.0)
+    assert mandel_q(CoherentSpec("nonlinear", 4, -5, 0), "direct") == 0.0
+
+
+def test_direct_routes_are_bitwise_phase_invariant():
+    # the direct routes read the weights |A_k|^2, which depend on |z| only
+    for variant, m, mu, r in (("nonlinear", 4, -5, 1e5), ("nonlinear", 6, 1, 3.0),
+                              ("linearized", 4, -5, 30.0), ("nonlinear", 2, -3, 1e-3)):
+        for theta in (0.3, 1.0, math.pi / 2.0, 2.5, -2.0):
+            z = cmath.rect(r, theta)
+            base = CoherentSpec(variant, m, mu, abs(z))
+            spec = CoherentSpec(variant, m, mu, z)
+            for quantity in (energy_expectation, number_moments, mandel_q):
+                assert quantity(spec, "direct") == quantity(base, "direct"), (spec, quantity)
 
 
 def test_statistics_at_tiny_eigenvalue():
@@ -458,24 +489,34 @@ def test_moment_matrices_take_one_basis_pass_per_node_set(monkeypatch):
 
 
 def test_number_moments_share_the_denominator_series(monkeypatch):
+    # one stacked pass per call, holding the denominator F(1; b; x) once
+    # beside one numerator row per order
     calls = []
-    real = observables.signed_series
+    real = observables._series_terms
+    denominator = ((1.0,), hypergeometric_parameters(4, -5), False)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(rows, *args):
+        calls.append(list(rows))
+        return real(rows, *args)
 
-    monkeypatch.setattr(observables, "signed_series", counted)
+    def rows_per_call():
+        counts = [(len(rows), rows.count(denominator)) for rows in calls]
+        calls.clear()
+        return counts
+
+    monkeypatch.setattr(observables, "_series_terms", counted)
     for az in (0.5, 10.0, 1e5):
         spec = CoherentSpec("nonlinear", 4, -5, az)
         calls.clear()
         n1, n2 = number_moments(spec)
-        assert len(calls) == 3
+        assert rows_per_call() == [(3, 1)]
         assert n1 == _factorial_moments(4, -5, az, (1,))[0]
         assert n2 == _factorial_moments(4, -5, az, (2,))[0]
         calls.clear()
         mandel_q(spec)
-        assert len(calls) == 3
+        assert rows_per_call() == [(3, 1)]
+        energy_expectation(spec)
+        assert rows_per_call() == [(2, 1)]
 
 
 def test_wigner_grid_unchanged_by_real_amplitude_products(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from ratosc import specfun
 from ratosc.coherent import (
     CoherentSpec,
-    _log_weight_terms,
+    _log_weights,
     hypergeometric_parameters,
     series_argument,
 )
@@ -203,7 +203,8 @@ def test_hypergeometric_tolerance_refinement():
     eps = np.finfo(float).eps
     for x in (250.0, 3.0, -3.0, 1e6):
         res = signed_series(upper, lower, x)
-        logs, signs = _log_terms(upper, lower, math.log(abs(x)), x < 0.0, 2 * res.terms + 2)
+        logs, signs = (a[:, 0] for a in _log_terms([(upper, lower, x < 0.0)], math.log(abs(x)),
+                                                   2 * res.terms + 2))
         value, refined = res.value.to_float(), math.fsum(signs * np.exp(logs))
         assert abs(value - refined) <= (res.rounding_bound + eps) * abs(refined), x
 
@@ -321,7 +322,7 @@ def test_series_kernel_matches_term_loop():
 def test_series_argument_enters_in_log_space():
     # the kernel never forms x itself, so no |x| is too small
     for log_x in (-700.0, -1e4):
-        logs, signs = _log_terms((1.0,), (0.5, 1.5), log_x, True, 4)
+        logs, signs = (a[:, 0] for a in _log_terms([((1.0,), (0.5, 1.5), True)], log_x, 4))
         assert np.all(np.isfinite(logs))
         assert logs[1] == pytest.approx(log_x - math.log(0.75), rel=1e-15)
         assert list(signs) == [1.0, -1.0, 1.0, -1.0]
@@ -377,7 +378,7 @@ def _series_bits(result):
 
 def _weight_bits(spec):
     try:
-        logs, tail = _log_weight_terms(spec, 1e-14)
+        logs, tail = _log_weights(spec, 1e-14)
     except NumericalError as exc:  # the linearized weights at large |z|
         return str(exc)
     return logs.tobytes(), tail.hex()
@@ -434,12 +435,41 @@ def test_sweep_order_does_not_change_results():
             assert a.tobytes() == b[:length].tobytes() == c[:length].tobytes()
 
 
+def _terms_bits(t):
+    """A _Terms record as exact bit patterns."""
+    return (t.logs.tobytes(), t.steps.tobytes(), t.peak.hex(), t.total.hex(),
+            t.abs_total.hex(), t.tail.hex())
+
+
+def test_stacked_rows_are_bitwise_one_row_stacks():
+    # the factorial-moment rows of orders 0-2, the normalisation series at
+    # -x, a terminating row (upper -6, tail 0) and a row whose first pass
+    # falls short (peak near k = 22 at x = 0.5, first count 46, K = 53), in
+    # one stack: each row's terms and sum equal those of the row alone
+    b = hypergeometric_parameters(4, -5)
+    rows = [((order + 1.0,), tuple(bj + order for bj in b), False) for order in (0, 1, 2)]
+    rows += [((1.0,), b, True), ((-6.0,), (1.5, 0.25), False), ((-6.0,), (1.5, 0.25), True),
+             ((1000.0,), (1.0,), False)]
+    for x in (0.5, 3.0, 40.0):
+        for min_index, log_tol in ((0, math.log(1e-14)), (5, specfun._LOG_HALF_EPS)):
+            stacked = specfun._series_terms(rows, math.log(x), log_tol, 10**6, min_index)
+            for row, t in zip(rows, stacked):
+                (alone,) = specfun._series_terms([row], math.log(x), log_tol, 10**6, min_index)
+                assert _terms_bits(t) == _terms_bits(alone), (row, x, min_index)
+        if x < 10.0:  # the short row's pass was doubled on its own
+            assert len(stacked[-1].logs) > specfun._first_count(math.log(x), 1, log_tol, 10**6 + 3)
+        for row, result in zip(rows, specfun._series_stack(rows, x)):
+            upper, lower, negative = row
+            alone = signed_series(upper, lower, -x if negative else x)
+            assert _series_bits(result) == _series_bits(alone), (row, x)
+
+
 def test_log_terms_cannot_write_into_a_cached_table():
     _clear_tables()
     upper, lower = (1.0,), (-0.5, 1.5)
     table = [a.copy() for a in specfun._ratio_table(upper, lower, 32)]
     for negative in (False, True):
-        logs, signs = _log_terms(upper, lower, 0.3, negative, 20)
+        logs, signs = (a[:, 0] for a in _log_terms([(upper, lower, negative)], 0.3, 20))
         logs[:] = 7.0  # a fresh array per call
         with pytest.raises(ValueError):
             signs[1] = 7.0
@@ -448,7 +478,7 @@ def test_log_terms_cannot_write_into_a_cached_table():
             cached[0] = 7.0
     assert all(np.array_equal(a, b) for a, b in zip(table, specfun._ratio_table(upper, lower, 32)))
     assert specfun._ratio_table.cache_info().misses == 1
-    logs, signs = _log_terms(upper, lower, 0.3, True, 20)
+    logs, signs = (a[:, 0] for a in _log_terms([(upper, lower, True)], 0.3, 20))
     assert list(signs[:4]) == [1.0, 1.0, -1.0, 1.0]  # (-1)^k sign(0.3^k (1)_k/((-0.5)_k (1.5)_k))
 
 
