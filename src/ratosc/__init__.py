@@ -42,13 +42,12 @@ from .coherent import (
     overlap_closed_form,
 )
 from .observables import (
-    MomentMatrices,
     UncertaintyResult,
     WignerGrid,
     energy_expectation,
     mandel_q,
-    moment_matrices,
     number_moments,
+    uncertainties,
     uncertainty,
     wigner_cross_term,
     wigner_grid,

@@ -305,13 +305,11 @@ def _cmd_uncertainty(config: RunConfig):
     if len(config.times) > 1:
         raise UsageError(f"uncertainty takes one time, got --times {config.times}")
     t = config.times[0] if config.times else 0.0
-    rows = []
-    for re_z in _grid_values(config.z_re_grid):
-        for im_z in _grid_values(config.z_im_grid):
-            spec = co.CoherentSpec(config.variant, config.m, config.mu,
-                                   complex(re_z, im_z))
-            res = ob.uncertainty(spec, t, config.tail_tol, config.quad_tol)
-            rows.append([re_z, im_z, res.sigma_x, res.sigma_p, res.product])
+    zs = [complex(re_z, im_z) for re_z in _grid_values(config.z_re_grid)
+          for im_z in _grid_values(config.z_im_grid)]
+    results = ob.uncertainties([co.CoherentSpec(config.variant, config.m, config.mu, z)
+                                for z in zs], t, config.tail_tol, config.quad_tol)
+    rows = [[z.real, z.imag, *res] for z, res in zip(zs, results)]
     return ["re_z", "im_z", "sigma_x", "sigma_p", "product"], rows, {"t": t}
 
 
@@ -458,6 +456,12 @@ def _selftest() -> int:
     check("trapezoid moment matrices match Gauss-Legendre panels (m=4, mu=-5, K=8)",
           max(float(np.max(np.abs(a - b))) for a, b in
               zip((mats.mx, mats.mx2, mats.mp, mats.mp2), reference)) < 1e-12)
+    spec = co.CoherentSpec("nonlinear", 4, -5, 1.0 + 0.5j)  # K = 3, padded to nine rungs
+    a = np.pad(co.coefficients(spec).entries, (0, 5))
+    x1, x2, p1, p2 = (float(np.real(np.conj(a) @ r @ a)) for r in reference)
+    sx, sp = math.sqrt(x2 - x1 * x1), math.sqrt(p2 - p1 * p1)
+    check("lattice uncertainty matches the Gauss-Legendre moment forms (m=4, mu=-5, z=1+0.5i)",
+          max(map(abs, np.subtract(ob.uncertainty(spec), (sx, sp, sx * sp)))) < 1e-12)
 
     ground = sy.StateLabel(0, -1, 0)
     kernel = ob.wigner_cross_term(ground, ground, 0.7, -0.4)
@@ -561,7 +565,9 @@ _COMMAND_TABLE = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv=None) -> _Parser:
+    """Every subcommand; with argv, only the one it names (its first word) takes options."""
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     parser = _Parser(prog="ratosc", allow_abbrev=False,
                      description="Coherent-state diagnostics for rational "
                                  "extensions of the harmonic oscillator")
@@ -569,7 +575,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMAND_TABLE.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        for dest in (*command.reads, "output", "fmt", "plot"):
+        for dest in (*command.reads, "output", "fmt", "plot") if named in (None, name) else ():
             flag, keywords = _OPTIONS[dest]
             # an absent flag leaves the RunConfig default in place
             p.add_argument(flag, dest=dest, **keywords,
@@ -579,7 +585,8 @@ def _build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     if args.command == "selftest":
         return _selftest()
     config = RunConfig(**vars(args))

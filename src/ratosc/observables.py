@@ -1,8 +1,9 @@
 """Physical diagnostics of a coherent state.
 
 Energy expectations (closed hypergeometric form and direct sum), rung-number
-statistics with the Mandel Q parameter, position/momentum moment matrices
-with uncertainty products, and Wigner phase-space functions.
+statistics with the Mandel Q parameter, uncertainty products from the
+moments of the state's amplitude (the basis moment matrices, outside
+``__all__``, are their reference), and Wigner phase-space functions.
 """
 
 from __future__ import annotations
@@ -35,21 +36,19 @@ from .specfun import (
     signed_series,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 )
 from .system import (
-    MAX_STATE_INDEX,
     StateLabel,
     _wavefunction_stack,
     wavefunction_rows,
 )
 
 __all__ = [
-    "MomentMatrices",
     "WignerGrid",
     "UncertaintyResult",
     "energy_expectation",
     "number_moments",
     "mandel_q",
-    "moment_matrices",
     "uncertainty",
+    "uncertainties",
     "wigner_cross_term",
     "wigner_grid",
 ]
@@ -165,41 +164,64 @@ def mandel_q(spec: CoherentSpec, method: str = "closed_form",
 
 
 # ---------------------------------------------------------------------------
-# moment matrices and uncertainty products
+# position and momentum moments, uncertainty products
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class MomentMatrices:
-    """Matrix elements of x, x^2, p, p^2 between the basis states of one
-    ladder, indexed by rung number 0..K.
-
-    mx, mx2, mp2 are real symmetric; mp is Hermitian with purely imaginary
-    entries (-i times a real antisymmetric matrix) and zero diagonal, since
-    the eigenfunctions are real; mp2 is positive semidefinite.  nodes is
-    the trapezoid lattice node count of the accepted pass (parity lets the
-    basis be evaluated on its non-negative half only), refinements the
-    number of step-halving passes taken, and change the largest entry
-    change between the last two passes (at most the requested abs_tol, or
-    1e-13 of the largest entry where that is larger).
-    """
-
-    m: int
-    mu: int
-    K: int
-    mx: np.ndarray
-    mx2: np.ndarray
-    mp: np.ndarray
-    mp2: np.ndarray
-    nodes: int
-    refinements: int
-    change: float
-
-
-_MOMENT_BLOCK = 1024  # lattice nodes per basis pass of the moment sums
-# Relative to the largest entry, the change between converged passes is
+_MOMENT_BLOCK = 1024  # lattice nodes per basis pass
+_STACK_BLOCK = 1 << 18  # state rows times nodes per block of the amplitude sums
+# Relative to the largest sum, the change between converged passes is
 # summation rounding: 1e-14 to 2e-14 measured at K = 469, 1000 and 1400,
-# where entries reach 1e4 and an abs_tol of 1e-10 cannot be met.
+# where the sums reach 1e4 and an abs_tol of 1e-10 cannot be met.
 _MOMENT_ROUNDING = 1e-13
+
+
+def _lattice_sums(m: int, mu: int, K: int, sums, abs_tol: float, max_refinements: int = 3):
+    """Trapezoid sums of the integrands that sums(x) adds up over the nodes
+    x >= 0 and their mirror images -x, for the basis of ladder (m, mu) up
+    to rung K: (value, nodes, refinements, change).
+
+    The lattice j h, |j| <= n, spans [-half, half] with half = k_osc + 4
+    beyond the top rung's turning point k_osc, and h = half / n is the
+    largest such step below the step of :func:`_lattice_step` at p = 0:
+    the band-limit step, or the strip step where the zeros of P_m bound
+    the strip |Im x| < a in which the integrands are analytic and the
+    trapezoid rule converges like exp(-2 pi a / h).  Each refinement halves
+    h; the lattices are nested, so only the new midpoints are evaluated,
+    T(h/2) = T(h)/2 + (h/2) sum f(midpoints), until every sum is stable to
+    abs_tol, or to 1e-13 of the largest sum where that is larger.  nodes
+    counts the accepted lattice, change is the last change between passes.
+    ValueError for a top state index mu + (m+1) K past MAX_STATE_INDEX, before
+    any node is evaluated; NumericalError if max_refinements passes fall short.
+    """
+    StateLabel(m, mu, K)  # validates the ladder and the top state index
+    if max_refinements < 1:
+        raise ValueError("need at least one refinement pass")
+    k_osc = math.sqrt(4.0 * max(mu + (m + 1) * K + m + 1, 1))
+    half = k_osc + 4.0
+    n = math.ceil(half / _lattice_step(m, k_osc, 0.0))
+    h = half / n
+    coarse = h * sums(h * np.arange(n + 1))
+    for refinement in range(1, max_refinements + 1):
+        # T(h/2) - T(h) = (h sum f(midpoints) - T(h)) / 2, formed in place
+        step = sums(h * (np.arange(n) + 0.5))
+        step *= h
+        step -= coarse
+        step *= 0.5
+        diff = float(max(step.max(), -step.min()))
+        step += coarse
+        coarse, n, h = step, 2 * n, 0.5 * h
+        if diff <= max(abs_tol, _MOMENT_ROUNDING * max(coarse.max(), -coarse.min())):
+            return coarse, 2 * n + 1, refinement, diff
+    raise NumericalError(f"lattice sums change by {diff:.3e} in refinement "
+                         f"{max_refinements}, past {abs_tol:.1e}")
+
+
+# Matrix elements of x, x^2, p, p^2 between the rungs 0..K of one ladder,
+# with the nodes, refinements and change of _lattice_sums.  mx, mx2 and mp2
+# are real symmetric, mp2 positive semidefinite; mp is Hermitian with
+# purely imaginary entries and a zero diagonal, the eigenfunctions being real.
+MomentMatrices = namedtuple("MomentMatrices",
+                            "m mu K mx mx2 mp mp2 nodes refinements change")
 
 
 def _moment_sums(m: int, mu: int, K: int, x: np.ndarray) -> np.ndarray:
@@ -234,51 +256,13 @@ def _moment_sums(m: int, mu: int, K: int, x: np.ndarray) -> np.ndarray:
 
 def moment_matrices(m: int, mu: int, K: int, abs_tol: float = 1e-10,
                     max_refinements: int = 3) -> MomentMatrices:
-    """Trapezoid sums of the four moment integrands on a uniform lattice.
-
-    The lattice j h, |j| <= n, spans [-half, half] with half = k_osc + 4
-    beyond the top rung's turning point k_osc, and h = half / n is the
-    largest such step below the step of :func:`_lattice_step` at p = 0:
-    the band-limit step, or the strip step where the zeros of P_m bound
-    the strip |Im x| < a in which the integrands are analytic and the
-    trapezoid rule converges like exp(-2 pi a / h).  <p^2> is taken as
-    int psi_a' psi_b' (integration by parts), so the basis values and
-    first derivatives suffice and mp2 is positive semidefinite by
-    construction.  Each refinement halves h; the lattices are nested, so
-    only the new midpoints are evaluated,
-    T(h/2) = T(h)/2 + (h/2) sum f(midpoints), until every entry is stable
-    to abs_tol, or to 1e-13 of the largest entry where that is larger
-    (summation rounding alone moves the entries that far).  Parity halves
-    the evaluated nodes (see :func:`_moment_sums`), and the sums run over
-    node blocks, so the basis rows of all nodes are never held at once.
-    The result records the lattice node count, the refinement passes and
-    the final change between passes.  Raises ValueError, before any node
-    is evaluated, when the top state index mu + (m+1) K passes
-    system.MAX_STATE_INDEX.
-    """
-    StateLabel(m, mu, K)  # validates the ladder and the top state index
-    if max_refinements < 1:
-        raise ValueError("need at least one refinement pass")
-    nu_max = mu + (m + 1) * K
-    k_osc = math.sqrt(4.0 * max(nu_max + m + 1, 1))
-    half = k_osc + 4.0
-    n = math.ceil(half / _lattice_step(m, k_osc, 0.0))
-    h = half / n
-    coarse = h * _moment_sums(m, mu, K, h * np.arange(n + 1))
-    for refinement in range(1, max_refinements + 1):
-        # T(h/2) - T(h) = (h sum f(midpoints) - T(h)) / 2, formed in place
-        step = _moment_sums(m, mu, K, h * (np.arange(n) + 0.5))
-        step *= h
-        step -= coarse
-        step *= 0.5
-        diff = float(max(step.max(), -step.min()))
-        step += coarse
-        coarse, n, h = step, 2 * n, 0.5 * h
-        if diff <= max(abs_tol, _MOMENT_ROUNDING * max(coarse.max(), -coarse.min())):
-            mx, mx2, mp, mp2 = coarse
-            return MomentMatrices(m, mu, K, mx, mx2, -1j * mp, mp2, nodes=2 * n + 1,
-                                  refinements=refinement, change=diff)
-    raise NumericalError("moment-matrix quadrature did not stabilise", best_error=diff)
+    """The (K+1) x (K+1) moment matrices, entries stable to abs_tol, with
+    <p^2> as int psi_a' psi_b' (integration by parts): the reference of
+    :func:`uncertainty`, which sums the same integrals of the state itself."""
+    sums, *passes = _lattice_sums(m, mu, K, lambda x: _moment_sums(m, mu, K, x),
+                                  abs_tol, max_refinements)
+    mx, mx2, mp, mp2 = sums
+    return MomentMatrices(m, mu, K, mx, mx2, -1j * mp, mp2, *passes)
 
 
 @lru_cache(maxsize=64)
@@ -294,29 +278,57 @@ def uncertainty(spec: CoherentSpec, t: float = 0.0, tail_tol: float = 1e-14,
     """Standard deviations of position and momentum and their product for
     the time-evolved state; the product is bounded below by 1/2.
 
-    The moments come from :func:`moment_matrices` (trapezoid rule on a
-    lattice whose step follows the strip of analyticity, entries stable to
-    quad_tol), so any truncation K is admitted whose top state index
-    mu + (m+1) K stays within system.MAX_STATE_INDEX; past it ValueError
-    is raised before any quadrature node is evaluated.
+    <x> = int x |psi|^2, <x^2>, <p> = Im int conj(psi) psi' and
+    <p^2> = int |psi'|^2 are summed from the state's amplitude on the
+    lattice of :func:`_lattice_sums`, stable to quad_tol, or to 1e-13 of
+    the largest where that is larger.  Any truncation K is admitted whose
+    top state index mu + (m+1) K stays within system.MAX_STATE_INDEX;
+    past it ValueError is raised before any node is evaluated.
     """
-    c = coefficients(evolve(spec, t), tail_tol)
-    # round the truncation up to a multiple of 8 so z-grid scans share
-    # cached matrices, but not past the largest admitted rung; the extra
-    # rows multiply zero-padded coefficients
-    K = max(c.K, min((c.K + 7) // 8 * 8, (MAX_STATE_INDEX - spec.mu) // (spec.m + 1)))
-    mats = _cached_matrices(spec.m, spec.mu, K, quad_tol)
-    a = np.zeros(K + 1, dtype=complex)
-    a[: len(c.entries)] = c.entries
+    return uncertainties([spec], t, tail_tol, quad_tol)[0]
 
-    def form(matrix) -> float:
-        return float(np.real(np.conj(a) @ matrix @ a))
 
-    x1, x2 = form(mats.mx), form(mats.mx2)
-    p1, p2 = form(mats.mp), form(mats.mp2)
-    sigma_x = math.sqrt(max(x2 - x1 * x1, 0.0))
-    sigma_p = math.sqrt(max(p2 - p1 * p1, 0.0))
-    return UncertaintyResult(sigma_x, sigma_p, sigma_x * sigma_p)
+def uncertainties(specs, t: float = 0.0, tail_tol: float = 1e-14,
+                  quad_tol: float = 1e-10) -> list[UncertaintyResult]:
+    """:func:`uncertainty` of states of one ladder (m, mu) in one pass.
+
+    Their coefficient rows, padded to the largest truncation K, share each
+    basis evaluation on the lattice of rung K, and the tolerance applies
+    to the largest moment of the stack.  By the parity of
+    :func:`~ratosc.system.wavefunction_rows` only the nodes x >= 0 are
+    evaluated: psi(-x) = (c s) @ basis(x) with s_k = (-1)^(nu_k+1), and
+    psi'(-x) takes the opposite sign.  ValueError for a second ladder.
+    """
+    specs = list(specs)
+    if not specs:
+        return []
+    m, mu = specs[0].m, specs[0].mu
+    if any((spec.m, spec.mu) != (m, mu) for spec in specs):
+        raise ValueError("the states must share one ladder (m, mu)")
+    rows = [coefficients(evolve(spec, t), tail_tol).entries for spec in specs]
+    K = max(row.size for row in rows) - 1
+    c = np.array([np.concatenate((row, np.zeros(K + 1 - row.size))) for row in rows])
+    both = np.concatenate([c, c * np.where((mu + (m + 1) * np.arange(K + 1)) % 2, 1, -1)])
+    block = min(_MOMENT_BLOCK, max(16, _STACK_BLOCK // len(both)))
+
+    def sums(x):  # x |psi|^2, x^2 |psi|^2, Im conj(psi) psi', |psi'|^2 at x and -x
+        out = np.zeros((len(both), 4))  # the rows of psi(x), then of psi(-x)
+        for start in range(0, x.size, block):
+            xb = x[start:start + block]
+            psi, dpsi = (_amplitudes(both, basis)
+                         for basis in _wavefunction_stack(m, mu, range(K + 1), xb, (0, 1)))
+            w = np.where(xb == 0.0, 0.5, 1.0)  # a node at 0 is its own mirror image
+            dens = psi.real ** 2 + psi.imag ** 2
+            out[:, 0] += dens @ (w * xb)
+            out[:, 1] += dens @ (w * xb * xb)
+            out[:, 2] += (psi.real * dpsi.imag - psi.imag * dpsi.real) @ w
+            out[:, 3] += (dpsi.real ** 2 + dpsi.imag ** 2) @ w
+        return out[:len(c)] + out[len(c):] * [-1.0, 1.0, -1.0, 1.0]  # x, psi' flip sign
+
+    x1, x2, p1, p2 = _lattice_sums(m, mu, K, sums, quad_tol)[0].T
+    sigma_x = np.sqrt(np.maximum(x2 - x1 * x1, 0.0))
+    sigma_p = np.sqrt(np.maximum(p2 - p1 * p1, 0.0))
+    return [UncertaintyResult(*map(float, r)) for r in zip(sigma_x, sigma_p, sigma_x * sigma_p)]
 
 
 # ---------------------------------------------------------------------------

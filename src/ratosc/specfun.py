@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -67,15 +67,8 @@ _PHI_X_ZERO = 1e6
 
 
 class NumericalError(RuntimeError):
-    """An iterative numerical procedure failed to converge.
-
-    ``best_error`` carries the error estimate at the point of failure when
-    the failing routine has one.
-    """
-
-    def __init__(self, message: str, best_error: float | None = None):
-        super().__init__(message)
-        self.best_error = best_error
+    """A numerical procedure failed to converge or left the double range;
+    the message states the estimate that failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +90,8 @@ class SignedLog:
     sign: int
     log_mag: float
 
-    ZERO: "SignedLog" = None  # filled in after the class body
-    ONE: "SignedLog" = None
+    ZERO: ClassVar["SignedLog"]  # filled in after the class body
+    ONE: ClassVar["SignedLog"]
 
     @staticmethod
     def from_float(value: float) -> "SignedLog":

@@ -236,15 +236,14 @@ def wavefunction_rows(m: int, mu: int, ks, x, derivative_order: int = 0) -> np.n
     no P_m is formed, so the rows are finite for every finite x, and
     exactly 0 past |x| = 1e6.  This is the one-order view of the kernel
     that also fills several derivative orders from one basis pass (the
-    moment matrices take orders 0 and 1 that way); each order's rows are
-    bitwise the same either way.
+    uncertainty moments take psi and psi' that way); each order's rows
+    are bitwise the same either way.
 
     Parity holds to the bit: the d-th derivative obeys
     psi_nu^(d)(-x) = (-1)^(nu+1+d) psi_nu^(d)(x) exactly, since every step
-    of the recurrences only flips signs under x -> -x.  The moment sums
-    (observables._moment_sums) and the densities on a mirror-symmetric grid
-    (coherent._profile_from_coefficients) evaluate one half of the points
-    and take the other half from this identity.
+    of the recurrences only flips signs under x -> -x.  The lattice sums of
+    observables and the densities on a mirror-symmetric grid evaluate one
+    half of the points and take the other half from this identity.
     """
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order must be 0, 1 or 2")
@@ -260,7 +259,7 @@ def _wavefunction_stack(m: int, mu: int, ks, x, orders) -> list[np.ndarray]:
     derivative combinations d_up, d_n are formed once per row.  The orders
     are separate arrays rather than one 3-D block, which the allocator
     places like the results of three one-order calls; one block measured
-    about 1 MB more peak resident memory on the moment matrices.
+    about 1 MB more peak resident memory on the moment sums.
     """
     # every row is 0 past the phi_rows clip; clipping keeps x^2 and x phi finite
     x = np.clip(np.asarray(x, dtype=float), -_PHI_X_ZERO, _PHI_X_ZERO)

@@ -36,6 +36,28 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_parser_adds_options_to_the_named_command_only(capsys):
+    from ratosc.cli import _COMMAND_TABLE, _build_parser
+
+    def option_counts(parser):
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        return {name: len(p._actions) - 1 for name, p in sub.choices.items()}  # less -h
+
+    assert option_counts(_build_parser()) == {
+        **{name: len(command.reads) + 3 for name, command in _COMMAND_TABLE.items()},
+        "selftest": 0}
+    named = option_counts(_build_parser(["mandel", "--m", "4", "--z-abs", "0:1:2"]))
+    assert named.pop("mandel") == len(_COMMAND_TABLE["mandel"].reads) + 3
+    assert set(named.values()) == {0} and len(named) == len(_COMMAND_TABLE)
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    listed = capsys.readouterr().out
+    assert all(name in listed for name in (*_COMMAND_TABLE, "selftest"))
+    assert main(["nosuchcommand", "--m", "4"]) == 1
+    capsys.readouterr()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

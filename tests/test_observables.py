@@ -14,6 +14,7 @@ from ratosc.coherent import (
     _amplitudes,
     coefficients,
     density,
+    evolve,
     hypergeometric_parameters,
 )
 from ratosc.observables import (
@@ -22,6 +23,7 @@ from ratosc.observables import (
     mandel_q,
     moment_matrices,
     number_moments,
+    uncertainties,
     uncertainty,
     wigner_cross_term,
     wigner_grid,
@@ -362,27 +364,73 @@ def test_moment_matrices_refinement_guard():
     assert 0.0 < mats.change <= 1e-13 * largest
 
 
-def test_uncertainty_beyond_the_old_cap(monkeypatch):
+def _forms(spec, t=0.0):
+    """(sigma_x, sigma_p, product) as quadratic forms of the moment matrices
+    at the state's own truncation: the reference of the amplitude route."""
+    a = coefficients(evolve(spec, t)).entries
+    mats = moment_matrices(spec.m, spec.mu, len(a) - 1)
+    x1, x2, p1, p2 = (float(np.real(np.conj(a) @ mat @ a))
+                      for mat in (mats.mx, mats.mx2, mats.mp, mats.mp2))
+    sigma_x, sigma_p = math.sqrt(x2 - x1 * x1), math.sqrt(p2 - p1 * p1)
+    return sigma_x, sigma_p, sigma_x * sigma_p
+
+
+def test_uncertainty_beyond_the_old_cap():
     """States whose truncation passed the former K <= 60 moment-matrix
-    limit: the split-packet regime of large |z|."""
-    built = []
-    real = observables.moment_matrices
-
-    def recorded(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(observables, "moment_matrices", recorded)
-    observables._cached_matrices.cache_clear()
-    for spec in (CoherentSpec("linearized", 4, -5, 8.0),      # K = 84
-                 CoherentSpec("nonlinear", 2, 1, 1e4),        # K = 119
-                 CoherentSpec("nonlinear", 4, -5, 1e7)):      # K = 93
-        built.clear()
+    limit, the split-packet regime of large |z|, agree with the quadratic
+    forms of the moment matrices."""
+    for spec, K in ((CoherentSpec("linearized", 4, -5, 8.0), 84),
+                    (CoherentSpec("nonlinear", 2, 1, 1e4), 119),
+                    (CoherentSpec("nonlinear", 4, -5, 1e7), 93)):
+        assert coefficients(spec).K == K
         result = uncertainty(spec)
-        assert math.isfinite(result.product) and result.product >= 0.5
-        (mats,) = built
-        assert mats.K > 60 and mats.change <= 1e-10
-    observables._cached_matrices.cache_clear()
+        assert result.product >= 0.5
+        assert np.max(np.abs(np.subtract(result, _forms(spec))) / np.array(result)) <= 1e-12
+
+
+def test_uncertainty_sums_the_amplitude_at_its_own_truncation(monkeypatch):
+    """One basis pass per node block over exactly the rungs 0..K of the
+    state, each non-negative node of the accepted lattice once, whose
+    half-width k_osc + 4 is that of rung K; no moment matrix is built."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the uncertainty route built a moment matrix")
+
+    for name in ("moment_matrices", "_moment_sums", "_cached_matrices"):
+        monkeypatch.setattr(observables, name, refused)
+    passes = []
+    real = observables._wavefunction_stack
+
+    def counted(m, mu, ks, x, orders):
+        passes.append((list(ks), x.copy(), orders))
+        return real(m, mu, ks, x, orders)
+
+    monkeypatch.setattr(observables, "_wavefunction_stack", counted)
+    for spec in (CoherentSpec("nonlinear", 4, -5, 1.0 + 0.5j),     # K = 3
+                 CoherentSpec("linearized", 6, -7, 3.0),           # one node block a pass
+                 CoherentSpec("linearized", 4, -5, 8.0)):          # several
+        K = coefficients(spec).K
+        passes.clear()
+        uncertainty(spec, 0.07)
+        assert all(ks == list(range(K + 1)) and orders == (0, 1) for ks, _, orders in passes)
+        points = np.sort(np.concatenate([x for _, x, _ in passes]))
+        assert np.unique(points).size == points.size and points[0] == 0.0
+        step = points[-1] / (points.size - 1)
+        assert np.allclose(points / step, np.arange(points.size), rtol=0, atol=1e-9)
+        half = math.sqrt(4.0 * (spec.mu + (spec.m + 1) * K + spec.m + 1)) + 4.0
+        assert points[-1] == pytest.approx(half, rel=1e-14)
+
+
+def test_uncertainties_of_a_grid_match_one_call_per_state():
+    """The README grid, 11 x 11 values of z, as one stack and one by one."""
+    axis = np.linspace(-2.0, 2.0, 11)
+    for variant, m, mu in (("nonlinear", 4, -5), ("linearized", 6, -7)):
+        specs = [CoherentSpec(variant, m, mu, complex(re, im)) for re in axis for im in axis]
+        stacked = np.array(uncertainties(specs, 0.07))
+        alone = np.array([uncertainty(spec, 0.07) for spec in specs])
+        assert np.max(np.abs(stacked - alone) / alone) <= 1e-13
+    assert uncertainties([]) == []
+    with pytest.raises(ValueError, match="one ladder"):
+        uncertainties([CoherentSpec("nonlinear", 4, -5, 1.0), CoherentSpec("nonlinear", 4, 1, 1.0)])
 
 
 def test_moment_matrices_refuse_past_the_state_index_range():

@@ -1,5 +1,6 @@
 """Kernel checks: signed-log arithmetic, recurrences, series, quadrature nodes."""
 
+import dataclasses
 import gc
 import math
 import time
@@ -43,6 +44,13 @@ def test_signed_log_round_trip():
     for v in (3.5e-300, -2.75e300, 1e-8):
         back = SignedLog.from_float(v).to_float()
         assert back == pytest.approx(v, rel=2e-13, abs=0.0)
+
+
+def test_signed_log_constants_are_not_fields():
+    assert tuple(f.name for f in dataclasses.fields(SignedLog)) == ("sign", "log_mag")
+    assert repr(SignedLog.ONE) == "SignedLog(sign=1, log_mag=0.0)"
+    assert repr(SignedLog.ZERO) == "SignedLog(sign=0, log_mag=-inf)"
+    assert SignedLog.ZERO.to_float() == 0.0 and SignedLog.ONE.to_float() == 1.0
 
 
 def test_signed_log_arithmetic_matches_floats():
