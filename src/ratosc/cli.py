@@ -431,6 +431,21 @@ def _selftest() -> int:
     check("eigenfunction rows at x = -1e300, 1e300 are finite, without warnings",
           np.all(np.isfinite(far)))
 
+    # the fused kernel, in blocks of 16 points (a caller holding 2^21 values
+    # per point gets the smallest block), where the recurrence rescales
+    deep = np.concatenate([-np.linspace(37.0, 60.0, 20), np.linspace(37.0, 60.0, 20)])
+    fused = np.hstack([rows.copy() for _, _, (rows,) in sy._basis_blocks(2, -3, [1, 200, 333],
+                                                                         deep, (0,), 1 << 21)])
+    r = sy._top_ratio(2, deep)[0]
+    worst = 0.0
+    for row, nu in zip(fused, (0, 597, 996)):
+        alpha, beta = math.sqrt((nu + 1.0) / (nu + 3.0)), 4.0 / math.sqrt(2.0 * (nu + 3.0))
+        ref = np.array([alpha * hermite_phi(nu + 1, t) + beta * rt * hermite_phi(nu, t)
+                        for t, rt in zip(deep, r)])
+        worst = max(worst, float(np.max(np.abs(row - ref) / np.maximum(np.abs(ref), 1e-300))))
+    check("fused eigenfunction rows across point blocks match the hermite_phi two-term form "
+          "at 37 <= |x| <= 60 (m=2, mu=-3)", worst < 1e-12)
+
     # the densities on a mirror-symmetric grid evaluate the basis on x >= 0
     # only and take the rest from psi_nu(-x) = (-1)^(nu+1) psi_nu(x)
     rows = sy.wavefunction_rows(6, -7, range(8), x)

@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import SignedLog, _series_stack, _series_terms, signed_series
-from .system import ladder_element, lowest_weights, wavefunction_rows
+from .system import _basis_blocks, ladder_element, lowest_weights
+from .system import wavefunction_rows  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 
 __all__ = [
     "VARIANTS",
@@ -282,14 +283,15 @@ def _profile_from_coefficients(coeffs: CoefficientVector, times, x: np.ndarray) 
     """Densities |sum_k A_k exp(-i (2m+2) t k) psi_k(x)|^2 for each t, shape
     (len(times), len(x)).
 
-    The basis is evaluated once and every time is taken by the real
-    products of :func:`_squared_amplitudes` with the phased coefficients C.
-    On a grid that is mirror-symmetric to the bit, x[i] == -x[n-1-i] (the
-    default grid is), the basis is evaluated on the half x[n//2:] only: by
-    the parity psi_nu(-x) = (-1)^(nu+1) psi_nu(x) of
+    Each block of basis rows from :func:`~ratosc.system._basis_blocks` is
+    taken for every time at once, by the real products of
+    :func:`_squared_amplitudes` with the phased coefficients C, straight
+    into rho.  On a grid that is mirror-symmetric to the bit,
+    x[i] == -x[n-1-i] (the default grid is), the basis is evaluated on the
+    half x[n//2:] only: by the parity psi_nu(-x) = (-1)^(nu+1) psi_nu(x) of
     :func:`~ratosc.system.wavefunction_rows`, the mirrored half of rho is
     |(C s) @ psi|^2 with s_k = (-1)^(nu_k+1), taken against the reversed
-    columns of the same half basis.
+    columns of each block.
     """
     spec = coeffs.spec
     ks = np.arange(len(coeffs.entries))
@@ -298,17 +300,19 @@ def _profile_from_coefficients(coeffs: CoefficientVector, times, x: np.ndarray) 
     c = coeffs.entries * np.exp(-1j * (2 * spec.m + 2) * times[:, None] * ks)
     n = x.size
     rho = np.empty((times.size, n))
-    if x.ndim != 1 or not np.array_equal(x, -x[::-1]):
-        _squared_amplitudes(c, wavefunction_rows(spec.m, spec.mu, ks, x), rho)
-        return rho
-    half = n // 2  # x[half:] holds the points x >= 0; x[half] = 0 for odd n
-    psi = wavefunction_rows(spec.m, spec.mu, ks, x[half:])
-    _squared_amplitudes(c, psi, rho[:, half:])
-    # x[j] = -x[n-1-j] for j < half: the reversed columns of psi, less the
-    # centre column of an odd grid, against the parity-signed coefficients
-    parity = np.where(coeffs.nus % 2, 1.0, -1.0)
-    mirrored = np.ascontiguousarray(psi[:, n - 2 * half:][:, ::-1])
-    _squared_amplitudes(c * parity, mirrored, rho[:, :half])
+    fold = x.ndim == 1 and np.array_equal(x, -x[::-1])
+    half = n // 2 if fold else 0  # x[half:] holds the points x >= 0; x[half] = 0 for odd n
+    signed = c * np.where(coeffs.nus % 2, 1.0, -1.0)
+    flipped = None
+    for start, stop, (psi,) in _basis_blocks(spec.m, spec.mu, ks, x[half:], (0,)):
+        _squared_amplitudes(c, psi, rho[:, half + start:half + stop])
+        # x[j] = -x[n-1-j] for j < half: the reversed columns of the block,
+        # less the centre column of an odd grid, to the mirrored columns of rho
+        lo = max(start, n - 2 * half)
+        if fold and lo < stop:
+            flipped = np.empty_like(psi) if flipped is None else flipped
+            np.copyto(flipped[:, :stop - lo], psi[:, lo - start:][:, ::-1])
+            _squared_amplitudes(signed, flipped[:, :stop - lo], rho[:, n - half - stop:n - half - lo])
     return rho
 
 

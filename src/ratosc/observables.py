@@ -31,13 +31,14 @@ from .specfun import (
     NumericalError,
     SignedLog,
     _series_terms,
+    hermite,
     log_pochhammer,
     panel_nodes,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
     signed_series,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 )
 from .system import (
     StateLabel,
-    _wavefunction_stack,
+    _basis_blocks,
     wavefunction_rows,
 )
 
@@ -167,8 +168,6 @@ def mandel_q(spec: CoherentSpec, method: str = "closed_form",
 # position and momentum moments, uncertainty products
 # ---------------------------------------------------------------------------
 
-_MOMENT_BLOCK = 1024  # lattice nodes per basis pass
-_STACK_BLOCK = 1 << 18  # state rows times nodes per block of the amplitude sums
 # Relative to the largest sum, the change between converged passes is
 # summation rounding: 1e-14 to 2e-14 measured at K = 469, 1000 and 1400,
 # where the sums reach 1e4 and an abs_tol of 1e-10 cannot be met.
@@ -231,13 +230,12 @@ def _moment_sums(m: int, mu: int, K: int, x: np.ndarray) -> np.ndarray:
 
     By the parity of :func:`~ratosc.system.wavefunction_rows` the mirror
     images are not evaluated: f(x) + f(-x) is f(x) times 0 or 2.  The sums
-    run over blocks of _MOMENT_BLOCK nodes, one basis pass (orders 0 and 1)
-    each.
+    take the node blocks of :func:`~ratosc.system._basis_blocks`, one pass
+    (orders 0 and 1) over all of them.
     """
     sums = np.zeros((4, K + 1, K + 1))
-    for start in range(0, x.size, _MOMENT_BLOCK):
-        xb = x[start:start + _MOMENT_BLOCK]
-        p0, p1 = _wavefunction_stack(m, mu, range(K + 1), xb, (0, 1))
+    for start, stop, (p0, p1) in _basis_blocks(m, mu, range(K + 1), x, (0, 1)):
+        xb = x[start:stop]
         at_zero = xb == 0.0  # its own mirror image: weight 1/2 in every product
         p0[:, at_zero] *= math.sqrt(0.5)
         p1[:, at_zero] *= math.sqrt(0.5)
@@ -294,7 +292,9 @@ def uncertainties(specs, t: float = 0.0, tail_tol: float = 1e-14,
 
     Their coefficient rows, padded to the largest truncation K, share each
     basis evaluation on the lattice of rung K, and the tolerance applies
-    to the largest moment of the stack.  By the parity of
+    to the largest moment of the stack.  Each block of basis values and
+    first derivatives from :func:`~ratosc.system._basis_blocks` is summed
+    into the four moments as it comes.  By the parity of
     :func:`~ratosc.system.wavefunction_rows` only the nodes x >= 0 are
     evaluated: psi(-x) = (c s) @ basis(x) with s_k = (-1)^(nu_k+1), and
     psi'(-x) takes the opposite sign.  ValueError for a second ladder.
@@ -309,14 +309,13 @@ def uncertainties(specs, t: float = 0.0, tail_tol: float = 1e-14,
     K = max(row.size for row in rows) - 1
     c = np.array([np.concatenate((row, np.zeros(K + 1 - row.size))) for row in rows])
     both = np.concatenate([c, c * np.where((mu + (m + 1) * np.arange(K + 1)) % 2, 1, -1)])
-    block = min(_MOMENT_BLOCK, max(16, _STACK_BLOCK // len(both)))
 
     def sums(x):  # x |psi|^2, x^2 |psi|^2, Im conj(psi) psi', |psi'|^2 at x and -x
         out = np.zeros((len(both), 4))  # the rows of psi(x), then of psi(-x)
-        for start in range(0, x.size, block):
-            xb = x[start:start + block]
-            psi, dpsi = (_amplitudes(both, basis)
-                         for basis in _wavefunction_stack(m, mu, range(K + 1), xb, (0, 1)))
+        # each block holds the complex psi and psi' of every row beside the basis
+        for start, stop, basis in _basis_blocks(m, mu, range(K + 1), x, (0, 1), 4 * len(both)):
+            xb = x[start:stop]
+            psi, dpsi = (_amplitudes(both, rows) for rows in basis)
             w = np.where(xb == 0.0, 0.5, 1.0)  # a node at 0 is its own mirror image
             dens = psi.real ** 2 + psi.imag ** 2
             out[:, 0] += dens @ (w * xb)
@@ -367,11 +366,22 @@ _WIGNER_BLOCK = 1 << 19  # (x, y) pairs per gathered block of the y transform
 _WIGNER_MAX_ENTRIES = 1 << 23  # kernel entries, and lattice points times rungs
 
 
+@lru_cache(maxsize=None)
+def _pole_distance(m: int) -> float:
+    """Smallest |zero| of H_m, even 0 < m <= 12, whose multiples of i are the
+    zeros of P_m, the poles of the amplitude: four Newton steps from the
+    asymptotic pi / (2 sqrt(2m+1)), within 3e-5 of it (three reach the last bit)."""
+    a = math.pi / (2.0 * math.sqrt(2 * m + 1))
+    for _ in range(4):
+        a -= hermite(m, a) / (2.0 * m * hermite(m - 1, a))
+    return a
+
+
 def _lattice_step(m: int, k_osc: float, p_max: float) -> float:
     """The band-limit and strip step of the Wigner integrand (see :func:`wigner_grid`)."""
     h = 2.0 * math.pi / (1.5 * (2.0 * k_osc + 2.0 * p_max))
-    if m > 0:  # the poles of the amplitude, the zeros of P_m, lie on the imaginary axis
-        a = float(np.min(np.abs(np.polynomial.hermite.hermgauss(m)[0])))
+    if m > 0:
+        a = _pole_distance(m)
         h = min(h, 2.0 * math.pi * a / (-math.log(np.finfo(float).eps) + 2.0 * a * p_max))
     return h
 
@@ -449,9 +459,10 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     exp(-2 pi a / h) the factor exp(-2ipy) raises by exp(2 a |p|).  For a
     grid spacing dx >= h0 the step h = dx / ceil(dx / h0) divides dx, so
     every x +- y falls on one lattice where the amplitude is evaluated once;
-    closer rows take h = h0 and a lattice each.  The amplitude counts as
-    zero past |x| = k_osc + 6.  At |z| <= 10 the truncation is extended to
-    at least ten rungs.  Raises ValueError for a non-finite window, or for
+    closer rows take h = h0 and a lattice each; the lattice amplitude is
+    contracted from the blocks of :func:`~ratosc.system._basis_blocks` as
+    they come.  The amplitude counts as zero past |x| = k_osc + 6.  At
+    |z| <= 10 the truncation is extended to at least ten rungs.  Raises ValueError for a non-finite window, or for
     a momentum range whose step would make the y kernel or the amplitude
     lattice pass _WIGNER_MAX_ENTRIES entries (checked before either is
     built); NumericalError if the imaginary residue or the change from step
@@ -491,8 +502,8 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
         points = x0 + 0.5 * h * np.arange(lo, hi + 1)
         centres = np.rint((xs - x0) / (0.5 * h)).astype(int) + 1 - lo
     pad = np.zeros(points.size + 2, dtype=complex)  # between zero end points
-    pad[1:-1] = _amplitudes(c.entries, wavefunction_rows(spec.m, spec.mu, range(len(c.entries)),
-                                                         points))
+    for start, stop, (psi,) in _basis_blocks(spec.m, spec.mu, range(len(c.entries)), points, (0,)):
+        pad[1 + start:1 + stop] = _amplitudes(c.entries, psi)
     values_c = np.zeros((nx, np_count), dtype=complex)
     left = np.conj(pad)
     values_c[inside] = _y_transform(left, pad, centres, 2, h, half_y, p)

@@ -213,7 +213,7 @@ def hermite_phi(n: int, x: float) -> float:
     recurrence, run for one point with its own dynamic rescaling, so the
     value stays finite and accurate even deep in the tunnelling region
     (n <= 1e4, |x| <= 50).  Tests and ``selftest`` use it as the oracle;
-    the library evaluates rows through ``phi_rows``.
+    the library runs the pass of ``phi_rows`` over blocks of points.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -241,6 +241,46 @@ def hermite_phi(n: int, x: float) -> float:
     return math.copysign(math.exp(log_val), vb)
 
 
+def _phi_orders(x, wanted):
+    """Yield (n, phi_n) at the clipped points x for each n of the ascending
+    list wanted: the pass of :func:`phi_rows`, run in place.  A yielded row
+    is a reused buffer that stays valid until order n + 3 is reached, so a
+    caller holds phi_{n-1}, phi_n and phi_{n+1} at once, copies what it
+    keeps longer and writes to none.  Every value is that of the plain step
+    (x c_n) phi_n - d_n phi_{n-1}, for any split of the points into blocks.
+    """
+    log_start = -0.5 * x * x
+    deep = log_start < _PHI_LOG_START_MIN
+    offset = np.where(deep, log_start, 0.0) if np.any(deep) else None
+    phi0 = math.pi ** -0.25 * np.exp(log_start if offset is None else log_start - offset)
+    ring = [phi0, np.empty_like(phi0), np.zeros_like(phi0)]  # phi_n in ring[n % 3]
+    scratch = np.empty_like(phi0)
+    if offset is not None:  # exp(offset/2) changes only where the offset does, at a rescale
+        half = np.exp(0.5 * offset)
+        emitted = [np.empty_like(phi0) for _ in range(3)]
+    wanted_set = set(wanted)
+    for k in range(-1, wanted[-1] if wanted else 0):
+        new = ring[(k + 1) % 3]
+        if k >= 0:
+            prev, cur = ring[(k - 1) % 3], ring[k % 3]
+            np.multiply(x, math.sqrt(2.0 / (k + 1)), out=new)
+            new *= cur
+            np.multiply(prev, math.sqrt(k / (k + 1.0)), out=scratch)
+            new -= scratch
+            if offset is not None and k % _PHI_RESCALE_EVERY == 0:
+                big = np.maximum(np.abs(cur, out=scratch), np.abs(new), out=scratch) > _PHI_RESCALE
+                if np.any(big):
+                    np.divide(cur, _PHI_RESCALE, out=cur, where=big)
+                    np.divide(new, _PHI_RESCALE, out=new, where=big)
+                    np.add(offset, _PHI_LOG_RESCALE, out=offset, where=big)
+                    np.exp(np.multiply(offset, 0.5, out=half), out=half)
+        if k + 1 in wanted_set:
+            if offset is not None:  # the offset folded back in as two factors exp(offset/2)
+                new = np.multiply(new, half, out=emitted[(k + 1) % 3])
+                new *= half
+            yield k + 1, new
+
+
 def phi_rows(rows, x) -> dict[int, np.ndarray]:
     """Oscillator functions phi_n on an array of points, for selected n.
 
@@ -252,42 +292,15 @@ def phi_rows(rows, x) -> dict[int, np.ndarray]:
     past 1e200 are scaled back and their offset raised to match (Bunck,
     BIT 49 (2009) 281).  An emitted row folds the offset back in as two
     factors exp(offset/2), so values below the double range come out as 0.
-    Points with |x| > 1e6 give 0, exact for every order below 1e10.
+    Points with |x| > 1e6 give 0, exact for every order below 1e10.  The
+    eigenfunction kernel runs the same pass, :func:`_phi_orders`, per block
+    of points and keeps no rows.
     """
     wanted = sorted({int(r) for r in rows})
     if wanted and wanted[0] < 0:
         raise ValueError("orders must be >= 0")
     x = np.clip(np.asarray(x, dtype=float), -_PHI_X_ZERO, _PHI_X_ZERO)
-    log_start = -0.5 * x * x
-    deep = log_start < _PHI_LOG_START_MIN
-    offset = np.where(deep, log_start, 0.0) if np.any(deep) else None
-    vb = math.pi ** -0.25 * np.exp(log_start if offset is None else log_start - offset)
-    va = np.zeros_like(vb)
-    # exp(offset/2) changes only where the offset does, at a rescale
-    half = None if offset is None else np.exp(0.5 * offset)
-
-    def emit(v):
-        if half is None:
-            return v.copy()
-        return v * half * half
-
-    out: dict[int, np.ndarray] = {}
-    if wanted and wanted[0] == 0:
-        out[0] = emit(vb)
-    n_max = wanted[-1] if wanted else -1
-    wanted_set = set(wanted)
-    for k in range(n_max):
-        va, vb = vb, x * math.sqrt(2.0 / (k + 1)) * vb - math.sqrt(k / (k + 1.0)) * va
-        if offset is not None and k % _PHI_RESCALE_EVERY == 0:
-            big = np.maximum(np.abs(va), np.abs(vb)) > _PHI_RESCALE
-            if np.any(big):
-                va = np.where(big, va / _PHI_RESCALE, va)
-                vb = np.where(big, vb / _PHI_RESCALE, vb)
-                offset = np.where(big, offset + _PHI_LOG_RESCALE, offset)
-                half = np.exp(0.5 * offset)
-        if (k + 1) in wanted_set:
-            out[k + 1] = emit(vb)
-    return out
+    return {n: row.reshape(x.shape).copy() for n, row in _phi_orders(x.reshape(-1), wanted)}
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ import numpy as np
 from .specfun import (
     _PHI_X_ZERO,
     NumericalError,
+    _phi_orders,
     mod_hermite,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
-    phi_rows,
+    phi_rows,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 )
 
 __all__ = [
@@ -234,10 +235,8 @@ def wavefunction_rows(m: int, mu: int, ks, x, derivative_order: int = 0) -> np.n
     enters with R' = 1 - 2xR - 2mR^2 and R'' = -2R - 2xR' - 4mRR', and the
     ground row with P_m'/P_m = 2mR, all from the rescaled R of one pass:
     no P_m is formed, so the rows are finite for every finite x, and
-    exactly 0 past |x| = 1e6.  This is the one-order view of the kernel
-    that also fills several derivative orders from one basis pass (the
-    uncertainty moments take psi and psi' that way); each order's rows
-    are bitwise the same either way.
+    exactly 0 past |x| = 1e6.  The rows are those of the kernel
+    :func:`_basis_blocks`, stored, bitwise the same for any set of orders.
 
     Parity holds to the bit: the d-th derivative obeys
     psi_nu^(d)(-x) = (-1)^(nu+1+d) psi_nu^(d)(x) exactly, since every step
@@ -253,53 +252,85 @@ def wavefunction_rows(m: int, mu: int, ks, x, derivative_order: int = 0) -> np.n
 def _wavefunction_stack(m: int, mu: int, ks, x, orders) -> list[np.ndarray]:
     """Rows of :func:`wavefunction_rows` for each derivative order in
     ``orders`` (a sequence drawn from 0, 1, 2): a list with one array of
-    shape (len(ks), len(x)) per order.
+    shape (len(ks), len(x)) per order, copied from :func:`_basis_blocks`."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    out = [np.empty((len(ks), x.size)) for _ in orders]
+    for start, stop, rows in _basis_blocks(m, mu, ks, x, orders):
+        for dst, block in zip(out, rows):
+            dst[:, start:stop] = block
+    return out
 
-    One phi_rows pass and one modified-Hermite pass serve every order; the
-    derivative combinations d_up, d_n are formed once per row.  The orders
-    are separate arrays rather than one 3-D block, which the allocator
-    places like the results of three one-order calls; one block measured
-    about 1 MB more peak resident memory on the moment sums.
+
+# Points per block of _basis_blocks; fewer where the rows of a block and the
+# values its caller holds per point would pass _BLOCK_ENTRIES floats (32 MB)
+_BLOCK_POINTS = 4096
+_BLOCK_ENTRIES = 1 << 22
+
+
+def _basis_blocks(m: int, mu: int, ks, x, orders, held: int = 0):
+    """The basis kernel: yield (start, stop, rows) over blocks of the points
+    x, rows[j] the (len(ks), stop - start) rows of derivative order
+    orders[j] (0, 1 or 2) at x[start:stop], in buffers the next block
+    overwrites.  Per block, the in-place pass of
+    :func:`~ratosc.specfun.phi_rows` forms each rung's rows once it holds
+    phi_{nu-1}, phi_nu and phi_{nu+1}, in the operation order of the
+    two-term form (so bitwise for any blocking), and one modified-Hermite
+    pass gives R, R', R'' and the ground row.  ``held`` counts the values
+    per point the caller keeps beside the rows.
     """
     # every row is 0 past the phi_rows clip; clipping keeps x^2 and x phi finite
-    x = np.clip(np.asarray(x, dtype=float), -_PHI_X_ZERO, _PHI_X_ZERO)
+    x = np.clip(np.asarray(x, dtype=float).reshape(-1), -_PHI_X_ZERO, _PHI_X_ZERO)
     nus = [StateLabel(m, mu, k).nu for k in ks]
     top_order = max(orders)
     # phi_{nu-1} enters the derivatives only
     span = (-1, 0, 1) if top_order else (0, 1)
-    needed = {max(nu + d, 0) for nu in nus if nu >= 0 for d in span}
-    rows = phi_rows(needed, x) if needed else {}
-    r, inv_pm = _top_ratio(m, x)
-    r, r1, r2 = _rational_factors(m, r, x) if m else (0.0, 0.0, 0.0)
-    out = [np.empty((len(nus), x.size), dtype=float) for _ in orders]
+    wanted = sorted({max(nu + d, 0) for nu in nus if nu >= 0 for d in span})
+    completes: dict[int, list[int]] = {}  # order n -> the rows of rung n - 1
     for i, nu in enumerate(nus):
-        if nu == -m - 1:
-            # N exp(-x^2/2)/P_m: log-derivative -s, s = x + P_m'/P_m = x + 2mR, s' = 1 + 2mR'
-            norm = math.sqrt(2.0 ** m * math.factorial(m) / math.sqrt(math.pi))
-            g = norm * np.exp(-0.5 * x * x) * inv_pm
-            s = x + 2.0 * m * r
-            ground = (g, -s * g, (s * s - 1.0 - 2.0 * m * r1) * g)
+        if nu >= 0:
+            completes.setdefault(nu + 1, []).append(i)
+    size = min(_BLOCK_POINTS, max(16, _BLOCK_ENTRIES // max(len(nus) * len(orders) + held, 1)))
+    buffers = [np.empty((len(nus), min(size, x.size))) for _ in orders]
+    for start in range(0, x.size, size):
+        xb = x[start:start + size]
+        out = [buf[:, :xb.size] for buf in buffers]
+        r, inv_pm = _top_ratio(m, xb)
+        r, r1, r2 = _rational_factors(m, r, xb) if m else (0.0, 0.0, 0.0)
+        for i, nu in enumerate(nus):
+            if nu == -m - 1:
+                # N exp(-x^2/2)/P_m: log-derivative -s, s = x + P_m'/P_m = x + 2mR, s' = 1 + 2mR'
+                norm = math.sqrt(2.0 ** m * math.factorial(m) / math.sqrt(math.pi))
+                g = norm * np.exp(-0.5 * xb * xb) * inv_pm
+                s = xb + 2.0 * m * r
+                ground = (g, -s * g, (s * s - 1.0 - 2.0 * m * r1) * g)
+                for dst, order in zip(out, orders):
+                    dst[i] = ground[order]
+        zero = np.zeros_like(xb)
+        recent = {}  # the rows of the last three orders of the pass
+        for n, ph_up in _phi_orders(xb, wanted):
+            recent[n] = ph_up
+            recent.pop(n - 3, None)
+            if n not in completes:
+                continue
+            nu = n - 1
+            alpha = math.sqrt((nu + 1.0) / (nu + m + 1.0))
+            beta = 2.0 * m / math.sqrt(2.0 * (nu + m + 1.0))
+            ph_n = recent[nu]
+            if top_order:
+                ph_dn = recent.get(nu - 1, zero)
+                d_up = math.sqrt(2.0 * (nu + 1)) * ph_n - xb * ph_up
+                d_n = math.sqrt(2.0 * nu) * ph_dn - xb * ph_n
             for dst, order in zip(out, orders):
-                dst[i] = ground[order]
-            continue
-        alpha = math.sqrt((nu + 1.0) / (nu + m + 1.0))
-        beta = 2.0 * m / math.sqrt(2.0 * (nu + m + 1.0))
-        ph_n = rows[nu]
-        ph_up = rows[nu + 1]
-        if top_order:
-            ph_dn = rows[nu - 1] if nu >= 1 else np.zeros_like(ph_n)
-            d_up = math.sqrt(2.0 * (nu + 1)) * ph_n - x * ph_up
-            d_n = math.sqrt(2.0 * nu) * ph_dn - x * ph_n
-        for dst, order in zip(out, orders):
-            if order == 0:
-                dst[i] = alpha * ph_up + beta * r * ph_n
-            elif order == 1:
-                dst[i] = alpha * d_up + beta * (r1 * ph_n + r * d_n)
-            else:
-                dd_up = (x * x - 2.0 * (nu + 1) - 1.0) * ph_up
-                dd_n = (x * x - 2.0 * nu - 1.0) * ph_n
-                dst[i] = alpha * dd_up + beta * (r2 * ph_n + 2.0 * r1 * d_n + r * dd_n)
-    return out
+                for i in completes[n]:
+                    if order == 0:
+                        dst[i] = alpha * ph_up + beta * r * ph_n
+                    elif order == 1:
+                        dst[i] = alpha * d_up + beta * (r1 * ph_n + r * d_n)
+                    else:
+                        dd_up = (xb * xb - 2.0 * (nu + 1) - 1.0) * ph_up
+                        dd_n = (xb * xb - 2.0 * nu - 1.0) * ph_n
+                        dst[i] = alpha * dd_up + beta * (r2 * ph_n + 2.0 * r1 * d_n + r * dd_n)
+        yield start, start + xb.size, out
 
 
 def verify_hamiltonian(label: StateLabel, grid_step: float = 1e-3) -> float:

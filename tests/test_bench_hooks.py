@@ -63,3 +63,18 @@ def test_every_statistics_task_kind_runs(tmp_path):
     for task in tasks.values():
         run, check = workloads.build(task, tmp_path)
         check(run())
+
+
+def test_every_large_support_task_kind_runs(tmp_path):
+    # one task of each kind, the smallest of its kind, through the
+    # benchmark's own domain check, build, run and output check (the
+    # density check integrates each row to 1)
+    workloads = _load("workloads")
+    tasks = {}
+    for task in workloads.make_inputs("large_support", 1):
+        tasks.setdefault(task["kind"], task)
+    assert set(tasks) == {"density", "uncertainty"}
+    workloads.check_domain(list(tasks.values()))
+    for task in tasks.values():
+        run, check = workloads.build(task, tmp_path)
+        check(run())

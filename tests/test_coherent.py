@@ -4,6 +4,7 @@ densities, cat states and overlaps."""
 import cmath
 import math
 import time
+import tracemalloc
 from math import lgamma
 
 import numpy as np
@@ -28,6 +29,7 @@ from ratosc.coherent import (
     series_argument,
 )
 from ratosc.coherent import _PROFILE_BLOCK, _profile_from_coefficients, _support_grid
+from ratosc import system
 from ratosc.specfun import NumericalError
 from ratosc.system import StateLabel, ladder_element, lowest_weights, wavefunction, wavefunction_rows
 
@@ -396,6 +398,46 @@ def test_folded_density_matches_halves_evaluated_apart():
             assert rho.shape == (count, len(x))
             assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(ref)
             assert np.all(rho >= 0.0)
+
+
+@pytest.mark.parametrize("block", [5, 64])
+def test_folded_density_blocks_meet_inside_the_grid(monkeypatch, block):
+    # point blocks of the basis that end inside each half of the grid, on
+    # odd and even mirror-symmetric grids and on an asymmetric one, give
+    # the densities of one block over the whole half
+    coeffs = coefficients(CoherentSpec("nonlinear", 4, -5, 30.0 * cmath.exp(0.3j)))
+    grid = _support_grid(coeffs)
+    times = np.linspace(0.0, 0.4, 3)
+    grids = (grid, grid[1:-1], grid[:-1] - grid[:-1][::-1], grid[:-3])
+    whole = [_profile_from_coefficients(coeffs, times, x) for x in grids]
+    monkeypatch.setattr(system, "_BLOCK_POINTS", block)
+    for x, ref in zip(grids, whole):
+        rho = _profile_from_coefficients(coeffs, times, x)
+        assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(ref)
+
+
+@pytest.mark.parametrize("block", [512, None])
+def test_density_work_space_is_bounded_by_the_point_block(monkeypatch, block):
+    # beside its output the density holds one block of basis rows and its
+    # mirror image, the recurrence buffers, one imaginary-part buffer of at
+    # most _PROFILE_BLOCK times and the phased coefficients, never the basis
+    # of every point (9.5 MB at this case, with phi rows stored beside it)
+    if block is not None:
+        monkeypatch.setattr(system, "_BLOCK_POINTS", block)
+    coeffs = coefficients(CoherentSpec("nonlinear", 2, -3, 6500.0))
+    assert coeffs.K == 95
+    x = _support_grid(coeffs)
+    rows = coeffs.K + 1
+    width = min(system._BLOCK_POINTS, x.size)
+    for count in (2, 100):
+        tracemalloc.start()
+        try:
+            rho = _profile_from_coefficients(coeffs, np.linspace(0.0, 0.5, count), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (width * (3 * rows + 2 * min(count, _PROFILE_BLOCK)) + 8 * count * rows)
+        assert peak - rho.nbytes <= bound + (1 << 18), (count, peak)
 
 
 def test_default_grid_is_mirror_symmetric_within_an_ulp_of_linspace():

@@ -389,25 +389,26 @@ def test_uncertainty_beyond_the_old_cap():
 
 
 def test_uncertainty_sums_the_amplitude_at_its_own_truncation(monkeypatch):
-    """One basis pass per node block over exactly the rungs 0..K of the
-    state, each non-negative node of the accepted lattice once, whose
-    half-width k_osc + 4 is that of rung K; no moment matrix is built."""
+    """One basis-kernel pass per lattice pass over exactly the rungs 0..K
+    of the state, each non-negative node of the accepted lattice once,
+    whose half-width k_osc + 4 is that of rung K; no moment matrix is
+    built."""
     def refused(*args, **kwargs):
         raise AssertionError("the uncertainty route built a moment matrix")
 
     for name in ("moment_matrices", "_moment_sums", "_cached_matrices"):
         monkeypatch.setattr(observables, name, refused)
     passes = []
-    real = observables._wavefunction_stack
+    real = observables._basis_blocks
 
-    def counted(m, mu, ks, x, orders):
+    def counted(m, mu, ks, x, orders, *held):
         passes.append((list(ks), x.copy(), orders))
-        return real(m, mu, ks, x, orders)
+        return real(m, mu, ks, x, orders, *held)
 
-    monkeypatch.setattr(observables, "_wavefunction_stack", counted)
+    monkeypatch.setattr(observables, "_basis_blocks", counted)
     for spec in (CoherentSpec("nonlinear", 4, -5, 1.0 + 0.5j),     # K = 3
-                 CoherentSpec("linearized", 6, -7, 3.0),           # one node block a pass
-                 CoherentSpec("linearized", 4, -5, 8.0)):          # several
+                 CoherentSpec("linearized", 6, -7, 3.0),
+                 CoherentSpec("linearized", 4, -5, 8.0)):
         K = coefficients(spec).K
         passes.clear()
         uncertainty(spec, 0.07)
@@ -515,14 +516,14 @@ def test_moment_matrices_agree_with_gauss_legendre():
 
 def test_moment_matrices_take_one_basis_pass_per_node_set(monkeypatch):
     passes = []
-    real = observables._wavefunction_stack
+    real = observables._basis_blocks
 
     def counted(*args):
         passes.append((args[3].copy(), args[4]))
         return real(*args)
 
-    monkeypatch.setattr(observables, "_wavefunction_stack", counted)
-    for m, mu, K in ((4, -5, 8), (6, -7, 40)):  # one and several node blocks per pass
+    monkeypatch.setattr(observables, "_basis_blocks", counted)
+    for m, mu, K in ((4, -5, 8), (6, -7, 40)):
         passes.clear()
         mats = moment_matrices(m, mu, K)
         assert all(orders == (0, 1) for _, orders in passes)
@@ -640,12 +641,21 @@ def test_wigner_grid_is_zero_off_the_support():
 
 def test_wigner_grid_evaluates_the_amplitude_once(monkeypatch):
     calls = []
-    real = observables.wavefunction_rows
+    real = observables._basis_blocks
 
     def counted(*args, **kwargs):
         calls.append(args[3].size)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(observables, "wavefunction_rows", counted)
+    monkeypatch.setattr(observables, "_basis_blocks", counted)
     grid = wigner_grid(CoherentSpec("nonlinear", 6, 1, 10.0), resolution=(41, 41))
     assert calls == [grid.lattice_points]
+
+
+def test_pole_distance_matches_gauss_hermite_nodes():
+    # the strip half-width of the lattice step, the smallest |zero| of H_m,
+    # from Newton steps on H_m, against the Gauss-Hermite nodes of numpy
+    for m in range(2, 13, 2):
+        nodes = np.polynomial.hermite.hermgauss(m)[0]
+        expected = float(np.min(np.abs(nodes)))
+        assert observables._pole_distance(m) == pytest.approx(expected, rel=4.5e-16, abs=0.0)

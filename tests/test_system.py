@@ -8,7 +8,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ratosc.specfun import NumericalError, hermite, hermite_phi, mod_hermite, panel_nodes
+from ratosc import system
+from ratosc.specfun import NumericalError, hermite, hermite_phi, mod_hermite, panel_nodes, phi_rows
 from ratosc.system import (
     MAX_ORDER,
     StateLabel,
@@ -348,3 +349,71 @@ def test_wavefunction_rows_parity_is_bitwise():
                 right = wavefunction_rows(m, mu, ks, x, order)
                 assert np.all(np.isfinite(right))
                 assert np.array_equal(wavefunction_rows(m, mu, ks, -x, order), sign * right)
+
+
+def _stored_rows(m, mu, ks, x, orders):
+    """The two-term rows over a dict of stored phi_rows, in the operation
+    order the fused kernel keeps: (x c) phi_k in the recurrence, then
+    alpha phi_{nu+1} + (beta R) phi_nu and its derivatives."""
+    x = np.clip(np.asarray(x, dtype=float), -1e6, 1e6)
+    nus = [StateLabel(m, mu, k).nu for k in ks]
+    rows = phi_rows({max(nu + d, 0) for nu in nus if nu >= 0 for d in (-1, 0, 1)}, x)
+    r, inv_pm = _top_ratio(m, x)
+    r, r1, r2 = _rational_factors(m, r, x) if m else (0.0, 0.0, 0.0)
+    out = [np.empty((len(nus), x.size)) for _ in orders]
+    for i, nu in enumerate(nus):
+        if nu == -m - 1:
+            norm = math.sqrt(2.0 ** m * math.factorial(m) / math.sqrt(math.pi))
+            g = norm * np.exp(-0.5 * x * x) * inv_pm
+            s = x + 2.0 * m * r
+            ground = (g, -s * g, (s * s - 1.0 - 2.0 * m * r1) * g)
+            for dst, order in zip(out, orders):
+                dst[i] = ground[order]
+            continue
+        alpha = math.sqrt((nu + 1.0) / (nu + m + 1.0))
+        beta = 2.0 * m / math.sqrt(2.0 * (nu + m + 1.0))
+        ph_dn, ph_n, ph_up = rows[nu - 1] if nu else np.zeros_like(x), rows[nu], rows[nu + 1]
+        d_up = math.sqrt(2.0 * (nu + 1)) * ph_n - x * ph_up
+        d_n = math.sqrt(2.0 * nu) * ph_dn - x * ph_n
+        dd_up = (x * x - 2.0 * (nu + 1) - 1.0) * ph_up
+        dd_n = (x * x - 2.0 * nu - 1.0) * ph_n
+        by_order = (alpha * ph_up + beta * r * ph_n,
+                    alpha * d_up + beta * (r1 * ph_n + r * d_n),
+                    alpha * dd_up + beta * (r2 * ph_n + 2.0 * r1 * d_n + r * dd_n))
+        for dst, order in zip(out, orders):
+            dst[i] = by_order[order]
+    return out
+
+
+# points on both sides of the rescale line |x| = 37.4, out to the 1e6 clip
+DEEP_GRID = np.concatenate([np.linspace(-60.0, 60.0, 301), [-1e3, 1e5, 2e6, -1e300]])
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_fused_rows_are_bitwise_the_stored_two_term_rows(monkeypatch, block):
+    # the fused kernel forms every row inside the recurrence pass; rows of
+    # orders 0, 1, 2 match the two-term form over stored phi rows to the
+    # bit, with the default block and with block boundaries inside the grid
+    # and inside the log-offset range
+    if block is not None:
+        monkeypatch.setattr(system, "_BLOCK_POINTS", block)
+    for m, mu, ks in ((2, -3, [0, 1, 300, 333, 1]), (0, -1, range(40)),
+                      (4, -5, range(12)), (12, 5, [0, 2, 7])):
+        expected = _stored_rows(m, mu, ks, DEEP_GRID, (0, 1, 2))
+        for got, want in zip(_wavefunction_stack(m, mu, ks, DEEP_GRID, (0, 1, 2)), expected):
+            assert np.array_equal(got, want), (m, mu)
+        assert np.any(expected[0][:, np.abs(DEEP_GRID) > 37.4])
+
+
+def test_fused_rows_across_blocks_keep_bitwise_parity(monkeypatch):
+    # psi_nu(-x) = (-1)^(nu+1) psi_nu(x) to the bit when x and -x fall at
+    # different places in their blocks
+    monkeypatch.setattr(system, "_BLOCK_POINTS", 13)
+    x = np.linspace(0.0, 60.0, 121)
+    ks = [0, 1, 5, 40, 180]
+    nus = np.array([StateLabel(2, -3, k).nu for k in ks])
+    right = _wavefunction_stack(2, -3, ks, x, (0, 1))
+    left = _wavefunction_stack(2, -3, ks, -x[::-1], (0, 1))
+    for order, (r, l) in enumerate(zip(right, left)):
+        sign = np.where((nus + 1 + order) % 2, -1.0, 1.0)[:, None]
+        assert np.array_equal(l[:, ::-1], sign * r)
