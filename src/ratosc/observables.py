@@ -39,7 +39,7 @@ from .specfun import (
 from .system import (
     StateLabel,
     _basis_blocks,
-    wavefunction_rows,
+    wavefunction_rows,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 )
 
 __all__ = [
@@ -363,7 +363,7 @@ class WignerGrid:
 
 
 _WIGNER_BLOCK = 1 << 19  # (x, y) pairs per gathered block of the y transform
-_WIGNER_MAX_ENTRIES = 1 << 23  # kernel entries, and lattice points times rungs
+_WIGNER_MAX_ENTRIES = 1 << 23  # y kernel entries, and amplitude lattice points
 
 
 @lru_cache(maxsize=None)
@@ -379,19 +379,13 @@ def _pole_distance(m: int) -> float:
 
 def _lattice_step(m: int, k_osc: float, p_max: float) -> float:
     """The band-limit and strip step of the Wigner integrand (see :func:`wigner_grid`)."""
-    h = 2.0 * math.pi / (1.5 * (2.0 * k_osc + 2.0 * p_max))
+    # the band limit of the top rung's energy plus three oscillator levels
+    # covers the Gaussian momentum tail of the low rungs
+    h = 2.0 * math.pi / (1.5 * (2.0 * math.sqrt(k_osc * k_osc + 12.0) + 2.0 * p_max))
     if m > 0:
         a = _pole_distance(m)
         h = min(h, 2.0 * math.pi * a / (-math.log(np.finfo(float).eps) + 2.0 * a * p_max))
     return h
-
-
-def _refuse_fine_lattice(p_max: float, h: float, entries: float) -> None:
-    """ValueError when the y step h for momenta up to p_max makes a kernel or
-    an amplitude lattice of more than _WIGNER_MAX_ENTRIES entries."""
-    if entries > _WIGNER_MAX_ENTRIES:
-        raise ValueError(f"momentum window max|p| = {p_max:.3g} needs a y step of {h:.3g}, "
-                         f"too fine for a lattice of at most {_WIGNER_MAX_ENTRIES} entries")
 
 
 def _y_transform(left: np.ndarray, right: np.ndarray, centres: np.ndarray, stride: int,
@@ -408,42 +402,72 @@ def _y_transform(left: np.ndarray, right: np.ndarray, centres: np.ndarray, strid
                            for c in blocks])
 
 
+def _wigner_lattice(m: int, mu: int, ks, rows, x: np.ndarray, dx: float, p: np.ndarray):
+    """The y transform (1/pi) int dy conj(a(x-y)) b(x+y) exp(-2ipy) of the
+    amplitudes a = rows[0] @ basis and b = rows[-1] @ basis over the rungs
+    ks of ladder (m, mu), at the rows x spaced dx and the momenta p, on the
+    lattice of :func:`wigner_grid` for the top rung of ks: (values, change,
+    h, lattice points), change the largest change from step h to h/2 on a
+    subset of the rows."""
+    k_osc = math.sqrt(4.0 * max(mu + (m + 1) * max(ks) + m + 1, 1))
+    half = k_osc + 6.0  # the support of the amplitudes
+    p_max = float(np.max(np.abs(p)))
+    h = _lattice_step(m, k_osc, p_max)
+    inside = np.abs(x) <= half  # elsewhere one factor of the integrand vanishes
+    xs = x[inside]
+    per_row = dx < h
+    # y nodes of the h/2 pass; the lattice holds at most twice as many
+    # points, or that many per row
+    ny = 4.0 * half / h if h > 0.0 else math.inf
+    if ny * max(p.size, xs.size if per_row else 2.0) > _WIGNER_MAX_ENTRIES:
+        raise ValueError(f"momentum window max|p| = {p_max:.3g} needs a y step of {h:.3g}, "
+                         f"too fine for a lattice of at most {_WIGNER_MAX_ENTRIES} entries")
+    if per_row:
+        n = math.ceil(half / h)
+        offsets = np.arange(-2 * n, 2 * n + 1)
+        points = (xs[:, None] + 0.5 * h * offsets).ravel()
+        centres = 1 + 2 * n + offsets.size * np.arange(xs.size)
+    else:
+        h = dx / math.ceil(dx / h)
+        x0 = xs[0] if xs.size else 0.0
+        lo, hi = math.floor(2.0 * (-half - x0) / h), math.ceil(2.0 * (half - x0) / h)
+        points = x0 + 0.5 * h * np.arange(lo, hi + 1)
+        centres = np.rint((xs - x0) / (0.5 * h)).astype(int) + 1 - lo
+    pad = np.zeros((len(rows), points.size + 2), dtype=complex)  # between zero end points
+    for start, stop, (psi,) in _basis_blocks(m, mu, ks, points, (0,)):
+        for row, amplitude in zip(rows, pad):
+            amplitude[1 + start:1 + stop] = _amplitudes(row, psi)
+    left, right = np.conj(pad[0]), pad[-1]
+    values = np.zeros((x.size, p.size), dtype=complex)
+    values[inside] = _y_transform(left, right, centres, 2, h, half, p)
+    some = slice(None, None, max(1, centres.size // 8))
+    change = float(np.max(np.abs(_y_transform(left, right, centres[some], 1, 0.5 * h, half, p)
+                                 - values[inside][some]), initial=0.0))
+    return values, change, h, points.size
+
+
 def wigner_cross_term(label_a: StateLabel, label_b: StateLabel,
                       x: float, p: float, tol: float = 1e-10) -> complex:
     """Phase-space kernel (1/pi) int dy psi_a(x-y) psi_b(x+y) exp(-2ipy)
-    between two basis states of the same ladder, on the lattice of
-    :func:`wigner_grid`.
+    between two basis states of the same ladder: the lattice transform of
+    :func:`wigner_grid` for one row and one momentum, with k_osc that of the
+    higher rung and the row on a lattice of its own.
 
-    As in a grid at |z| <= 10, k_osc is the turning wave number of rung
-    max(k_a, k_b, 10): below ten rungs the band-limit step would alias the
-    Gaussian momentum tails.  The step is h = _lattice_step(m, k_osc, |p|)
-    and both rungs are evaluated once, on the lattice x + l h/2 over
-    |y| <= k_osc + 6.  The value is the trapezoid sum at step h; its change
-    at step h/2 must stay within the absolute tolerance tol, else
-    NumericalError is raised.  A |p| whose step would pass
-    _WIGNER_MAX_ENTRIES lattice entries raises ValueError before the
-    lattice is built.
+    The value is the trapezoid sum at step h; its change at step h/2 must
+    stay within the absolute tolerance tol, else NumericalError is raised.
+    A |p| whose step would pass _WIGNER_MAX_ENTRIES lattice entries raises
+    ValueError before the lattice is built.
     """
     if (label_a.m, label_a.mu) != (label_b.m, label_b.mu):
         raise ValueError("labels must belong to the same ladder")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    m, mu = label_a.m, label_a.mu
-    k_osc = math.sqrt(4.0 * max(mu + (m + 1) * max(label_a.k, label_b.k, 10) + m + 1, 1))
-    half = k_osc + 6.0
-    h = _lattice_step(m, k_osc, abs(p))
-    _refuse_fine_lattice(abs(p), h, 2.0 * (4.0 * half / h if h > 0.0 else math.inf))
-    n = math.ceil(half / h)
-    pad = np.zeros((2, 4 * n + 3))  # the h/2 lattice about x between zero end points
-    pad[:, 1:-1] = wavefunction_rows(m, mu, [label_a.k, label_b.k],
-                                     x + 0.5 * h * np.arange(-2 * n, 2 * n + 1))
-    centre, ps = np.array([2 * n + 1]), np.array([p])
-    value = complex(_y_transform(pad[0], pad[1], centre, 2, h, half, ps)[0, 0])
-    change = abs(_y_transform(pad[0], pad[1], centre, 1, 0.5 * h, half, ps)[0, 0] - value)
+    values, change, h, _ = _wigner_lattice(label_a.m, label_a.mu, (label_a.k, label_b.k), np.eye(2),
+                                           np.array([x], float), 0.0, np.array([p], float))
     if not change <= tol:
         raise NumericalError(f"kernel changes by {change:.3e} from step {h:.3g} to its half, "
                              f"past tol = {tol:.1e}")
-    return value
+    return complex(values[0, 0])
 
 
 def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
@@ -451,9 +475,11 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
                 imag_tol: float = 1e-6) -> WignerGrid:
     """Wigner function of the coherent state on a grid.
 
-    (1/pi) int dy conj(psi(x-y)) psi(x+y) exp(-2ipy) by the trapezoid rule.
-    The step h0 is the smaller of the band-limit step
-    2 pi / (1.5 (2 k_osc + 2 max|p|)) and the strip step
+    (1/pi) int dy conj(psi(x-y)) psi(x+y) exp(-2ipy) by the trapezoid rule,
+    over the rungs 0..K of the state's own truncation.  The step h0 is the
+    smaller of the band-limit step 2 pi / (1.5 (2 sqrt(k_osc^2 + 12) + 2 max|p|)),
+    whose margin of three oscillator levels above the top rung covers the
+    Gaussian momentum tail, and the strip step
     2 pi a / (ln(1/eps) + 2 a max|p|), a being the distance to the nearest
     pole of the amplitude, the smallest |zero| of H_m, whose aliasing error
     exp(-2 pi a / h) the factor exp(-2ipy) raises by exp(2 a |p|).  For a
@@ -461,15 +487,14 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     every x +- y falls on one lattice where the amplitude is evaluated once;
     closer rows take h = h0 and a lattice each; the lattice amplitude is
     contracted from the blocks of :func:`~ratosc.system._basis_blocks` as
-    they come.  The amplitude counts as zero past |x| = k_osc + 6.  At
-    |z| <= 10 the truncation is extended to at least ten rungs.  Raises ValueError for a non-finite window, or for
-    a momentum range whose step would make the y kernel or the amplitude
-    lattice pass _WIGNER_MAX_ENTRIES entries (checked before either is
-    built); NumericalError if the imaginary residue or the change from step
-    h to h/2 exceeds imag_tol of the largest real value.
+    they come.  The amplitude counts as zero past |x| = k_osc + 6.  Raises
+    ValueError for a non-finite window, or for a momentum range whose step
+    would make the y kernel or the amplitude lattice pass
+    _WIGNER_MAX_ENTRIES entries (checked before either is built);
+    NumericalError if the imaginary residue or the change from step h to
+    h/2 exceeds imag_tol of the largest real value.
     """
-    min_index = 10 if spec.abs_z <= 10.0 else 0
-    c = coefficients(spec, tail_tol, min_index=min_index)
+    c = coefficients(spec, tail_tol)
     (x_lo, x_hi), (p_lo, p_hi) = window
     nx, np_count = resolution
     if nx < 2 or np_count < 2 or not all(map(math.isfinite, (x_lo, x_hi, p_lo, p_hi,
@@ -477,39 +502,8 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
         raise ValueError("the grid needs a finite window and two points per axis")
     x = np.linspace(x_lo, x_hi, nx)
     p = np.linspace(p_lo, p_hi, np_count)
-
-    k_osc = math.sqrt(4.0 * max(spec.mu + (spec.m + 1) * c.K + spec.m + 1, 1))
-    half_y = k_osc + 6.0  # the support of the amplitude
-    p_max = max(abs(p_lo), abs(p_hi))
-    h = _lattice_step(spec.m, k_osc, p_max)
-    dx = abs(x_hi - x_lo) / (nx - 1)
-    inside = np.abs(x) <= half_y  # elsewhere one factor of the integrand vanishes
-    xs = x[inside]
-    # y nodes of the h/2 pass; the lattice holds at most twice as many points,
-    # or that many per row when rows are closer than one step
-    ny = 4.0 * half_y / h if h > 0.0 else math.inf
-    lattice = ny * (xs.size if 0.0 < dx < h else 2.0)
-    _refuse_fine_lattice(p_max, h, max(ny * np_count, lattice * len(c.entries)))
-    if 0.0 < dx < h:  # rows closer than one step share no lattice: 4n + 1 points about each
-        n = math.ceil(half_y / h)
-        offsets = np.arange(-2 * n, 2 * n + 1)
-        points = (xs[:, None] + 0.5 * h * offsets).ravel()
-        centres = 1 + 2 * n + offsets.size * np.arange(xs.size)
-    else:  # one lattice x0 + l h/2 over the support, h dividing dx
-        h = dx / math.ceil(dx / h) if dx else h
-        x0 = xs[0] if xs.size else 0.0
-        lo, hi = math.floor(2.0 * (-half_y - x0) / h), math.ceil(2.0 * (half_y - x0) / h)
-        points = x0 + 0.5 * h * np.arange(lo, hi + 1)
-        centres = np.rint((xs - x0) / (0.5 * h)).astype(int) + 1 - lo
-    pad = np.zeros(points.size + 2, dtype=complex)  # between zero end points
-    for start, stop, (psi,) in _basis_blocks(spec.m, spec.mu, range(len(c.entries)), points, (0,)):
-        pad[1 + start:1 + stop] = _amplitudes(c.entries, psi)
-    values_c = np.zeros((nx, np_count), dtype=complex)
-    left = np.conj(pad)
-    values_c[inside] = _y_transform(left, pad, centres, 2, h, half_y, p)
-    rows = slice(None, None, max(1, centres.size // 8))
-    change = float(np.max(np.abs(_y_transform(left, pad, centres[rows], 1, 0.5 * h, half_y, p)
-                                 - values_c[inside][rows]), initial=0.0))
+    values_c, change, h, points = _wigner_lattice(spec.m, spec.mu, range(len(c.entries)),
+                                                  (c.entries,), x, abs(x_hi - x_lo) / (nx - 1), p)
 
     scale = float(np.max(np.abs(values_c.real)))
     residue = float(np.max(np.abs(values_c.imag)))
@@ -520,4 +514,4 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     cell = (x[1] - x[0]) * (p[1] - p[0])
     negative = float(np.sum(np.abs(np.minimum(values, 0.0))) * cell)
     return WignerGrid(x, p, values, float(values.min()), negative, float(values.sum() * cell),
-                      c.K, h, points.size, change, residue)
+                      c.K, h, points, change, residue)

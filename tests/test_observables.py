@@ -261,7 +261,7 @@ def test_wigner_kernel_gaussian_peak():
     assert abs(w.imag) < 1e-12
     # closed form for the undeformed ground state: exp(-x^2-p^2)/pi
     w2 = wigner_cross_term(StateLabel(0, -1, 0), StateLabel(0, -1, 0), 0.7, -0.4)
-    assert w2.real == pytest.approx(math.exp(-0.49 - 0.16) / math.pi, rel=1e-9)
+    assert abs(w2 - math.exp(-0.49 - 0.16) / math.pi) <= 1e-13
 
 
 def test_wigner_kernel_conjugate_symmetry():
@@ -324,6 +324,13 @@ def test_wigner_grid_small_case():
     assert grid.negative_volume >= 0.0
 
 
+def test_wigner_grid_takes_the_state_truncation():
+    # no rung floor below |z| = 10: the grid sums the rungs the state carries
+    for spec in (CoherentSpec("nonlinear", 2, -3, 2.0), CoherentSpec("linearized", 6, 1, 0.5j)):
+        grid = wigner_grid(spec, resolution=(5, 5), tail_tol=1e-12)
+        assert grid.truncation == coefficients(spec, 1e-12).K
+
+
 def test_wigner_grid_matches_kernel_double_sum():
     """Grid values against the literal double sum over per-pair lattice
     kernels, at a complex eigenvalue so every phase path is exercised."""
@@ -332,14 +339,14 @@ def test_wigner_grid_matches_kernel_double_sum():
     spec = CoherentSpec("nonlinear", 2, 1, 1.3 * cmath.exp(0.6j))
     from ratosc.coherent import coefficients
 
-    c = coefficients(spec, min_index=7)
+    c = coefficients(spec, 1e-14)
     grid = wigner_grid(spec, window=((-4, 4), (-4, 4)), resolution=(9, 9),
                        tail_tol=1e-14)
     for i, j in ((2, 6), (4, 4), (7, 1)):
         x, p = float(grid.x[i]), float(grid.p[j])
         total = 0.0 + 0.0j
-        for k1 in range(8):
-            for k2 in range(8):
+        for k1 in range(c.K + 1):
+            for k2 in range(c.K + 1):
                 weight = np.conj(c.entries[k1]) * c.entries[k2]
                 if abs(weight) < 1e-13:
                     continue
@@ -347,8 +354,6 @@ def test_wigner_grid_matches_kernel_double_sum():
                                          x, p, 1e-11)
                 total += weight * kern
         assert abs(total.imag) < 1e-9
-        # the grid carries rungs up to 10; pairs beyond the reference sum
-        # contribute below 1e-12
         assert grid.values[i, j] == pytest.approx(total.real, rel=1e-6, abs=1e-11)
 
 
@@ -356,7 +361,10 @@ def test_moment_matrices_refinement_guard():
     from ratosc.specfun import NumericalError
 
     with pytest.raises(NumericalError):
-        moment_matrices(0, -1, 1, abs_tol=1e-30, max_refinements=1)
+        moment_matrices(4, -5, 8, abs_tol=1e-30, max_refinements=1)
+    # the step's margin for the Gaussian momentum tail: the first lattice of
+    # the lowest rungs is already right
+    assert moment_matrices(0, -1, 1, abs_tol=1e-30, max_refinements=1).change <= 1e-12
     # an abs_tol below the summation rounding of the entries is met at
     # 1e-13 of the largest entry instead
     mats = moment_matrices(4, -5, 8, abs_tol=1e-30)
@@ -583,7 +591,7 @@ def test_wigner_grid_unchanged_by_real_amplitude_products(monkeypatch):
 def _panel_wigner_reference(spec, window, resolution, tail_tol=1e-14, chunk=400_000):
     """wigner_grid's former route: the amplitude at x - y and x + y for every
     grid x and every node of a composite Gauss-Legendre y rule."""
-    c = coefficients(spec, tail_tol, min_index=10 if spec.abs_z <= 10.0 else 0)
+    c = coefficients(spec, tail_tol)
     (x_lo, x_hi), (p_lo, p_hi) = window
     x = np.linspace(x_lo, x_hi, resolution[0])
     p = np.linspace(p_lo, p_hi, resolution[1])
