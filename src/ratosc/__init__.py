@@ -3,15 +3,9 @@ the harmonic oscillator."""
 
 __version__ = "0.1.0"
 
-from .specfun import (
-    NumericalError,
-    SeriesResult,
-    SignedLog,
-    hermite,
-    hermite_phi,
-    log_pochhammer,
-    mod_hermite,
-)
+from types import ModuleType as _ModuleType
+
+from .specfun import NumericalError, SeriesResult, SignedLog
 from .system import (
     StateLabel,
     algebra_residual,
@@ -62,4 +56,6 @@ from .beamsplitter import (
     two_photon_distribution,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules bound beside them are not exports
+__all__ = [name for name, value in sorted(globals().items())
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]

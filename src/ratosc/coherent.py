@@ -49,6 +49,10 @@ __all__ = [
 VARIANTS = ("nonlinear", "linearized")
 
 MAX_COEFFICIENTS = 200_000
+_GRID_POINTS_PER_WAVELENGTH = 20  # default_grid: of the shortest fringe 2 pi / k_max
+_GRID_PADDING = 4.0  # default_grid: beyond the turning point k_max
+_MAXIMA_THRESHOLD = 0.01  # count_local_maxima: of the global maximum
+_PACKET_SMOOTHING = 2.0  # count_wavepackets: Gaussian width in fringe scales
 
 
 @dataclass(frozen=True)
@@ -231,7 +235,9 @@ def overlap_closed_form(m: int, mu: int, abs_z: float) -> float:
 def evolve(spec: CoherentSpec, t: float) -> CoherentSpec:
     """Time evolution z -> z exp(-i (2m+2) t); exactly periodic with period
     pi / (m+1), so t is first reduced modulo that period (as a double),
-    which keeps the phase finite for every finite t."""
+    which keeps the phase finite for every finite t; ValueError for any other."""
+    if not math.isfinite(t):
+        raise ValueError(f"time t = {t} is not finite")
     t = math.fmod(t, math.pi / (spec.m + 1))
     if t == 0.0:
         return spec
@@ -291,12 +297,15 @@ def _profile_from_coefficients(coeffs: CoefficientVector, times, x: np.ndarray) 
     half x[n//2:] only: by the parity psi_nu(-x) = (-1)^(nu+1) psi_nu(x) of
     :func:`~ratosc.system.wavefunction_rows`, the mirrored half of rho is
     |(C s) @ psi|^2 with s_k = (-1)^(nu_k+1), taken against the reversed
-    columns of each block.
+    columns of each block.  ValueError for a non-finite time.
     """
     spec = coeffs.spec
     ks = np.arange(len(coeffs.entries))
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(times).all():
+        raise ValueError(f"time t = {times[~np.isfinite(times)][0]} is not finite")
     # modulo the period pi/(m+1), as in evolve, so every finite time stays finite
-    times = np.fmod(np.atleast_1d(np.asarray(times, dtype=float)), math.pi / (spec.m + 1))
+    times = np.fmod(times, math.pi / (spec.m + 1))
     c = coeffs.entries * np.exp(-1j * (2 * spec.m + 2) * times[:, None] * ks)
     n = x.size
     rho = np.empty((times.size, n))
@@ -316,22 +325,20 @@ def _profile_from_coefficients(coeffs: CoefficientVector, times, x: np.ndarray) 
     return rho
 
 
-def default_grid(spec: CoherentSpec, tail_tol: float = 1e-14,
-                 points_per_wavelength: int = 20, padding: float = 4.0) -> np.ndarray:
+def default_grid(spec: CoherentSpec, tail_tol: float = 1e-14) -> np.ndarray:
     """Position grid wide enough for the classical support at the truncation
     energy and fine enough to resolve the shortest interference fringes."""
-    return _support_grid(coefficients(spec, tail_tol), points_per_wavelength, padding)
+    return _support_grid(coefficients(spec, tail_tol))
 
 
-def _support_grid(coeffs: CoefficientVector, points_per_wavelength: int = 20,
-                  padding: float = 4.0) -> np.ndarray:
+def _support_grid(coeffs: CoefficientVector) -> np.ndarray:
     """default_grid for an already-built coefficient vector."""
     spec = coeffs.spec
     nu_max = spec.mu + (spec.m + 1) * coeffs.K
     e_max = 2.0 * max(nu_max + spec.m + 1, 1)
     k_max = math.sqrt(2.0 * e_max)
-    half_range = k_max + padding
-    step = 2.0 * math.pi / k_max / points_per_wavelength
+    half_range = k_max + _GRID_PADDING
+    step = 2.0 * math.pi / k_max / _GRID_POINTS_PER_WAVELENGTH
     n = max(int(math.ceil(2.0 * half_range / step)) + 1, 101)
     # mirror-symmetric to the bit, x[i] == -x[n-1-i], so that the density
     # is folded across x = 0; each point moves by at most 1 ulp
@@ -346,25 +353,23 @@ def density_profile(spec: CoherentSpec, times, x=None, tail_tol: float = 1e-14):
     coefficients are built once and the basis functions evaluated once; only
     the coefficient phases change with t, and all times are taken by two
     real matrix products (real and imaginary parts of the phased
-    coefficients) against that basis.
+    coefficients) against that basis.  ValueError for a non-finite time.
     """
     coeffs = coefficients(spec, tail_tol)
     x = _support_grid(coeffs) if x is None else np.asarray(x, dtype=float)
     return x, _profile_from_coefficients(coeffs, times, x)
 
 
-def count_local_maxima(rho, threshold_frac: float = 0.01) -> int:
-    """Strict interior local maxima of a sampled profile above a fraction of
-    its global maximum.  Counts every interference fringe separately."""
+def count_local_maxima(rho) -> int:
+    """Strict interior local maxima of a sampled profile above 1% of its
+    global maximum.  Counts every interference fringe separately."""
     r = np.asarray(rho, dtype=float)
-    thr = threshold_frac * float(r.max())
+    thr = _MAXIMA_THRESHOLD * float(r.max())
     interior = (r[1:-1] > r[:-2]) & (r[1:-1] > r[2:]) & (r[1:-1] > thr)
     return int(np.sum(interior))
 
 
-def count_wavepackets(x, rho, fringe_scale: float,
-                      threshold_frac: float = 0.01,
-                      smoothing: float = 2.0) -> int:
+def count_wavepackets(x, rho, fringe_scale: float) -> int:
     """Number of wavepacket envelopes in a density profile.
 
     Colliding or turning-point packets carry full-contrast interference
@@ -376,12 +381,12 @@ def count_wavepackets(x, rho, fringe_scale: float,
     x = np.asarray(x, dtype=float)
     r = np.asarray(rho, dtype=float)
     dx = x[1] - x[0]
-    sigma = smoothing * fringe_scale
+    sigma = _PACKET_SMOOTHING * fringe_scale
     n = max(int(4.0 * sigma / dx), 1)
     kernel = np.exp(-0.5 * (np.arange(-n, n + 1) * dx / sigma) ** 2)
     kernel /= kernel.sum()
     smooth = np.convolve(r, kernel, mode="same")
-    return count_local_maxima(smooth, threshold_frac)
+    return count_local_maxima(smooth)
 
 
 def fringe_wavelength(spec: CoherentSpec, tail_tol: float = 1e-14) -> float:

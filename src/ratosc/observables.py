@@ -364,6 +364,7 @@ class WignerGrid:
 
 _WIGNER_BLOCK = 1 << 19  # (x, y) pairs per gathered block of the y transform
 _WIGNER_MAX_ENTRIES = 1 << 23  # y kernel entries, and amplitude lattice points
+_WIGNER_REL_TOL = 1e-6  # imaginary residue and step change, relative to the peak
 
 
 @lru_cache(maxsize=None)
@@ -415,7 +416,7 @@ def _wigner_lattice(m: int, mu: int, ks, rows, x: np.ndarray, dx: float, p: np.n
     h = _lattice_step(m, k_osc, p_max)
     inside = np.abs(x) <= half  # elsewhere one factor of the integrand vanishes
     xs = x[inside]
-    per_row = dx < h
+    per_row = dx < h or xs.size < 2  # else dx <= 2 half, so dx / h is finite
     # y nodes of the h/2 pass; the lattice holds at most twice as many
     # points, or that many per row
     ny = 4.0 * half / h if h > 0.0 else math.inf
@@ -429,7 +430,7 @@ def _wigner_lattice(m: int, mu: int, ks, rows, x: np.ndarray, dx: float, p: np.n
         centres = 1 + 2 * n + offsets.size * np.arange(xs.size)
     else:
         h = dx / math.ceil(dx / h)
-        x0 = xs[0] if xs.size else 0.0
+        x0 = xs[0]
         lo, hi = math.floor(2.0 * (-half - x0) / h), math.ceil(2.0 * (half - x0) / h)
         points = x0 + 0.5 * h * np.arange(lo, hi + 1)
         centres = np.rint((xs - x0) / (0.5 * h)).astype(int) + 1 - lo
@@ -471,8 +472,7 @@ def wigner_cross_term(label_a: StateLabel, label_b: StateLabel,
 
 
 def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
-                resolution=(161, 161), tail_tol: float = 1e-14,
-                imag_tol: float = 1e-6) -> WignerGrid:
+                resolution=(161, 161), tail_tol: float = 1e-14) -> WignerGrid:
     """Wigner function of the coherent state on a grid.
 
     (1/pi) int dy conj(psi(x-y)) psi(x+y) exp(-2ipy) by the trapezoid rule,
@@ -485,14 +485,15 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     exp(-2 pi a / h) the factor exp(-2ipy) raises by exp(2 a |p|).  For a
     grid spacing dx >= h0 the step h = dx / ceil(dx / h0) divides dx, so
     every x +- y falls on one lattice where the amplitude is evaluated once;
-    closer rows take h = h0 and a lattice each; the lattice amplitude is
-    contracted from the blocks of :func:`~ratosc.system._basis_blocks` as
-    they come.  The amplitude counts as zero past |x| = k_osc + 6.  Raises
-    ValueError for a non-finite window, or for a momentum range whose step
-    would make the y kernel or the amplitude lattice pass
-    _WIGNER_MAX_ENTRIES entries (checked before either is built);
-    NumericalError if the imaginary residue or the change from step h to
-    h/2 exceeds imag_tol of the largest real value.
+    closer rows, and a window with fewer than two rows inside the support,
+    take h = h0 and a lattice each; the lattice amplitude is contracted from
+    the blocks of :func:`~ratosc.system._basis_blocks` as they come.  The
+    amplitude counts as zero past |x| = k_osc + 6.  Raises ValueError for a
+    non-finite window, or for a momentum range whose step would make the y
+    kernel or the amplitude lattice pass _WIGNER_MAX_ENTRIES entries
+    (checked before either is built); NumericalError if the imaginary
+    residue or the change from step h to h/2 exceeds 1e-6 of the largest
+    real value.
     """
     c = coefficients(spec, tail_tol)
     (x_lo, x_hi), (p_lo, p_hi) = window
@@ -507,9 +508,9 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
 
     scale = float(np.max(np.abs(values_c.real)))
     residue = float(np.max(np.abs(values_c.imag)))
-    if max(residue, change) > imag_tol * scale:
+    if max(residue, change) > _WIGNER_REL_TOL * scale:
         raise NumericalError(f"imaginary residue {residue:.3e} or step change {change:.3e} "
-                             f"exceeds {imag_tol:.1e} of peak {scale:.3e}")
+                             f"exceeds {_WIGNER_REL_TOL:.1e} of peak {scale:.3e}")
     values = values_c.real
     cell = (x[1] - x[0]) * (p[1] - p[0])
     negative = float(np.sum(np.abs(np.minimum(values, 0.0))) * cell)

@@ -1,7 +1,9 @@
 """Numerical kernels shared by the whole library.
 
-Signed-log arithmetic, Hermite-family recurrences, Pochhammer products,
-generalized hypergeometric series and a fixed Gauss-Legendre node set.
+Signed-log arithmetic, the oscillator-function recurrence and generalized
+hypergeometric series; outside ``__all__``, the reference oracles of the
+tests and ``selftest`` (``hermite_phi``, ``mod_hermite``, Gauss-Legendre
+``panel_nodes``) and ``hermite`` and ``log_pochhammer`` (one private caller each).
 Everything is a pure function of its inputs.  The only shared state is
 a set of bounded lru caches of the argument-free parts of the series
 (read-only arrays and immutable records), so all routines are safe to
@@ -21,13 +23,8 @@ __all__ = [
     "NumericalError",
     "SignedLog",
     "SeriesResult",
-    "hermite",
-    "mod_hermite",
-    "hermite_phi",
     "phi_rows",
-    "log_pochhammer",
     "signed_series",
-    "panel_nodes",
 ]
 
 MAX_SERIES_TERMS = 1_000_000

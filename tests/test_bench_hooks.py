@@ -8,11 +8,13 @@ signature would only fail a benchmark run.  Both files are loaded here by
 path; the tracer is never installed.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "ratosc"
 
 
 def _load(name):
@@ -31,6 +33,23 @@ def test_every_traced_name_resolves():
     assert missing == []
     observables = importlib.import_module("ratosc.observables")
     assert callable(observables._cached_matrices.cache_info)
+
+
+def test_every_tracer_only_import_names_a_hook():
+    # an import kept only for the tracer to wrap must name a hook on its
+    # module, so that a hook dropped from the tracer fails here instead of
+    # leaving the import behind
+    tracer = _load("tracer")
+    hooks = {entry[:2] for entry in tracer.SPANS} | {entry[:2] for entry in tracer.COUNTED}
+    marked = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom):
+                marked += [(f"ratosc.{path.stem}", alias.name) for alias in node.names
+                           if "bench/tracer.py wraps this name" in lines[alias.lineno - 1]]
+    assert marked
+    assert [hook for hook in marked if hook not in hooks] == []
 
 
 def test_every_benchmark_cli_argv_parses():

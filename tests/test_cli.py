@@ -379,6 +379,14 @@ def test_edge_arguments_exit_cleanly(tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
+    # a Wigner window whose two rows lie ~1.6e308 apart, both off the
+    # support, answers with zeros
+    args = ["wigner"] + base["wigner"][:6] + ["--x-grid=-8e307:8e307:2", "--p-grid=-3:3:9",
+                                            "--output", str(tmp_path / "out.csv")]
+    assert main(args) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [l for l in (tmp_path / "out.csv").read_text().splitlines() if not l.startswith("#")]
+    assert len(rows) == 1 + 2 * 9 and all(float(r.split(",")[-1]) == 0.0 for r in rows[1:])
 
 
 # The options each command reads besides --output, --format and --plot,

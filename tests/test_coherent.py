@@ -213,6 +213,15 @@ def test_density_scalar_matches_profile():
     assert density(spec, float(x[j]), 0.2) == pytest.approx(float(rho[0, j]), rel=1e-12)
 
 
+def test_density_refuses_a_non_finite_time():
+    spec = CoherentSpec("nonlinear", 4, -5, 2.0)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            density(spec, 0.3, t)
+        with pytest.raises(ValueError, match="not finite"):
+            density_profile(spec, [0.0, t])
+
+
 def test_cat_states():
     spec = CoherentSpec("nonlinear", 6, -7, 30.0)
     even_raw = cat_coefficients(spec, "even", normalize=False)

@@ -453,13 +453,17 @@ def test_moment_matrices_refuse_past_the_state_index_range():
 
 
 def test_uncertainty_at_huge_time():
-    """t is reduced modulo the period pi/(m+1) before the phase is formed."""
+    """t is reduced modulo the period pi/(m+1) before the phase is formed;
+    a non-finite t is refused."""
     spec = CoherentSpec("nonlinear", 2, -3, 3.0)
     for t in (1e308, -3e200, 12345.678):
         got = uncertainty(spec, t)
         want = uncertainty(spec, math.fmod(t, math.pi / 3))
         assert all(map(math.isfinite, got))
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            uncertainty(spec, t)
 
 
 def test_wigner_grid_refuses_unbuildable_momentum_window():
@@ -640,8 +644,9 @@ def test_wigner_grid_is_zero_off_the_support():
     wide = wigner_grid(spec, ((-200.0, 300.0), (-3.0, 3.0)), (41, 9))
     reference = _panel_wigner_reference(spec, ((-200.0, 300.0), (-3.0, 3.0)), (41, 9))
     assert np.max(np.abs(wide.values - reference)) <= 1e-12
-    far = wigner_grid(spec, ((-1e300, 1e300), (-3.0, 3.0)), (2, 9))
-    assert not far.values.any()
+    for edge in (1e300, 8e307):  # past ~1e302 the window over the step overflows
+        far = wigner_grid(spec, ((-edge, edge), (-3.0, 3.0)), (2, 9))
+        assert not far.values.any() and far.lattice_points == 0
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             wigner_grid(spec, ((-4.0, bad), (-3.0, 3.0)), (9, 9))
