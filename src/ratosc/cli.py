@@ -2,9 +2,11 @@
 
 Every computation in the library is exposed as a subcommand that writes a
 machine-readable CSV or JSON file (17-significant-digit values, metadata
-header) and optionally a basic plot.  One table, ``_COMMAND_TABLE``, names
-each subcommand's handler, the options it reads and their defaults; a
-subcommand takes no other option, and its header records exactly those.
+header) and optionally a basic plot.  One table, ``_OPTIONS``, gives each
+option's flag, parsing and default; another, ``_COMMAND_TABLE``, names
+each subcommand's handler, the options it reads and any default of its
+own.  A subcommand takes no other option, its header records exactly
+those, and the parsed arguments are the settings its handler reads.
 Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
 """
 
@@ -15,7 +17,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,7 +40,7 @@ from .specfun import (
     signed_series,
 )
 
-__all__ = ["main", "run", "RunConfig", "UsageError"]
+__all__ = ["main", "run", "UsageError"]
 
 
 class UsageError(Exception):
@@ -49,47 +50,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """The settings of one run; a subcommand reads only the fields its
-    ``_COMMAND_TABLE`` entry names, and the rest keep these defaults.
-
-    Round-trips through to_dict/from_dict unchanged, which is what makes
-    the output metadata reproducible.
-    """
-
-    command: str
-    variant: str = "nonlinear"
-    m: int = 4
-    mu: int = -5
-    z_re: float = 0.0
-    z_im: float = 0.0
-    z_abs_grid: list = field(default_factory=list)   # [min, max, count]
-    z_re_grid: list = field(default_factory=list)
-    z_im_grid: list = field(default_factory=list)
-    times: list = field(default_factory=list)
-    x_grid: list = field(default_factory=list)
-    p_grid: list = field(default_factory=list)
-    k: int = 0
-    parity: str = "even"
-    tail_tol: float = 1e-14
-    quad_tol: float = 1e-10
-    output: str = ""
-    fmt: str = "csv"
-    plot: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunConfig":
-        return RunConfig(**data)
-
-    @property
-    def z(self) -> complex:
-        return complex(self.z_re, self.z_im)
 
 
 def _grid(text: str) -> list:
@@ -140,10 +100,11 @@ def _format_column(values) -> list[str]:
     return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
 
 
-def _write_rows(config: RunConfig, columns: list[str], rows, meta: dict) -> str:
+def _write_rows(config: argparse.Namespace, columns: list[str], rows, meta: dict) -> str:
     path = config.output or f"{config.command}.{config.fmt}"
-    shown = ("command", *_COMMAND_TABLE[config.command].reads, "output", "fmt", "plot")
-    settings = {key: value for key, value in config.to_dict().items() if key in shown}
+    shown = (*_COMMAND_TABLE[config.command].reads, "output", "fmt", "plot")
+    settings = {"command": config.command,
+                **{key: getattr(config, key) for key in _OPTIONS if key in shown}}
     if config.fmt == "csv":
         lines = [f"# ratosc {__version__}"]
         for key, value in settings.items():
@@ -166,7 +127,7 @@ def _write_rows(config: RunConfig, columns: list[str], rows, meta: dict) -> str:
     return path
 
 
-def _maybe_plot(config: RunConfig, columns, rows):
+def _maybe_plot(config: argparse.Namespace, columns, rows):
     if not config.plot:
         return None
     try:
@@ -205,11 +166,12 @@ def _maybe_plot(config: RunConfig, columns, rows):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _spec(config: RunConfig) -> co.CoherentSpec:
-    return co.CoherentSpec(config.variant, config.m, config.mu, config.z)
+def _spec(config: argparse.Namespace) -> co.CoherentSpec:
+    z = complex(config.z_re, config.z_im)
+    return co.CoherentSpec(config.variant, config.m, config.mu, z)
 
 
-def _cmd_spectrum(config: RunConfig):
+def _cmd_spectrum(config: argparse.Namespace):
     if config.k < 0:
         raise UsageError(f"--k must be >= 0, got {config.k}")
     rows = []
@@ -221,7 +183,7 @@ def _cmd_spectrum(config: RunConfig):
     return ["mu", "k", "nu", "energy"], rows, {}
 
 
-def _cmd_potential(config: RunConfig):
+def _cmd_potential(config: argparse.Namespace):
     x = _grid_values(config.x_grid)
     v = sy.potential(config.m, x)
     vh = sy.hamiltonian_potential(config.m, x)
@@ -229,7 +191,7 @@ def _cmd_potential(config: RunConfig):
     return ["x", "potential", "hamiltonian_potential"], rows, {}
 
 
-def _cmd_eigenstate(config: RunConfig):
+def _cmd_eigenstate(config: argparse.Namespace):
     label = sy.StateLabel(config.m, config.mu, config.k)
     x = _grid_values(config.x_grid)
     psi = sy._wavefunction_stack(label.m, label.mu, [label.k], x, (0, 1, 2))
@@ -237,7 +199,7 @@ def _cmd_eigenstate(config: RunConfig):
     return ["x", "psi", "dpsi", "d2psi"], rows, {"nu": label.nu, "energy": sy.energy(label)}
 
 
-def _cmd_coeffs(config: RunConfig):
+def _cmd_coeffs(config: argparse.Namespace):
     coeffs = co.coefficients(_spec(config), config.tail_tol)
     rows = [[k, coeffs.entries[k].real, coeffs.entries[k].imag,
              abs(coeffs.entries[k]) ** 2] for k in range(len(coeffs.entries))]
@@ -245,7 +207,7 @@ def _cmd_coeffs(config: RunConfig):
     return ["k", "re_A", "im_A", "weight"], rows, meta
 
 
-def _dual_route(config: RunConfig, quantity, columns: tuple[str, str]):
+def _dual_route(config: argparse.Namespace, quantity, columns: tuple[str, str]):
     """A |z| sweep of one statistic by its closed form and its direct sum."""
     rows = []
     for az in _grid_values(config.z_abs_grid):
@@ -255,7 +217,7 @@ def _dual_route(config: RunConfig, quantity, columns: tuple[str, str]):
     return ["abs_z", *columns], rows, {}
 
 
-def _profile(config: RunConfig, coeffs: co.CoefficientVector, meta: dict):
+def _profile(config: argparse.Namespace, coeffs: co.CoefficientVector, meta: dict):
     """Density rows at --times on --x-grid, or else on the support grid."""
     times = config.times or [0.0]
     x = _grid_values(config.x_grid) if config.x_grid else co._support_grid(coeffs)
@@ -264,27 +226,27 @@ def _profile(config: RunConfig, coeffs: co.CoefficientVector, meta: dict):
     return columns, np.column_stack([x, rho.T]).tolist(), meta
 
 
-def _cmd_density(config: RunConfig):
+def _cmd_density(config: argparse.Namespace):
     coeffs = co.coefficients(_spec(config), config.tail_tol)
     meta = {"times": config.times or [0.0], "K": coeffs.K, "tail_mass": coeffs.tail_mass,
             "period": math.pi / (config.m + 1)}
     return _profile(config, coeffs, meta)
 
 
-def _cmd_cat(config: RunConfig):
+def _cmd_cat(config: argparse.Namespace):
     cat = co.cat_coefficients(_spec(config), config.parity, normalize=True,
                               tail_tol=config.tail_tol)
     return _profile(config, cat, {"parity": config.parity, "K": cat.K})
 
 
-def _cmd_overlap(config: RunConfig):
+def _cmd_overlap(config: argparse.Namespace):
     rows = []
     for az in _grid_values(config.z_abs_grid):
         rows.append([az, co.overlap(config.m, config.mu, az)])
     return ["abs_z", "overlap"], rows, {}
 
 
-def _cmd_wigner(config: RunConfig):
+def _cmd_wigner(config: argparse.Namespace):
     spec = _spec(config)
     window = ((config.x_grid[0], config.x_grid[1]),
               (config.p_grid[0], config.p_grid[1]))
@@ -301,19 +263,19 @@ def _cmd_wigner(config: RunConfig):
     return ["x", "p", "wigner"], rows, meta
 
 
-def _cmd_uncertainty(config: RunConfig):
+def _cmd_uncertainty(config: argparse.Namespace):
     if len(config.times) > 1:
         raise UsageError(f"uncertainty takes one time, got --times {config.times}")
     t = config.times[0] if config.times else 0.0
     zs = [complex(re_z, im_z) for re_z in _grid_values(config.z_re_grid)
           for im_z in _grid_values(config.z_im_grid)]
     results = ob.uncertainties([co.CoherentSpec(config.variant, config.m, config.mu, z)
-                                for z in zs], t, config.tail_tol, config.quad_tol)
+                                for z in zs], t, config.tail_tol)
     rows = [[z.real, z.imag, *res] for z, res in zip(zs, results)]
     return ["re_z", "im_z", "sigma_x", "sigma_p", "product"], rows, {"t": t}
 
 
-def _cmd_beamsplitter(config: RunConfig):
+def _cmd_beamsplitter(config: argparse.Namespace):
     coeffs = co.coefficients(_spec(config), config.tail_tol)
     out = bs.split(coeffs)
     dist = bs.two_photon_distribution(out)
@@ -324,7 +286,7 @@ def _cmd_beamsplitter(config: RunConfig):
     return ["n1", "n2", "probability"], rows, meta
 
 
-def _cmd_entropy(config: RunConfig):
+def _cmd_entropy(config: argparse.Namespace):
     rows = []
     for az in _grid_values(config.z_abs_grid):
         spec = co.CoherentSpec(config.variant, config.m, config.mu, complex(az))
@@ -524,34 +486,35 @@ def _selftest() -> int:
     return 0 if all(ok for _, ok in checks) else 2
 
 
-# RunConfig field -> (flag, argparse keywords).  A subcommand gets the
-# flags of the fields its table entry reads, plus output, fmt and plot.
+# setting -> (flag, argparse keywords, default).  A subcommand gets the
+# flags of the settings its table entry reads, plus output, fmt and plot;
+# the header lists them in this order.
 _OPTIONS = {
-    "variant": ("--variant", {"choices": co.VARIANTS}),
-    "m": ("--m", {"type": int}),
-    "mu": ("--mu", {"type": int}),
-    "z_re": ("--z-re", {"type": _number}),
-    "z_im": ("--z-im", {"type": _number}),
-    "z_abs_grid": ("--z-abs", {"type": _grid, "required": True, "help": "|z| grid min:max:count"}),
-    "z_re_grid": ("--z-re-grid", {"type": _grid, "help": "Re z grid min:max:count"}),
-    "z_im_grid": ("--z-im-grid", {"type": _grid, "help": "Im z grid min:max:count"}),
-    "times": ("--times", {"type": _times, "help": "comma-separated list of times"}),
-    "x_grid": ("--x-grid", {"type": _grid, "help": "min:max:count"}),
-    "p_grid": ("--p-grid", {"type": _grid, "help": "min:max:count"}),
-    "k": ("--k", {"type": int, "help": "ladder step (eigenstate, spectrum depth)"}),
-    "parity": ("--parity", {"choices": ("even", "odd")}),
-    "tail_tol": ("--tail-tol", {"type": _tolerance}),
-    "quad_tol": ("--quad-tol", {"type": _tolerance}),
-    "output": ("--output", {}),
-    "fmt": ("--format", {"choices": ("csv", "json")}),
-    "plot": ("--plot", {"action": "store_true"}),
+    "variant": ("--variant", {"choices": co.VARIANTS}, "nonlinear"),
+    "m": ("--m", {"type": int}, 4),
+    "mu": ("--mu", {"type": int}, -5),
+    "z_re": ("--z-re", {"type": _number}, 0.0),
+    "z_im": ("--z-im", {"type": _number}, 0.0),
+    "z_abs_grid": ("--z-abs", {"type": _grid, "required": True,
+                               "help": "|z| grid min:max:count"}, []),
+    "z_re_grid": ("--z-re-grid", {"type": _grid, "help": "Re z grid min:max:count"}, []),
+    "z_im_grid": ("--z-im-grid", {"type": _grid, "help": "Im z grid min:max:count"}, []),
+    "times": ("--times", {"type": _times, "help": "comma-separated list of times"}, []),
+    "x_grid": ("--x-grid", {"type": _grid, "help": "min:max:count"}, []),
+    "p_grid": ("--p-grid", {"type": _grid, "help": "min:max:count"}, []),
+    "k": ("--k", {"type": int, "help": "ladder step (eigenstate, spectrum depth)"}, 0),
+    "parity": ("--parity", {"choices": ("even", "odd")}, "even"),
+    "tail_tol": ("--tail-tol", {"type": _tolerance}, 1e-14),
+    "output": ("--output", {}, ""),
+    "fmt": ("--format", {"choices": ("csv", "json")}, "csv"),
+    "plot": ("--plot", {"action": "store_true"}, False),
 }
 
 
 class _Command(NamedTuple):
-    handler: Callable[[RunConfig], tuple]   # -> (columns, rows, meta)
-    reads: tuple[str, ...]                  # RunConfig fields besides output, fmt, plot
-    defaults: dict = {}                     # option text used when the flag is absent
+    handler: Callable[[argparse.Namespace], tuple]  # -> (columns, rows, meta)
+    reads: tuple[str, ...]   # _OPTIONS settings besides output, fmt, plot
+    defaults: dict = {}      # option text used when the flag is absent
 
 
 _STATE = ("variant", "m", "mu")
@@ -571,7 +534,7 @@ _COMMAND_TABLE = {
                        (*_STATE, "z_re", "z_im", "x_grid", "p_grid", "tail_tol"),
                        {"x_grid": "-8:8:161", "p_grid": "-8:8:161"}),
     "uncertainty": _Command(_cmd_uncertainty,
-                            (*_STATE, "z_re_grid", "z_im_grid", "times", "tail_tol", "quad_tol"),
+                            (*_STATE, "z_re_grid", "z_im_grid", "times", "tail_tol"),
                             {"z_re_grid": "-2:2:11", "z_im_grid": "-2:2:11"}),
     "mandel": _Command(lambda config: _dual_route(config, ob.mandel_q,
                                                   ("q_closed_form", "q_direct")), _SWEEP),
@@ -591,8 +554,8 @@ def _build_parser(argv=None) -> _Parser:
     for name, command in _COMMAND_TABLE.items():
         p = sub.add_parser(name, allow_abbrev=False)
         for dest in (*command.reads, "output", "fmt", "plot") if named in (None, name) else ():
-            flag, keywords = _OPTIONS[dest]
-            # an absent flag leaves the RunConfig default in place
+            flag, keywords, _ = _OPTIONS[dest]
+            # an absent flag leaves the _OPTIONS default of run's namespace
             p.add_argument(flag, dest=dest, **keywords,
                            default=command.defaults.get(dest, argparse.SUPPRESS))
     sub.add_parser("selftest", allow_abbrev=False)
@@ -601,17 +564,12 @@ def _build_parser(argv=None) -> _Parser:
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
-    if args.command == "selftest":
+    defaults = argparse.Namespace(**{dest: default for dest, (*_, default) in _OPTIONS.items()})
+    config = _build_parser(argv).parse_args(argv, namespace=defaults)
+    if config.command == "selftest":
         return _selftest()
-    config = RunConfig(**vars(args))
-    command = _COMMAND_TABLE[config.command]
-    # a bad --m raises ValueError here or at the library's first call
-    if "mu" in command.reads and config.mu not in sy.lowest_weights(config.m):
-        raise UsageError(
-            f"--mu {config.mu} is not a lowest weight for m = {config.m}; "
-            f"choose one of {sy.lowest_weights(config.m)}")
-    columns, rows, meta = command.handler(config)
+    # a bad --m or --mu raises ValueError in the library before any work
+    columns, rows, meta = _COMMAND_TABLE[config.command].handler(config)
     path = _write_rows(config, columns, rows, meta)
     plot_path = _maybe_plot(config, columns, rows)
     print(f"wrote {path}" + (f" and {plot_path}" if plot_path else ""))

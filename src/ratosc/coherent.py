@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import SignedLog, _series_stack, _series_terms, signed_series
-from .system import _basis_blocks, ladder_element, lowest_weights
+from .system import _basis_blocks, _check_ladder, ladder_element
 from .system import wavefunction_rows  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 
 __all__ = [
@@ -68,8 +68,7 @@ class CoherentSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.mu not in lowest_weights(self.m):
-            raise ValueError(f"mu = {self.mu} is not a lowest weight for m = {self.m}")
+        _check_ladder(self.m, self.mu)
         object.__setattr__(self, "z", complex(self.z))
         if not cmath.isfinite(self.z):
             raise ValueError(f"z must be finite, got {self.z!r}")
@@ -195,8 +194,7 @@ def coefficients(spec: CoherentSpec, tail_tol: float = 1e-14,
 def normalization_F(m: int, mu: int, abs_z: float) -> SignedLog:
     """Squared-norm series F = sum |z|^{2k} / D_k^2, evaluated through its
     closed hypergeometric form (one upper parameter equal to 1)."""
-    if mu not in lowest_weights(m):
-        raise ValueError(f"mu = {mu} is not a lowest weight for m = {m}")
+    _check_ladder(m, mu)
     if abs_z < 0.0:
         raise ValueError("abs_z must be >= 0")
     return signed_series((1.0,), hypergeometric_parameters(m, mu),
@@ -220,8 +218,7 @@ def overlap_closed_form(m: int, mu: int, abs_z: float) -> float:
     """The same overlap via the ratio of the normalisation series at
     negated and positive argument, summed as one stacked pair and divided
     in signed-log arithmetic."""
-    if mu not in lowest_weights(m):
-        raise ValueError(f"mu = {mu} is not a lowest weight for m = {m}")
+    _check_ladder(m, mu)
     params = hypergeometric_parameters(m, mu)
     num, den = _series_stack([((1.0,), params, True), ((1.0,), params, False)],
                              series_argument(m, abs_z))
@@ -377,10 +374,19 @@ def count_wavepackets(x, rho, fringe_scale: float) -> int:
     the packet separation, so the profile is averaged with a Gaussian a few
     fringe wavelengths wide before maxima are counted.  This reproduces the
     by-eye packet count while leaving genuinely separated humps intact.
+    ValueError unless x and rho are 1-D of one length (at least 2), x steps
+    up by a finite dx, and fringe_scale is positive and finite.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(rho, dtype=float)
+    if x.ndim != 1 or x.shape != r.shape or x.size < 2:
+        raise ValueError(f"x and rho must be 1-D of one length, at least 2; "
+                         f"got shapes {x.shape} and {r.shape}")
     dx = x[1] - x[0]
+    if not (0.0 < dx < math.inf):
+        raise ValueError(f"x must step up by a finite dx, got dx = {dx}")
+    if not (0.0 < fringe_scale < math.inf):
+        raise ValueError(f"fringe_scale must be positive and finite, got {fringe_scale}")
     sigma = _PACKET_SMOOTHING * fringe_scale
     n = max(int(4.0 * sigma / dx), 1)
     kernel = np.exp(-0.5 * (np.arange(-n, n + 1) * dx / sigma) ** 2)

@@ -58,6 +58,9 @@ __all__ = [
 # energies and number statistics
 # ---------------------------------------------------------------------------
 
+_CLOSED_FORM_TOL = 1e-8  # the relative rounding bound a closed-form moment may carry
+
+
 @lru_cache(maxsize=64)
 def _moment_series(m: int, mu: int, order: int):
     """The stack row (order+1; b+order) of the order-th factorial-moment
@@ -80,7 +83,12 @@ def _factorial_moments(m: int, mu: int, abs_z: float, orders) -> tuple[float, ..
 
     The denominator F(1; b; x) and the numerators of all orders, series of
     positive terms, are summed in one stacked pass to the tolerance of
-    signed_series, and ln F is formed as signed_series forms it.
+    signed_series, and ln F is formed as signed_series forms it.  A moment
+    whose relative rounding bound, the ``rounding_bound`` of its numerator
+    plus that of the denominator, passes _CLOSED_FORM_TOL raises
+    NumericalError: the running log sums that give the terms lose digits
+    as the series grow (Q was off by 0.9% at K ~ 1.7e5).  The bound is
+    first order, so it refuses from K ~ 1,350 (m = 12) to ~5,000 (m = 0).
     """
     if abs_z == 0.0:
         return (0.0,) * len(orders)
@@ -90,8 +98,15 @@ def _factorial_moments(m: int, mu: int, abs_z: float, orders) -> tuple[float, ..
     if x == 0.0:  # |z| below ~1e-160: every F is 1
         log_den, *log_nums = [0.0] * len(rows)
     else:  # ln F as signed_series forms it
-        log_den, *log_nums = [math.log(t.total) + t.peak for t in _series_terms(
-            rows, math.log(x), _LOG_HALF_EPS, MAX_SERIES_TERMS - 1)]
+        den, *nums = _series_terms(rows, math.log(x), _LOG_HALF_EPS, MAX_SERIES_TERMS - 1)
+        den_bound = den.rounding_bound
+        for order, num in zip(orders, nums):
+            bound = den_bound + num.rounding_bound
+            if bound > _CLOSED_FORM_TOL:
+                raise NumericalError(f"the closed form of the order-{order} moment has a "
+                                     f"rounding bound of {bound:.1e}, past "
+                                     f"{_CLOSED_FORM_TOL:.0e}; the direct route answers")
+        log_den, *log_nums = [math.log(t.total) + t.peak for t in (den, *nums)]
     # ln x from |z|: finite where x itself underflows
     log_x = _log_series_argument(m, abs_z)
     return tuple(SignedLog(pref.sign, order * log_x + pref.log_mag
@@ -167,6 +182,8 @@ def mandel_q(spec: CoherentSpec, method: str = "closed_form",
 # ---------------------------------------------------------------------------
 # position and momentum moments, uncertainty products
 # ---------------------------------------------------------------------------
+
+_QUAD_TOL = 1e-10  # uncertainty: absolute change of the lattice sums between passes
 
 # Relative to the largest sum, the change between converged passes is
 # summation rounding: 1e-14 to 2e-14 measured at K = 469, 1000 and 1400,
@@ -271,23 +288,23 @@ def _cached_matrices(m: int, mu: int, K: int, abs_tol: float) -> MomentMatrices:
 UncertaintyResult = namedtuple("UncertaintyResult", ["sigma_x", "sigma_p", "product"])
 
 
-def uncertainty(spec: CoherentSpec, t: float = 0.0, tail_tol: float = 1e-14,
-                quad_tol: float = 1e-10) -> UncertaintyResult:
+def uncertainty(spec: CoherentSpec, t: float = 0.0,
+                tail_tol: float = 1e-14) -> UncertaintyResult:
     """Standard deviations of position and momentum and their product for
     the time-evolved state; the product is bounded below by 1/2.
 
     <x> = int x |psi|^2, <x^2>, <p> = Im int conj(psi) psi' and
     <p^2> = int |psi'|^2 are summed from the state's amplitude on the
-    lattice of :func:`_lattice_sums`, stable to quad_tol, or to 1e-13 of
+    lattice of :func:`_lattice_sums`, stable to 1e-10, or to 1e-13 of
     the largest where that is larger.  Any truncation K is admitted whose
     top state index mu + (m+1) K stays within system.MAX_STATE_INDEX;
     past it ValueError is raised before any node is evaluated.
     """
-    return uncertainties([spec], t, tail_tol, quad_tol)[0]
+    return uncertainties([spec], t, tail_tol)[0]
 
 
-def uncertainties(specs, t: float = 0.0, tail_tol: float = 1e-14,
-                  quad_tol: float = 1e-10) -> list[UncertaintyResult]:
+def uncertainties(specs, t: float = 0.0,
+                  tail_tol: float = 1e-14) -> list[UncertaintyResult]:
     """:func:`uncertainty` of states of one ladder (m, mu) in one pass.
 
     Their coefficient rows, padded to the largest truncation K, share each
@@ -324,7 +341,7 @@ def uncertainties(specs, t: float = 0.0, tail_tol: float = 1e-14,
             out[:, 3] += (dpsi.real ** 2 + dpsi.imag ** 2) @ w
         return out[:len(c)] + out[len(c):] * [-1.0, 1.0, -1.0, 1.0]  # x, psi' flip sign
 
-    x1, x2, p1, p2 = _lattice_sums(m, mu, K, sums, quad_tol)[0].T
+    x1, x2, p1, p2 = _lattice_sums(m, mu, K, sums, _QUAD_TOL)[0].T
     sigma_x = np.sqrt(np.maximum(x2 - x1 * x1, 0.0))
     sigma_p = np.sqrt(np.maximum(p2 - p1 * p1, 0.0))
     return [UncertaintyResult(*map(float, r)) for r in zip(sigma_x, sigma_p, sigma_x * sigma_p)]
@@ -456,11 +473,14 @@ def wigner_cross_term(label_a: StateLabel, label_b: StateLabel,
 
     The value is the trapezoid sum at step h; its change at step h/2 must
     stay within the absolute tolerance tol, else NumericalError is raised.
-    A |p| whose step would pass _WIGNER_MAX_ENTRIES lattice entries raises
-    ValueError before the lattice is built.
+    A |p| whose step would pass _WIGNER_MAX_ENTRIES lattice entries (so any
+    non-finite p), or a non-finite x, raises ValueError before the lattice
+    is built.
     """
     if (label_a.m, label_a.mu) != (label_b.m, label_b.mu):
         raise ValueError("labels must belong to the same ladder")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     values, change, h, _ = _wigner_lattice(label_a.m, label_a.mu, (label_a.k, label_b.k), np.eye(2),
@@ -489,15 +509,17 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     take h = h0 and a lattice each; the lattice amplitude is contracted from
     the blocks of :func:`~ratosc.system._basis_blocks` as they come.  The
     amplitude counts as zero past |x| = k_osc + 6.  Raises ValueError for a
-    non-finite window, or for a momentum range whose step would make the y
-    kernel or the amplitude lattice pass _WIGNER_MAX_ENTRIES entries
-    (checked before either is built); NumericalError if the imaginary
-    residue or the change from step h to h/2 exceeds 1e-6 of the largest
-    real value.
+    non-finite window, a resolution that is not two integers, or a momentum
+    range whose step would make the y kernel or the amplitude lattice pass
+    _WIGNER_MAX_ENTRIES entries (checked before either is built);
+    NumericalError if the imaginary residue or the change from step h to
+    h/2 exceeds 1e-6 of the largest real value.
     """
     c = coefficients(spec, tail_tol)
     (x_lo, x_hi), (p_lo, p_hi) = window
     nx, np_count = resolution
+    if not all(isinstance(n, (int, np.integer)) for n in resolution):
+        raise ValueError(f"resolution must be two integers, got {resolution!r}")
     if nx < 2 or np_count < 2 or not all(map(math.isfinite, (x_lo, x_hi, p_lo, p_hi,
                                                                  x_hi - x_lo, p_hi - p_lo))):
         raise ValueError("the grid needs a finite window and two points per axis")

@@ -29,10 +29,6 @@ __all__ = [
 
 MAX_SERIES_TERMS = 1_000_000
 
-# Terms this far (in log) below the largest term seen cannot move a double
-# precision sum; used as an absolute stopping floor for alternating series.
-_LOG_FLOOR = math.log(1e-35)
-
 _EPS = float(np.finfo(float).eps)
 # signed_series stops where the dropped terms are below eps/2 of the sum
 _LOG_HALF_EPS = math.log(0.5 * _EPS)
@@ -469,6 +465,16 @@ class _Terms(NamedTuple):
     abs_total: float   # sum_{k<=K} |t_k| / e^peak
     tail: float        # bound on |sum_{k>K} t_k| / |sum_{k<=K} t_k|
 
+    @property
+    def rounding_bound(self) -> float:
+        """The bound of :class:`SeriesResult` on the relative rounding
+        error of the sum; inf where the sum is 0."""
+        total = abs(self.total)
+        if total == 0.0:
+            return math.inf
+        log_path = 1.0 + float(np.add.reduce(np.abs(self.steps)))
+        return len(self.logs) * _EPS * log_path * self.abs_total / total
+
 
 def _series_terms(rows, log_x: float, log_tol: float, max_index: int,
                   min_index: int = 0) -> list[_Terms]:
@@ -478,14 +484,13 @@ def _series_terms(rows, log_x: float, log_tol: float, max_index: int,
     <= exp(log_tol) |sum_{k<=K} t_k|: the truncation rule of every series of
     the library.  The left side, a geometric bound on the dropped terms
     while their ratios do not grow, is returned over |sum| as ``tail``.
-    Where a term is negative the sum also stops at a falling t_{K+1} below
-    1e-35 of the largest term; a terminating series that meets neither
-    stops at its last nonzero term, with tail 0.  The rows that share a
-    count are computed, scaled and summed in one array pass; a count is
-    sized by :func:`_first_count` and a row's is doubled while no K
-    qualifies, so each row is bitwise a one-row stack.  NumericalError is
-    raised up front where the terms still grow at index max_index, and
-    after the last pass where no K <= max_index qualifies.
+    A terminating series that meets it nowhere stops at its last nonzero
+    term, with tail 0.  The rows that share a count are computed, scaled
+    and summed in one array pass; a count is sized by :func:`_first_count`
+    and a row's is doubled while no K qualifies, so each row is bitwise a
+    one-row stack.  NumericalError is raised up front where the terms still
+    grow at index max_index, and after the last pass where no K <= max_index
+    qualifies.
     """
     limits, counts = [], []
     for upper, lower, _ in rows:
@@ -515,9 +520,6 @@ def _series_terms(rows, log_x: float, log_tol: float, max_index: int,
             log_tail = logs[1:-1] - np.log1p(-np.exp(steps[1:]))
             falls = steps[:-1] < 0.0
         ok = falls & (log_tail <= log_limit)
-        if signed:
-            ok |= falls & np.array(alternating, dtype=bool) & (
-                logs[1:-1] < np.maximum.accumulate(logs[:-2]) + _LOG_FLOOR)
         ok[:min_index] = False
         stops = ok.argmax(axis=0).tolist() if count > 2 else [0] * len(group)
         for j, i in enumerate(group):
@@ -570,14 +572,9 @@ def _series_stack(rows, x: float) -> list[SeriesResult]:
         return [SeriesResult(SignedLog.ONE, 1, 0.0)] * len(rows)
     out = []
     for t in _series_terms(rows, math.log(x), _LOG_HALF_EPS, MAX_SERIES_TERMS - 1):
-        terms, total = len(t.logs), abs(t.total)
-        if total == 0.0:
-            out.append(SeriesResult(SignedLog.ZERO, terms, math.inf))
-            continue
-        log_path = 1.0 + float(np.add.reduce(np.abs(t.steps)))
-        bound = terms * _EPS * log_path * t.abs_total / total
-        out.append(SeriesResult(SignedLog(1 if t.total > 0.0 else -1, math.log(total) + t.peak),
-                                terms, bound))
+        value = (SignedLog.ZERO if t.total == 0.0 else
+                 SignedLog(1 if t.total > 0.0 else -1, math.log(abs(t.total)) + t.peak))
+        out.append(SeriesResult(value, len(t.logs), t.rounding_bound))
     return out
 
 

@@ -53,6 +53,14 @@ def lowest_weights(m: int) -> list[int]:
     return [-m - 1] + list(range(1, m + 1))
 
 
+def _check_ladder(m: int, mu: int) -> None:
+    """ValueError unless mu is a lowest weight of the deformation order m."""
+    weights = lowest_weights(m)
+    if mu not in weights:
+        raise ValueError(f"mu = {mu} is not a lowest weight for m = {m}; "
+                         f"choose one of {weights}")
+
+
 @dataclass(frozen=True)
 class StateLabel:
     """Eigenstate nu = mu + (m+1) k, the k-th rung of the ladder rooted at mu."""
@@ -62,9 +70,7 @@ class StateLabel:
     k: int
 
     def __post_init__(self):
-        _check_order(self.m)
-        if self.mu not in lowest_weights(self.m):
-            raise ValueError(f"mu = {self.mu} is not a lowest weight for m = {self.m}")
+        _check_ladder(self.m, self.mu)
         if self.k < 0:
             raise ValueError("ladder step k must be >= 0")
         if self.nu > MAX_STATE_INDEX:

@@ -1,7 +1,8 @@
-"""Command-line surface: config round trips, file formats, exit codes."""
+"""Command-line surface: option table, file formats, exit codes."""
 
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from ratosc import coherent as co
-from ratosc.cli import RunConfig, main
+from ratosc.cli import _COMMAND_TABLE, _OPTIONS, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, tmp_path, name):
@@ -18,16 +21,14 @@ def run_cli(args, tmp_path, name):
     return code, out
 
 
-def test_config_round_trip():
-    config = RunConfig(command="density", variant="linearized", m=6, mu=-7,
-                       z_re=1.5, z_im=-0.25, times=[0.0, 0.1],
-                       x_grid=[-8.0, 8.0, 101], tail_tol=1e-12)
-    assert RunConfig.from_dict(config.to_dict()) == config
-    assert config.z == 1.5 - 0.25j
-
-
 def test_invalid_arguments_exit_one(tmp_path, capsys):
-    assert main(["mandel", "--m", "4", "--mu", "5", "--z-abs", "0:1:2"]) == 1
+    # a --mu off the ladders is refused before any work, naming the ladders
+    for args in (["eigenstate"], ["coeffs"], ["mandel", "--z-abs", "0:1:2"],
+                 ["overlap", "--z-abs", "0:1:2"], ["uncertainty"]):
+        code, out = run_cli(args + ["--m", "4", "--mu", "5"], tmp_path, f"{args[0]}.csv")
+        assert code == 1 and not out.exists(), args
+        assert capsys.readouterr().err == (
+            "error: mu = 5 is not a lowest weight for m = 4; choose one of [-5, 1, 2, 3, 4]\n")
     assert main(["mandel", "--m", "3", "--mu", "1", "--z-abs", "0:1:2"]) == 1
     assert main(["mandel", "--m", "4", "--mu", "-5"]) == 1          # missing grid
     assert main(["mandel", "--m", "4", "--mu", "-5", "--z-abs", "5:1:3"]) == 1
@@ -251,7 +252,7 @@ def test_cat_builds_coefficients_once(tmp_path, monkeypatch, capsys):
 def _readme_commands() -> list[list[str]]:
     """The argument lists of the ```sh block under "## Command line" in
     README.md, one per `ratosc ...` line."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ratosc ")]
 
@@ -264,6 +265,34 @@ def test_readme_commands_exit_zero(tmp_path, capsys):
             args = args + ["--output", str(tmp_path / f"{i}-{args[0]}.csv")]
         assert main(args) == 0, args
     capsys.readouterr()
+
+
+def _readme_option_table() -> dict[str, tuple[list, dict]]:
+    """command -> (flags, {flag: default}) from the README table "options it
+    reads": a "(default `v`)" sets the flag before it, a "(defaults `v`)"
+    the two flags before it."""
+    table = README.read_text().split("| command | options it reads |\n|---|---|\n", 1)[1]
+    out = {}
+    for line in table.split("\n\n", 1)[0].splitlines():
+        _, commands, options, _ = line.split("|")
+        flags, defaults = [], {}
+        for flag, kind, value in re.findall(r"`(--[a-z-]+)`(?: \((defaults?) `([^`]+)`\))?",
+                                            options):
+            flags.append(flag)
+            if kind:
+                defaults.update(dict.fromkeys(flags[-2 if kind == "defaults" else -1:], value))
+        out.update((name, (flags, defaults)) for name in re.findall(r"`([a-z]+)`", commands))
+    return out
+
+
+def test_readme_option_table_matches_the_command_table():
+    table = _readme_option_table()
+    assert sorted(table) == sorted(_COMMAND_TABLE)
+    flag = {dest: entry[0] for dest, entry in _OPTIONS.items()}
+    for name, command in _COMMAND_TABLE.items():
+        flags, defaults = table[name]
+        assert flags == [flag[dest] for dest in command.reads], name
+        assert defaults == {flag[dest]: text for dest, text in command.defaults.items()}, name
 
 
 def test_seventeen_digit_round_trip(tmp_path, capsys):
@@ -409,9 +438,10 @@ READS = {
     "overlap": {"--m": "2", "--mu": "-3", "--z-abs": "0:1:2"},
     "wigner": {**_POINT, "--x-grid": "-1:1:3", "--p-grid": "-1:1:3"},
     "uncertainty": {**_STATE, "--z-re-grid": "0:1:2", "--z-im-grid": "0:0:1", "--times": "0.1",
-                    "--tail-tol": "1e-12", "--quad-tol": "1e-9"},
+                    "--tail-tol": "1e-12"},
 }
-# every option each command accepted before each took only what it reads
+# every option each command accepted before each took only what it reads,
+# and --quad-tol, which no command takes any more
 ALL_OPTIONS = {**_SWEEP, **_POINT, "--times": "0", "--x-grid": "-1:1:3", "--p-grid": "-1:1:3",
                "--k": "1", "--parity": "odd", "--quad-tol": "1e-9"}
 
@@ -421,7 +451,7 @@ def _field(flag):
 
 
 def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
-    fields = set(RunConfig("spectrum").to_dict())
+    fields = {"command", *_OPTIONS}
     for command, reads in READS.items():
         args = [command] + [f"{flag}={value}" for flag, value in reads.items()]
         expected = {"command", *map(_field, reads), "output", "fmt", "plot"}

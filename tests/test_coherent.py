@@ -340,6 +340,26 @@ def test_wavepacket_counter_smooths_fringes():
     assert count_wavepackets(x, fringed, fringe_scale=2 * math.pi / 12.0) == 3
 
 
+def test_wavepacket_counter_refuses_bad_arguments():
+    x, rho = [0.0, 1.0, 2.0], [0.0, 1.0, 0.0]
+    for args, name in ((([0.0], [1.0], 1.0), "x and rho"),
+                       ((x, rho + [0.0, 1.0], 0.1), "x and rho"),
+                       (([1.0, 1.0, 1.0], rho, 0.1), "x must step up"),
+                       ((x, rho, math.nan), "fringe_scale"),
+                       ((x, rho, 0.0), "fringe_scale"),
+                       ((x, rho, -1.0), "fringe_scale")):
+        with pytest.raises(ValueError, match=name):
+            count_wavepackets(*args)
+
+
+def test_one_ladder_check_lists_the_lowest_weights():
+    message = r"mu = 5 is not a lowest weight for m = 4; choose one of \[-5, 1, 2, 3, 4\]"
+    for call in (lambda: StateLabel(4, 5, 0), lambda: CoherentSpec("nonlinear", 4, 5, 1.0),
+                 lambda: normalization_F(4, 5, 1.0), lambda: overlap_closed_form(4, 5, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_fringe_wavelength_scale():
     spec = CoherentSpec("nonlinear", 6, -7, 1e8)
     lam = fringe_wavelength(spec)

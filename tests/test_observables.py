@@ -196,6 +196,18 @@ def test_out_of_reach_energy_fails_at_once():
     assert time.process_time() - start < 1.0
 
 
+def test_closed_forms_refuse_past_their_rounding_bound():
+    # K ~ 1e5: the running log sums lose the digits (Q was off by 0.9% and
+    # 1.4%, unflagged); the bounds are 3.7e-5 and 8.6e-5, past 1e-8
+    for m, mu, az in ((2, 1, 1e9), (10, 10, 3.59e35)):
+        spec = CoherentSpec("nonlinear", m, mu, az)
+        for call in (energy_expectation, number_moments, mandel_q):
+            with pytest.raises(NumericalError, match="rounding bound"):
+                call(spec, "closed_form")
+        # the direct route answers, near the large-|z| limit -m/(m+1)
+        assert mandel_q(spec, "direct") == pytest.approx(-m / (m + 1.0), abs=1e-4)
+
+
 def test_moment_matrix_structure():
     mats = moment_matrices(4, -5, 6)
     # parity selection: <a|x|b> = 0 whenever (m+1)(k_a - k_b) is even
@@ -474,6 +486,16 @@ def test_wigner_grid_refuses_unbuildable_momentum_window():
         with pytest.raises(ValueError, match="momentum window"):
             wigner_grid(spec, ((-1.0, 1.0), momenta), (3, 3))
         assert time.process_time() - start < 0.1
+
+
+def test_wigner_entry_points_refuse_bad_arguments():
+    spec = CoherentSpec("nonlinear", 2, -3, 1.0)
+    with pytest.raises(ValueError, match="resolution"):
+        wigner_grid(spec, resolution=(2.5, 3))
+    a, b = StateLabel(2, -3, 0), StateLabel(2, -3, 1)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            wigner_cross_term(a, b, x, 0.3)
 
 
 def test_wigner_grid_negativity_contrast():

@@ -186,7 +186,7 @@ def test_statistics_entry_points_answer_or_refuse_promptly():
             # The direct route drops weights of relative mass tail_mass past K,
             # falling at least geometrically, so its share of <N> and <N(N-1)>
             # stays below 2 tail_mass (K + 2)^2; the closed forms carry the
-            # rounding bounds of their series (up to ~1e-5 at K ~ 1e5).
+            # rounding bounds of their series (refused past 1e-8).
             slack = 2.0 * c.tail_mass * (c.K + 2) ** 2
             rel = DUAL_ROUTE_TOL + _closed_form_bound(spec)
             base = 2.0 * mu + 2.0 * m + 2.0
