@@ -4,12 +4,14 @@ The input superposition rides on one port, vacuum on the other.  Each
 basis excitation of weight k splits binomially over the two output arms,
 giving the output amplitude table, the joint excitation-number
 distribution, a factorization metric and the linear entropy of one arm.
+Only the input vector is stored; each quantity forms the rows it reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import lgamma
 
 import numpy as np
@@ -29,11 +31,10 @@ __all__ = [
 
 
 _EPS = float(np.finfo(float).eps)
-# Rows of the table per pass of split and per matrix product of
-# linear_entropy.  Larger blocks mean fewer passes, but each block and the
-# BLAS work space sit in memory beside the (K+1)^2 table: at K = 622,
-# 32-row purity blocks raised the peak resident size by ~1.2 MB, 16-row
-# ones by ~0.7.
+# Rows of the table per formed block and per matrix product of
+# linear_entropy.  Larger blocks mean fewer passes but more BLAS work
+# space: at K = 622, 32-row purity blocks raised the peak resident size
+# by ~1.2 MB, 16-row ones by ~0.7.
 _PURITY_BLOCK = 16
 
 
@@ -42,39 +43,40 @@ class OutputState:
     """Output amplitudes indexed by the quanta counted in each arm:
     amplitudes[n1, n2] = A_{n1+n2} 2^{-(n1+n2)/2} sqrt(C(n1+n2, n2)).
 
-    Entries with n1 + n2 beyond the truncation K are zero, so the table is
-    filled on and above its anti-diagonal.  The unimodular reflection phase
+    The table is formed only on the first access to amplitudes.  Entries
+    with n1 + n2 beyond the truncation K are zero, so the table is filled
+    on and above its anti-diagonal.  The unimodular reflection phase
     attached to the n2-th amplitude is kept out of the table by convention;
     it cancels identically in the joint number distribution and in the
     reduced-state purity, the two quantities computed from it downstream.
     """
 
-    amplitudes: np.ndarray   # (K+1, K+1) complex, zero where n1 + n2 > K
+    entries: np.ndarray   # A_0..A_K
     tail_mass: float
 
     @property
     def K(self) -> int:
-        return self.amplitudes.shape[0] - 1
+        return len(self.entries) - 1
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        amp = np.zeros((self.K + 1, self.K + 1), dtype=complex)
+        for i0, block in _row_blocks(self.entries):
+            amp[i0:i0 + block.shape[0], :block.shape[1]] = block
+        return amp
 
 
-def split(coeffs: CoefficientVector) -> OutputState:
-    """Balanced splitting of the input superposition against vacuum.
+def _row_blocks(a):
+    """Yield (i0, the _PURITY_BLOCK table rows from i0) over the columns
+    row i0 reaches.
 
     Square roots of the binomials are assembled in log space from one
     table of ln j!, so entries stay accurate out to n1 + n2 well past 100,
     and (n1, n2) and (n2, n1) take the same expression in k = n1 + n2 and
-    r = min(n1, n2), so they are bitwise equal.  The table is filled in
-    blocks of 16 rows over the columns the first row reaches.  Anti-diagonal
-    norms satisfy sum_{n1+n2=k} |amplitudes[n1, n2]|^2 = |A_k|^2 exactly
-    (binomial theorem).  A truncation whose top state index passes
-    system.MAX_STATE_INDEX raises ValueError before the (K+1)^2 table is
-    allocated.
+    r = min(n1, n2), so they are bitwise equal.
     """
-    a = coeffs.entries
     K = len(a) - 1
-    StateLabel(coeffs.spec.m, coeffs.spec.mu, K)  # validates the top state index
     log_fact = np.array([lgamma(j + 1) for j in range(K + 1)])
-    amp = np.zeros((K + 1, K + 1), dtype=complex)
     for i0 in range(0, K + 1, _PURITY_BLOCK):
         n1 = np.arange(i0, min(i0 + _PURITY_BLOCK, K + 1))[:, None]
         n2 = np.arange(K + 1 - i0)
@@ -83,8 +85,19 @@ def split(coeffs: CoefficientVector) -> OutputState:
         logs = log_fact[k] - log_fact[r] - log_fact[k - r]
         block = a[k] * np.exp(0.5 * logs - 0.5 * k * math.log(2.0))
         block[n1 + n2 > K] = 0.0
-        amp[i0:i0 + _PURITY_BLOCK, :n2.size] = block
-    return OutputState(amp, coeffs.tail_mass)
+        yield i0, block
+
+
+def split(coeffs: CoefficientVector) -> OutputState:
+    """Balanced splitting of the input superposition against vacuum.
+
+    Anti-diagonal norms satisfy sum_{n1+n2=k} |amplitudes[n1, n2]|^2 =
+    |A_k|^2 exactly (binomial theorem).  split allocates O(K).  A
+    truncation whose top state index passes system.MAX_STATE_INDEX raises
+    ValueError.
+    """
+    StateLabel(coeffs.spec.m, coeffs.spec.mu, coeffs.K)  # validates the top state index
+    return OutputState(coeffs.entries, coeffs.tail_mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +114,12 @@ def two_photon_distribution(out: OutputState) -> TwoModeDistribution:
     Depends on the input only through |A_{n1+n2}|^2, which is why a
     non-Poissonian input cannot factorize over the arms.  Entries with
     n1+n2 beyond the truncation are zero; total_mass is the retained
-    coefficient mass.
+    coefficient mass.  P is filled block by block; the complex table is
+    never formed.
     """
-    p = np.abs(out.amplitudes) ** 2
+    p = np.zeros((out.K + 1, out.K + 1))
+    for i0, block in _row_blocks(out.entries):
+        p[i0:i0 + block.shape[0], :block.shape[1]] = np.abs(block) ** 2
     return TwoModeDistribution(p, float(p.sum()))
 
 
@@ -127,29 +143,29 @@ def linear_entropy(out: OutputState) -> EntropyResult:
     """1 - purity of one output arm after tracing out the other.
 
     The reduced state of the first arm is rho = T T^H with T the amplitude
-    table, so the purity is ||T T^H||_F^2.  T is taken in blocks of 16
-    contiguous rows and each pair of blocks is multiplied once, the
-    off-diagonal pairs counted twice by symmetry; row n1 vanishes past
-    column K - n1, so a pair multiplies only the columns its later block
-    reaches, that block is conjugated once for all its earlier partners,
-    and no second (K+1) x (K+1) array is formed beside T.  All
-    sums run to the truncation K, and twice the dropped coefficient mass
-    bounds the truncation error of the purity (Cauchy-Schwarz).
+    table, so the purity is ||T T^H||_F^2.  T is formed in 16-row blocks
+    over the columns each block's first row reaches, and kept as that
+    packed anti-triangle, about half the dense table.  Each pair of blocks
+    is multiplied once over the columns its later block reaches, the
+    off-diagonal pairs counted twice by symmetry, and that block is
+    conjugated once for all its earlier partners.  All sums run to the
+    truncation K, and twice the dropped coefficient mass bounds the
+    truncation error of the purity (Cauchy-Schwarz).
     error_bound adds to that a rounding term 4 (K+1) ln(K+2) eps times the
     purity sum: the table entries carry the rounding of log-space binomials
     as large as K ln K, and each entry of rho sums K+1 of their products.
     A value within that bound below zero is clamped to zero.
     """
-    amp = out.amplitudes
     K = out.K
+    rows = [block for _, block in _row_blocks(out.entries)]
     purity = 0.0
-    for j0 in range(0, K + 1, _PURITY_BLOCK):
-        w = K + 1 - j0
-        later = amp[j0:j0 + _PURITY_BLOCK, :w].conj().T
-        for i0 in range(0, j0 + 1, _PURITY_BLOCK):
-            block = amp[i0:i0 + _PURITY_BLOCK, :w] @ later
+    for jb, row in enumerate(rows):
+        w = row.shape[1]
+        later = row.conj().T
+        for ib in range(jb + 1):
+            block = rows[ib][:, :w] @ later
             inner = float(np.vdot(block, block).real)
-            purity += inner if j0 == i0 else 2.0 * inner
+            purity += inner if ib == jb else 2.0 * inner
     value = 1.0 - purity
     rounding = 4.0 * (K + 1) * math.log(K + 2) * _EPS * purity
     bound = 2.0 * out.tail_mass + 1e-13 + rounding

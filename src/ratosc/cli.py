@@ -469,6 +469,8 @@ def _selftest() -> int:
                      for k in range(out.K + 1)])
     weights = np.abs(coeffs.entries) ** 2
     check("beamsplitter unitarity", float(np.max(np.abs(sums - weights))) < 1e-14)
+    check("blocked distribution is |amplitudes|^2 bitwise",
+          np.array_equal(bs.two_photon_distribution(out).p, np.abs(out.amplitudes) ** 2))
 
     # sub-normalised so the entropy sits far from its clamp at 0
     lin = co.coefficients(co.CoherentSpec("linearized", 2, 1, 5.0))

@@ -382,16 +382,17 @@ def count_wavepackets(x, rho, fringe_scale: float) -> int:
     if x.ndim != 1 or x.shape != r.shape or x.size < 2:
         raise ValueError(f"x and rho must be 1-D of one length, at least 2; "
                          f"got shapes {x.shape} and {r.shape}")
-    dx = x[1] - x[0]
+    dx = float(x[1] - x[0])
     if not (0.0 < dx < math.inf):
         raise ValueError(f"x must step up by a finite dx, got dx = {dx}")
     if not (0.0 < fringe_scale < math.inf):
         raise ValueError(f"fringe_scale must be positive and finite, got {fringe_scale}")
     sigma = _PACKET_SMOOTHING * fringe_scale
-    n = max(int(4.0 * sigma / dx), 1)
+    # no sample of the profile reads a kernel entry past len(r) - 1
+    n = max(int(min(4.0 * sigma / dx, r.size - 1)), 1)
     kernel = np.exp(-0.5 * (np.arange(-n, n + 1) * dx / sigma) ** 2)
     kernel /= kernel.sum()
-    smooth = np.convolve(r, kernel, mode="same")
+    smooth = np.convolve(r, kernel)[n:n + r.size]
     return count_local_maxima(smooth)
 
 

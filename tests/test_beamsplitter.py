@@ -66,6 +66,29 @@ def _reference_purity(amp):
     return purity
 
 
+def _table_purity(amp):
+    """The blocked product loop run over the dense (n1, n2) table."""
+    K = amp.shape[0] - 1
+    purity = 0.0
+    for j0 in range(0, K + 1, 16):
+        w = K + 1 - j0
+        later = amp[j0:j0 + 16, :w].conj().T
+        for i0 in range(0, j0 + 1, 16):
+            block = amp[i0:i0 + 16, :w] @ later
+            inner = float(np.vdot(block, block).real)
+            purity += inner if j0 == i0 else 2.0 * inner
+    return purity
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _random_state(rng, K):
     a = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
     return a / np.linalg.norm(a)
@@ -230,17 +253,49 @@ def test_distribution_scatter_is_bitwise_the_double_loop():
         assert np.array_equal(two_photon_distribution(out).p, reference)
 
 
-def test_distribution_peak_memory_is_one_table():
-    # the table already sits in its (n1, n2) layout, so P is |amplitudes|^2
-    # with no index arrays beside it
+def test_blocked_entropy_is_bitwise_the_loop_over_the_table():
+    rng = np.random.default_rng(17)
+    # sub-normalised so the entropy sits far from its clamp at 0
+    for K in (0, 1, 15, 16, 17, 137, 400):
+        out = split(_vector(0.8 * _random_state(rng, K)))
+        assert linear_entropy(out).value == 1.0 - _table_purity(out.amplitudes)
+
+
+def test_split_allocates_nothing_quadratic():
+    K = 600
+    coeffs = _vector(_random_state(np.random.default_rng(3), K))
+    peak = _traced_peak(lambda: split(coeffs))
+    assert peak < 0.01 * (K + 1) ** 2 * np.dtype(complex).itemsize
+    out = split(coeffs)
+    assert out.amplitudes is out.amplitudes  # formed on first access, then kept
+
+
+def test_split_is_prompt_where_the_table_would_be_a_gigabyte():
+    # m = 0 climbs one state index per rung, so K = 8,000 stays valid
+    K = 8000
+    coeffs = _vector(_random_state(np.random.default_rng(4), K),
+                     CoherentSpec("nonlinear", 0, -1, 0.0))
+    assert (K + 1) ** 2 * np.dtype(complex).itemsize > 1e9
+    start = time.process_time()
+    out = split(coeffs)
+    assert time.process_time() - start < 0.1
+    assert out.K == K
+
+
+def test_entropy_peak_memory_is_the_packed_rows():
+    # the 16-row blocks keep the anti-triangle, about half the dense table
     K = 600
     out = split(_vector(_random_state(np.random.default_rng(3), K)))
-    tracemalloc.start()
-    try:
-        two_photon_distribution(out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: linear_entropy(out))
+    assert peak <= 0.6 * (K + 1) ** 2 * np.dtype(complex).itemsize
+
+
+def test_distribution_peak_memory_is_one_table():
+    # P is written from the formed rows block by block, with no complex
+    # table or index arrays beside it
+    K = 600
+    out = split(_vector(_random_state(np.random.default_rng(3), K)))
+    peak = _traced_peak(lambda: two_photon_distribution(out))
     assert peak <= 1.5 * (K + 1) ** 2 * np.dtype(float).itemsize
 
 

@@ -340,6 +340,21 @@ def test_wavepacket_counter_smooths_fringes():
     assert count_wavepackets(x, fringed, fringe_scale=2 * math.pi / 12.0) == 3
 
 
+def test_wavepacket_kernel_is_capped_at_the_profile(monkeypatch):
+    seen = []
+    monkeypatch.setattr("ratosc.coherent.count_local_maxima",
+                        lambda r: seen.append(len(r)) or count_local_maxima(r))
+    # a kernel half-width of 4 sigma / dx = 80 samples smooths 5 points into 5
+    assert count_wavepackets(np.arange(5.0), [0.0, 1.0, 0.0, 2.0, 0.0], 10.0) == 1
+    assert seen == [5]
+    # 4 sigma / dx ~ 8e12 kernel entries uncapped
+    x = np.arange(0.0, 5.0, 0.01)
+    start = time.process_time()
+    count_wavepackets(x, np.sin(3.0 * x) ** 2, 1e10)
+    assert time.process_time() - start < 0.1
+    assert seen[-1] == x.size
+
+
 def test_wavepacket_counter_refuses_bad_arguments():
     x, rho = [0.0, 1.0, 2.0], [0.0, 1.0, 0.0]
     for args, name in ((([0.0], [1.0], 1.0), "x and rho"),
