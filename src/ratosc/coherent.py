@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import SignedLog, _series_stack, _series_terms, signed_series
-from .system import _basis_blocks, _check_ladder, ladder_element
+from .system import _basis_blocks, _check_ladder, _turning_point, ladder_element
 from .system import wavefunction_rows  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 
 __all__ = [
@@ -243,11 +243,12 @@ def evolve(spec: CoherentSpec, t: float) -> CoherentSpec:
 
 
 def density(spec: CoherentSpec, x, t: float = 0.0, tail_tol: float = 1e-14):
-    """Position probability density |sum_k A_k(t) psi_{nu_k}(x)|^2."""
+    """Position probability density |sum_k A_k(t) psi_{nu_k}(x)|^2 at scalar
+    or array x: a float for a scalar x, else an array shaped like x."""
     coeffs = coefficients(evolve(spec, t), tail_tol)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    rho = _profile_from_coefficients(coeffs, [0.0], xv)[0]
-    return float(rho[0]) if np.isscalar(x) else rho
+    xv = np.asarray(x, dtype=float)
+    rho = _profile_from_coefficients(coeffs, [0.0], xv.reshape(-1))[0]
+    return float(rho[0]) if np.isscalar(x) else rho.reshape(xv.shape)
 
 
 def _amplitudes(entries: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -288,13 +289,10 @@ def _profile_from_coefficients(coeffs: CoefficientVector, times, x: np.ndarray) 
 
     Each block of basis rows from :func:`~ratosc.system._basis_blocks` is
     taken for every time at once, by the real products of
-    :func:`_squared_amplitudes` with the phased coefficients C, straight
-    into rho.  On a grid that is mirror-symmetric to the bit,
-    x[i] == -x[n-1-i] (the default grid is), the basis is evaluated on the
-    half x[n//2:] only: by the parity psi_nu(-x) = (-1)^(nu+1) psi_nu(x) of
-    :func:`~ratosc.system.wavefunction_rows`, the mirrored half of rho is
-    |(C s) @ psi|^2 with s_k = (-1)^(nu_k+1), taken against the reversed
-    columns of each block.  ValueError for a non-finite time.
+    :func:`_squared_amplitudes` with the phased coefficients, straight into
+    rho; on a mirror-symmetric grid (the default grid is) the kernel
+    evaluates the half x >= 0 and yields the other half by parity.
+    ValueError for a non-finite time.
     """
     spec = coeffs.spec
     ks = np.arange(len(coeffs.entries))
@@ -304,21 +302,9 @@ def _profile_from_coefficients(coeffs: CoefficientVector, times, x: np.ndarray) 
     # modulo the period pi/(m+1), as in evolve, so every finite time stays finite
     times = np.fmod(times, math.pi / (spec.m + 1))
     c = coeffs.entries * np.exp(-1j * (2 * spec.m + 2) * times[:, None] * ks)
-    n = x.size
-    rho = np.empty((times.size, n))
-    fold = x.ndim == 1 and np.array_equal(x, -x[::-1])
-    half = n // 2 if fold else 0  # x[half:] holds the points x >= 0; x[half] = 0 for odd n
-    signed = c * np.where(coeffs.nus % 2, 1.0, -1.0)
-    flipped = None
-    for start, stop, (psi,) in _basis_blocks(spec.m, spec.mu, ks, x[half:], (0,)):
-        _squared_amplitudes(c, psi, rho[:, half + start:half + stop])
-        # x[j] = -x[n-1-j] for j < half: the reversed columns of the block,
-        # less the centre column of an odd grid, to the mirrored columns of rho
-        lo = max(start, n - 2 * half)
-        if fold and lo < stop:
-            flipped = np.empty_like(psi) if flipped is None else flipped
-            np.copyto(flipped[:, :stop - lo], psi[:, lo - start:][:, ::-1])
-            _squared_amplitudes(signed, flipped[:, :stop - lo], rho[:, n - half - stop:n - half - lo])
+    rho = np.empty((times.size, x.size))
+    for start, stop, (psi,) in _basis_blocks(spec.m, spec.mu, ks, x, (0,)):
+        _squared_amplitudes(c, psi, rho[:, start:stop])
     return rho
 
 
@@ -331,14 +317,12 @@ def default_grid(spec: CoherentSpec, tail_tol: float = 1e-14) -> np.ndarray:
 def _support_grid(coeffs: CoefficientVector) -> np.ndarray:
     """default_grid for an already-built coefficient vector."""
     spec = coeffs.spec
-    nu_max = spec.mu + (spec.m + 1) * coeffs.K
-    e_max = 2.0 * max(nu_max + spec.m + 1, 1)
-    k_max = math.sqrt(2.0 * e_max)
+    k_max = _turning_point(spec.m, spec.mu, coeffs.K)
     half_range = k_max + _GRID_PADDING
     step = 2.0 * math.pi / k_max / _GRID_POINTS_PER_WAVELENGTH
     n = max(int(math.ceil(2.0 * half_range / step)) + 1, 101)
-    # mirror-symmetric to the bit, x[i] == -x[n-1-i], so that the density
-    # is folded across x = 0; each point moves by at most 1 ulp
+    # mirror-symmetric to the bit, x[i] == -x[n-1-i], so that the basis
+    # kernel folds it across x = 0; each point moves by at most 1 ulp
     x = np.linspace(-half_range, half_range, n)
     return 0.5 * (x - x[::-1])
 

@@ -39,6 +39,7 @@ from .specfun import (
 from .system import (
     StateLabel,
     _basis_blocks,
+    _turning_point,
     wavefunction_rows,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 )
 
@@ -192,9 +193,10 @@ _MOMENT_ROUNDING = 1e-13
 
 
 def _lattice_sums(m: int, mu: int, K: int, sums, abs_tol: float, max_refinements: int = 3):
-    """Trapezoid sums of the integrands that sums(x) adds up over the nodes
-    x >= 0 and their mirror images -x, for the basis of ladder (m, mu) up
-    to rung K: (value, nodes, refinements, change).
+    """Trapezoid sums of the integrands that sums(x) adds up over the
+    mirror-symmetric nodes x, whose half x >= 0 the basis kernel evaluates,
+    for the basis of ladder (m, mu) up to rung K: (value, nodes,
+    refinements, change).
 
     The lattice j h, |j| <= n, spans [-half, half] with half = k_osc + 4
     beyond the top rung's turning point k_osc, and h = half / n is the
@@ -212,14 +214,14 @@ def _lattice_sums(m: int, mu: int, K: int, sums, abs_tol: float, max_refinements
     StateLabel(m, mu, K)  # validates the ladder and the top state index
     if max_refinements < 1:
         raise ValueError("need at least one refinement pass")
-    k_osc = math.sqrt(4.0 * max(mu + (m + 1) * K + m + 1, 1))
+    k_osc = _turning_point(m, mu, K)
     half = k_osc + 4.0
     n = math.ceil(half / _lattice_step(m, k_osc, 0.0))
     h = half / n
-    coarse = h * sums(h * np.arange(n + 1))
+    coarse = h * sums(h * np.arange(-n, n + 1))
     for refinement in range(1, max_refinements + 1):
         # T(h/2) - T(h) = (h sum f(midpoints) - T(h)) / 2, formed in place
-        step = sums(h * (np.arange(n) + 0.5))
+        step = sums(h * (np.arange(-n, n) + 0.5))
         step *= h
         step -= coarse
         step *= 0.5
@@ -242,30 +244,19 @@ MomentMatrices = namedtuple("MomentMatrices",
 
 def _moment_sums(m: int, mu: int, K: int, x: np.ndarray) -> np.ndarray:
     """Node sums of psi_a x psi_b, psi_a x^2 psi_b, psi_a psi_b' and
-    psi_a' psi_b' over the nodes x >= 0 and their mirror images -x, stacked
-    as a (4, K+1, K+1) array; a node at 0 counts once.
-
-    By the parity of :func:`~ratosc.system.wavefunction_rows` the mirror
-    images are not evaluated: f(x) + f(-x) is f(x) times 0 or 2.  The sums
-    take the node blocks of :func:`~ratosc.system._basis_blocks`, one pass
-    (orders 0 and 1) over all of them.
+    psi_a' psi_b' over the nodes x, stacked as a (4, K+1, K+1) array: the
+    node blocks of :func:`~ratosc.system._basis_blocks`, one pass (orders
+    0 and 1) over all of them.
     """
     sums = np.zeros((4, K + 1, K + 1))
     for start, stop, (p0, p1) in _basis_blocks(m, mu, range(K + 1), x, (0, 1)):
         xb = x[start:stop]
-        at_zero = xb == 0.0  # its own mirror image: weight 1/2 in every product
-        p0[:, at_zero] *= math.sqrt(0.5)
-        p1[:, at_zero] *= math.sqrt(0.5)
         w = p0 * xb
         sums[0] += w @ p0.T
         w *= xb
         sums[1] += w @ p0.T
         sums[2] += p0 @ p1.T
         sums[3] += p1 @ p1.T
-    parity = np.where((mu + (m + 1) * np.arange(K + 1)) % 2, 1.0, -1.0)
-    same = np.outer(parity, parity)
-    sums[0::2] *= 1.0 - same  # x psi_a psi_b and psi_a psi_b' flip sign with x
-    sums[1::2] *= 1.0 + same
     return sums
 
 
@@ -311,10 +302,7 @@ def uncertainties(specs, t: float = 0.0,
     basis evaluation on the lattice of rung K, and the tolerance applies
     to the largest moment of the stack.  Each block of basis values and
     first derivatives from :func:`~ratosc.system._basis_blocks` is summed
-    into the four moments as it comes.  By the parity of
-    :func:`~ratosc.system.wavefunction_rows` only the nodes x >= 0 are
-    evaluated: psi(-x) = (c s) @ basis(x) with s_k = (-1)^(nu_k+1), and
-    psi'(-x) takes the opposite sign.  ValueError for a second ladder.
+    into the four moments as it comes.  ValueError for a second ladder.
     """
     specs = list(specs)
     if not specs:
@@ -325,21 +313,19 @@ def uncertainties(specs, t: float = 0.0,
     rows = [coefficients(evolve(spec, t), tail_tol).entries for spec in specs]
     K = max(row.size for row in rows) - 1
     c = np.array([np.concatenate((row, np.zeros(K + 1 - row.size))) for row in rows])
-    both = np.concatenate([c, c * np.where((mu + (m + 1) * np.arange(K + 1)) % 2, 1, -1)])
 
-    def sums(x):  # x |psi|^2, x^2 |psi|^2, Im conj(psi) psi', |psi'|^2 at x and -x
-        out = np.zeros((len(both), 4))  # the rows of psi(x), then of psi(-x)
+    def sums(x):  # x |psi|^2, x^2 |psi|^2, Im conj(psi) psi', |psi'|^2
+        out = np.zeros((len(c), 4))
         # each block holds the complex psi and psi' of every row beside the basis
-        for start, stop, basis in _basis_blocks(m, mu, range(K + 1), x, (0, 1), 4 * len(both)):
+        for start, stop, basis in _basis_blocks(m, mu, range(K + 1), x, (0, 1), 4 * len(c)):
             xb = x[start:stop]
-            psi, dpsi = (_amplitudes(both, rows) for rows in basis)
-            w = np.where(xb == 0.0, 0.5, 1.0)  # a node at 0 is its own mirror image
+            psi, dpsi = (_amplitudes(c, rows) for rows in basis)
             dens = psi.real ** 2 + psi.imag ** 2
-            out[:, 0] += dens @ (w * xb)
-            out[:, 1] += dens @ (w * xb * xb)
-            out[:, 2] += (psi.real * dpsi.imag - psi.imag * dpsi.real) @ w
-            out[:, 3] += (dpsi.real ** 2 + dpsi.imag ** 2) @ w
-        return out[:len(c)] + out[len(c):] * [-1.0, 1.0, -1.0, 1.0]  # x, psi' flip sign
+            out[:, 0] += dens @ xb
+            out[:, 1] += dens @ (xb * xb)
+            out[:, 2] += (psi.real * dpsi.imag - psi.imag * dpsi.real).sum(axis=1)
+            out[:, 3] += (dpsi.real ** 2 + dpsi.imag ** 2).sum(axis=1)
+        return out
 
     x1, x2, p1, p2 = _lattice_sums(m, mu, K, sums, _QUAD_TOL)[0].T
     sigma_x = np.sqrt(np.maximum(x2 - x1 * x1, 0.0))
@@ -427,7 +413,7 @@ def _wigner_lattice(m: int, mu: int, ks, rows, x: np.ndarray, dx: float, p: np.n
     lattice of :func:`wigner_grid` for the top rung of ks: (values, change,
     h, lattice points), change the largest change from step h to h/2 on a
     subset of the rows."""
-    k_osc = math.sqrt(4.0 * max(mu + (m + 1) * max(ks) + m + 1, 1))
+    k_osc = _turning_point(m, mu, max(ks))
     half = k_osc + 6.0  # the support of the amplitudes
     p_max = float(np.max(np.abs(p)))
     h = _lattice_step(m, k_osc, p_max)

@@ -81,6 +81,11 @@ class StateLabel:
         return self.mu + (self.m + 1) * self.k
 
 
+def _turning_point(m: int, mu: int, K: int) -> float:
+    """The turning point k_osc of rung K, past which the spatial grids pad."""
+    return math.sqrt(4.0 * max(mu + (m + 1) * K + m + 1, 1))
+
+
 def energy(label: StateLabel) -> float:
     """Eigenvalue 2 (nu + m + 1) = 2 mu + (2m+2)(k+1)."""
     return 2.0 * (label.nu + label.m + 1)
@@ -246,9 +251,8 @@ def wavefunction_rows(m: int, mu: int, ks, x, derivative_order: int = 0) -> np.n
 
     Parity holds to the bit: the d-th derivative obeys
     psi_nu^(d)(-x) = (-1)^(nu+1+d) psi_nu^(d)(x) exactly, since every step
-    of the recurrences only flips signs under x -> -x.  The lattice sums of
-    observables and the densities on a mirror-symmetric grid evaluate one
-    half of the points and take the other half from this identity.
+    of the recurrences only flips signs under x -> -x; the kernel takes
+    one half of a mirror-symmetric point set from it.
     """
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order must be 0, 1 or 2")
@@ -277,16 +281,26 @@ def _basis_blocks(m: int, mu: int, ks, x, orders, held: int = 0):
     """The basis kernel: yield (start, stop, rows) over blocks of the points
     x, rows[j] the (len(ks), stop - start) rows of derivative order
     orders[j] (0, 1 or 2) at x[start:stop], in buffers the next block
-    overwrites.  Per block, the in-place pass of
-    :func:`~ratosc.specfun.phi_rows` forms each rung's rows once it holds
+    overwrites and the caller writes to none.  Per block, the in-place pass
+    of :func:`~ratosc.specfun.phi_rows` forms each rung's rows once it holds
     phi_{nu-1}, phi_nu and phi_{nu+1}, in the operation order of the
     two-term form (so bitwise for any blocking), and one modified-Hermite
     pass gives R, R', R'' and the ground row.  ``held`` counts the values
-    per point the caller keeps beside the rows.
+    per point the caller keeps beside the rows.  The library's one parity
+    fold: on points mirror-symmetric to the bit, x[i] == -x[n-1-i], the
+    pass runs on x[n//2:] >= 0 only, and after each block its buffer is
+    turned, row by row, into the block's mirror image, yielded for its own
+    columns (a point at 0 once; the blocks come out of order).  ValueError,
+    as from StateLabel, for a k < 0 or a top state index past
+    MAX_STATE_INDEX, before any point is evaluated.
     """
+    if len(ks):  # the checks of StateLabel, at the lowest and the top rung
+        StateLabel(m, mu, min(ks))
+        StateLabel(m, mu, max(ks))
+    nus = [mu + (m + 1) * k for k in ks]
     # every row is 0 past the phi_rows clip; clipping keeps x^2 and x phi finite
     x = np.clip(np.asarray(x, dtype=float).reshape(-1), -_PHI_X_ZERO, _PHI_X_ZERO)
-    nus = [StateLabel(m, mu, k).nu for k in ks]
+    half = x.size // 2 if np.array_equal(x, -x[::-1]) else 0
     top_order = max(orders)
     # phi_{nu-1} enters the derivatives only
     span = (-1, 0, 1) if top_order else (0, 1)
@@ -296,8 +310,8 @@ def _basis_blocks(m: int, mu: int, ks, x, orders, held: int = 0):
         if nu >= 0:
             completes.setdefault(nu + 1, []).append(i)
     size = min(_BLOCK_POINTS, max(16, _BLOCK_ENTRIES // max(len(nus) * len(orders) + held, 1)))
-    buffers = [np.empty((len(nus), min(size, x.size))) for _ in orders]
-    for start in range(0, x.size, size):
+    buffers = [np.empty((len(nus), min(size, x.size - half))) for _ in orders]
+    for start in range(half, x.size, size):
         xb = x[start:start + size]
         out = [buf[:, :xb.size] for buf in buffers]
         r, inv_pm = _top_ratio(m, xb)
@@ -336,7 +350,15 @@ def _basis_blocks(m: int, mu: int, ks, x, orders, held: int = 0):
                         dd_up = (xb * xb - 2.0 * (nu + 1) - 1.0) * ph_up
                         dd_n = (xb * xb - 2.0 * nu - 1.0) * ph_n
                         dst[i] = alpha * dd_up + beta * (r2 * ph_n + 2.0 * r1 * d_n + r * dd_n)
-        yield start, start + xb.size, out
+        stop = start + xb.size
+        yield start, stop, out
+        lo = max(start, x.size - half)  # x[lo:stop] mirror x[:half]; a point at 0 does not
+        if lo < stop:
+            for dst, order in zip(out, orders):
+                for row, nu in zip(dst, nus):  # psi^(d)(-x) = (-1)^(nu+1+d) psi^(d)(x)
+                    np.multiply(row[lo - start:][::-1], 1.0 - 2.0 * ((nu + order + 1) % 2),
+                                out=row[:stop - lo])
+            yield x.size - stop, x.size - lo, [dst[:, :stop - lo] for dst in out]
 
 
 def verify_hamiltonian(label: StateLabel, grid_step: float = 1e-3) -> float:

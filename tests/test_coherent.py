@@ -462,10 +462,11 @@ def test_folded_density_blocks_meet_inside_the_grid(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [512, None])
 def test_density_work_space_is_bounded_by_the_point_block(monkeypatch, block):
-    # beside its output the density holds one block of basis rows and its
-    # mirror image, the recurrence buffers, one imaginary-part buffer of at
-    # most _PROFILE_BLOCK times and the phased coefficients, never the basis
-    # of every point (9.5 MB at this case, with phi rows stored beside it)
+    # beside its output the density holds one block of basis rows, turned
+    # into its mirror image in place, the recurrence buffers, one
+    # imaginary-part buffer of at most _PROFILE_BLOCK times and the phased
+    # coefficients, never the basis of every point (9.5 MB at this case,
+    # with phi rows stored beside it)
     if block is not None:
         monkeypatch.setattr(system, "_BLOCK_POINTS", block)
     coeffs = coefficients(CoherentSpec("nonlinear", 2, -3, 6500.0))
@@ -480,8 +481,22 @@ def test_density_work_space_is_bounded_by_the_point_block(monkeypatch, block):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 8 * (width * (3 * rows + 2 * min(count, _PROFILE_BLOCK)) + 8 * count * rows)
+        bound = 8 * (width * (2 * rows + 2 * min(count, _PROFILE_BLOCK)) + 8 * count * rows)
         assert peak - rho.nbytes <= bound + (1 << 18), (count, peak)
+
+
+def test_density_keeps_the_shape_of_x():
+    # a float for a scalar x, else an array shaped like x, 0-d included;
+    # the values are those of density_profile on the flattened points
+    spec = CoherentSpec("nonlinear", 4, -5, 30.0 * cmath.exp(0.3j))
+    for x in (np.linspace(-2.0, 3.0, 6).reshape(2, 3), np.zeros((2, 3)), np.array(0.7),
+              np.array([[1.5]])):
+        rho = density(spec, x)
+        assert isinstance(rho, np.ndarray) and rho.shape == x.shape
+        assert np.array_equal(rho.reshape(-1), density_profile(spec, [0.0], x.reshape(-1))[1][0])
+        assert density(spec, x, 0.2).shape == x.shape
+    value = density(spec, 0.7)
+    assert isinstance(value, float) and value == density(spec, np.array(0.7))
 
 
 def test_default_grid_is_mirror_symmetric_within_an_ulp_of_linspace():

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from ratosc import observables
+from ratosc import observables, system
 from ratosc.coherent import (
     CoherentSpec,
     _amplitudes,
@@ -408,11 +408,25 @@ def test_uncertainty_beyond_the_old_cap():
         assert np.max(np.abs(np.subtract(result, _forms(spec))) / np.array(result)) <= 1e-12
 
 
+def _recurrence_points(monkeypatch):
+    """A list that collects the points of every oscillator recurrence pass
+    of the basis kernel as the passes run."""
+    seen = []
+    real = system._phi_orders
+
+    def spy(x, wanted):
+        seen.append(x.copy())
+        return real(x, wanted)
+
+    monkeypatch.setattr(system, "_phi_orders", spy)
+    return seen
+
+
 def test_uncertainty_sums_the_amplitude_at_its_own_truncation(monkeypatch):
     """One basis-kernel pass per lattice pass over exactly the rungs 0..K
-    of the state, each non-negative node of the accepted lattice once,
-    whose half-width k_osc + 4 is that of rung K; no moment matrix is
-    built."""
+    of the state, on mirror-symmetric node sets whose recurrence runs at
+    each non-negative node of the accepted lattice once, the half-width
+    k_osc + 4 being that of rung K; no moment matrix is built."""
     def refused(*args, **kwargs):
         raise AssertionError("the uncertainty route built a moment matrix")
 
@@ -426,14 +440,18 @@ def test_uncertainty_sums_the_amplitude_at_its_own_truncation(monkeypatch):
         return real(m, mu, ks, x, orders, *held)
 
     monkeypatch.setattr(observables, "_basis_blocks", counted)
+    evaluated = _recurrence_points(monkeypatch)
     for spec in (CoherentSpec("nonlinear", 4, -5, 1.0 + 0.5j),     # K = 3
                  CoherentSpec("linearized", 6, -7, 3.0),
                  CoherentSpec("linearized", 4, -5, 8.0)):
         K = coefficients(spec).K
         passes.clear()
+        evaluated.clear()
         uncertainty(spec, 0.07)
-        assert all(ks == list(range(K + 1)) and orders == (0, 1) for ks, _, orders in passes)
-        points = np.sort(np.concatenate([x for _, x, _ in passes]))
+        assert passes and all(ks == list(range(K + 1)) and orders == (0, 1)
+                              for ks, _, orders in passes)
+        assert all(np.array_equal(x, -x[::-1]) for _, x, _ in passes)
+        points = np.sort(np.concatenate(evaluated))
         assert np.unique(points).size == points.size and points[0] == 0.0
         step = points[-1] / (points.size - 1)
         assert np.allclose(points / step, np.arange(points.size), rtol=0, atol=1e-9)
@@ -557,14 +575,17 @@ def test_moment_matrices_take_one_basis_pass_per_node_set(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(observables, "_basis_blocks", counted)
+    evaluated = _recurrence_points(monkeypatch)
     for m, mu, K in ((4, -5, 8), (6, -7, 40)):
         passes.clear()
+        evaluated.clear()
         mats = moment_matrices(m, mu, K)
-        assert all(orders == (0, 1) for _, orders in passes)
+        assert passes and all(orders == (0, 1) for _, orders in passes)
+        assert all(np.array_equal(x, -x[::-1]) for x, _ in passes)
         # every refinement evaluates only the new midpoints, and parity only
-        # the half x >= 0: the points evaluated are the non-negative nodes of
+        # the half x >= 0: the recurrence runs at the non-negative nodes of
         # the accepted lattice, each once
-        points = np.concatenate([x for x, _ in passes])
+        points = np.concatenate(evaluated)
         assert points.size == (mats.nodes + 1) // 2
         assert np.unique(points).size == points.size and points.min() == 0.0
         step = points.max() / ((mats.nodes - 1) // 2)
