@@ -127,15 +127,17 @@ def _write_rows(config: argparse.Namespace, columns: list[str], rows, meta: dict
     return path
 
 
-def _maybe_plot(config: argparse.Namespace, columns, rows):
-    if not config.plot:
-        return None
+def _pyplot():
     try:
         import matplotlib
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError:
-        raise UsageError("--plot requires matplotlib (install the 'plot' extra)")
+        raise UsageError("--plot requires matplotlib (install the 'plot' extra)") from None
+    return plt
+
+
+def _plot(plt, config: argparse.Namespace, columns, rows, path: str) -> str:
     data = np.asarray([[float(v) for v in row] for row in rows])
     fig, ax = plt.subplots()
     if config.command == "wigner":
@@ -156,18 +158,17 @@ def _maybe_plot(config: argparse.Namespace, columns, rows):
             ax.plot(data[:, 0], data[:, j], label=columns[j])
         ax.set_xlabel(columns[0])
         ax.legend()
-    out = (config.output or f"{config.command}.{config.fmt}") + ".png"
-    fig.savefig(out, dpi=120)
+    fig.savefig(path + ".png", dpi=120)
     plt.close(fig)
-    return out
+    return path + ".png"
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _spec(config: argparse.Namespace) -> co.CoherentSpec:
-    z = complex(config.z_re, config.z_im)
+def _spec(config: argparse.Namespace, z: complex | None = None) -> co.CoherentSpec:
+    z = complex(config.z_re, config.z_im) if z is None else z
     return co.CoherentSpec(config.variant, config.m, config.mu, z)
 
 
@@ -207,14 +208,16 @@ def _cmd_coeffs(config: argparse.Namespace):
     return ["k", "re_A", "im_A", "weight"], rows, meta
 
 
-def _dual_route(config: argparse.Namespace, quantity, columns: tuple[str, str]):
-    """A |z| sweep of one statistic by its closed form and its direct sum."""
-    rows = []
-    for az in _grid_values(config.z_abs_grid):
-        spec = co.CoherentSpec(config.variant, config.m, config.mu, complex(az))
-        rows.append([az, quantity(spec, "closed_form"),
-                     quantity(spec, "direct", config.tail_tol)])
+def _sweep(config: argparse.Namespace, columns, values):
+    """One row (|z|, *values(spec)) per point of --z-abs, spec the state at z = |z|."""
+    rows = [[az, *values(_spec(config, complex(az)))] for az in _grid_values(config.z_abs_grid)]
     return ["abs_z", *columns], rows, {}
+
+
+def _dual_route(quantity, name: str):
+    """The |z| sweep of a statistic by its closed form and direct sum, as columns name_*."""
+    return lambda config: _sweep(config, (f"{name}_closed_form", f"{name}_direct"), lambda spec: (
+        quantity(spec, "closed_form"), quantity(spec, "direct", config.tail_tol)))
 
 
 def _profile(config: argparse.Namespace, coeffs: co.CoefficientVector, meta: dict):
@@ -240,10 +243,7 @@ def _cmd_cat(config: argparse.Namespace):
 
 
 def _cmd_overlap(config: argparse.Namespace):
-    rows = []
-    for az in _grid_values(config.z_abs_grid):
-        rows.append([az, co.overlap(config.m, config.mu, az)])
-    return ["abs_z", "overlap"], rows, {}
+    return _sweep(config, ["overlap"], lambda spec: [co.overlap(spec.m, spec.mu, spec.abs_z)])
 
 
 def _cmd_wigner(config: argparse.Namespace):
@@ -269,8 +269,7 @@ def _cmd_uncertainty(config: argparse.Namespace):
     t = config.times[0] if config.times else 0.0
     zs = [complex(re_z, im_z) for re_z in _grid_values(config.z_re_grid)
           for im_z in _grid_values(config.z_im_grid)]
-    results = ob.uncertainties([co.CoherentSpec(config.variant, config.m, config.mu, z)
-                                for z in zs], t, config.tail_tol)
+    results = ob.uncertainties([_spec(config, z) for z in zs], t, config.tail_tol)
     rows = [[z.real, z.imag, *res] for z, res in zip(zs, results)]
     return ["re_z", "im_z", "sigma_x", "sigma_p", "product"], rows, {"t": t}
 
@@ -287,13 +286,11 @@ def _cmd_beamsplitter(config: argparse.Namespace):
 
 
 def _cmd_entropy(config: argparse.Namespace):
-    rows = []
-    for az in _grid_values(config.z_abs_grid):
-        spec = co.CoherentSpec(config.variant, config.m, config.mu, complex(az))
-        coeffs = co.coefficients(spec, config.tail_tol)
-        result = bs.linear_entropy(bs.split(coeffs))
-        rows.append([az, result.value, result.error_bound])
-    return ["abs_z", "linear_entropy", "error_bound"], rows, {}
+    def values(spec):
+        result = bs.linear_entropy(bs.split(co.coefficients(spec, config.tail_tol)))
+        return result.value, result.error_bound
+
+    return _sweep(config, ["linear_entropy", "error_bound"], values)
 
 
 def _exact_rational_factors(m: int, t: float) -> tuple[float, float, float]:
@@ -426,7 +423,7 @@ def _selftest() -> int:
     # 200 Gauss-Legendre panels on the same interval, with <p^2> as
     # -int psi psi'' rather than the lattice's int psi' psi'
     mats = ob.moment_matrices(4, -5, 8)
-    half = math.sqrt(4.0 * (-5 + 5 * 8 + 5)) + 4.0
+    half = sy._turning_point(4, -5, 8) + sy._SUPPORT_PADDING
     xs, ws = panel_nodes(-half, half, 200, 20)
     p0, p1, p2 = sy._wavefunction_stack(4, -5, range(9), xs, (0, 1, 2))
     w0 = p0 * ws
@@ -527,8 +524,7 @@ _COMMAND_TABLE = {
     "potential": _Command(_cmd_potential, ("m", "x_grid"), {"x_grid": "-8:8:321"}),
     "eigenstate": _Command(_cmd_eigenstate, ("m", "mu", "k", "x_grid"), {"x_grid": "-8:8:321"}),
     "coeffs": _Command(_cmd_coeffs, (*_STATE, "z_re", "z_im", "tail_tol")),
-    "energy": _Command(lambda config: _dual_route(config, ob.energy_expectation,
-                                                  ("energy_closed_form", "energy_direct")), _SWEEP),
+    "energy": _Command(_dual_route(ob.energy_expectation, "energy"), _SWEEP),
     "density": _Command(_cmd_density,
                         (*_STATE, "z_re", "z_im", "times", "x_grid", "tail_tol")),
     "cat": _Command(_cmd_cat, (*_STATE, "z_re", "parity", "times", "x_grid", "tail_tol")),
@@ -539,8 +535,7 @@ _COMMAND_TABLE = {
     "uncertainty": _Command(_cmd_uncertainty,
                             (*_STATE, "z_re_grid", "z_im_grid", "times", "tail_tol"),
                             {"z_re_grid": "-2:2:11", "z_im_grid": "-2:2:11"}),
-    "mandel": _Command(lambda config: _dual_route(config, ob.mandel_q,
-                                                  ("q_closed_form", "q_direct")), _SWEEP),
+    "mandel": _Command(_dual_route(ob.mandel_q, "q"), _SWEEP),
     "beamsplitter": _Command(_cmd_beamsplitter, (*_STATE, "z_re", "z_im", "tail_tol")),
     "entropy": _Command(_cmd_entropy, _SWEEP),
 }
@@ -571,10 +566,11 @@ def run(argv=None) -> int:
     config = _build_parser(argv).parse_args(argv, namespace=defaults)
     if config.command == "selftest":
         return _selftest()
+    plt = _pyplot() if config.plot else None  # a missing matplotlib refuses before any work
     # a bad --m or --mu raises ValueError in the library before any work
     columns, rows, meta = _COMMAND_TABLE[config.command].handler(config)
     path = _write_rows(config, columns, rows, meta)
-    plot_path = _maybe_plot(config, columns, rows)
+    plot_path = _plot(plt, config, columns, rows, path) if plt else None
     print(f"wrote {path}" + (f" and {plot_path}" if plot_path else ""))
     return 0
 

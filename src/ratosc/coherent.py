@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import SignedLog, _series_stack, _series_terms, signed_series
-from .system import _basis_blocks, _check_ladder, _turning_point, ladder_element
+from .system import _SUPPORT_PADDING, _basis_blocks, _check_ladder, _turning_point, ladder_element
 from .system import wavefunction_rows  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 
 __all__ = [
@@ -50,7 +50,6 @@ VARIANTS = ("nonlinear", "linearized")
 
 MAX_COEFFICIENTS = 200_000
 _GRID_POINTS_PER_WAVELENGTH = 20  # default_grid: of the shortest fringe 2 pi / k_max
-_GRID_PADDING = 4.0  # default_grid: beyond the turning point k_max
 _MAXIMA_THRESHOLD = 0.01  # count_local_maxima: of the global maximum
 _PACKET_SMOOTHING = 2.0  # count_wavepackets: Gaussian width in fringe scales
 
@@ -318,7 +317,7 @@ def _support_grid(coeffs: CoefficientVector) -> np.ndarray:
     """default_grid for an already-built coefficient vector."""
     spec = coeffs.spec
     k_max = _turning_point(spec.m, spec.mu, coeffs.K)
-    half_range = k_max + _GRID_PADDING
+    half_range = k_max + _SUPPORT_PADDING
     step = 2.0 * math.pi / k_max / _GRID_POINTS_PER_WAVELENGTH
     n = max(int(math.ceil(2.0 * half_range / step)) + 1, 101)
     # mirror-symmetric to the bit, x[i] == -x[n-1-i], so that the basis
@@ -342,9 +341,11 @@ def density_profile(spec: CoherentSpec, times, x=None, tail_tol: float = 1e-14):
 
 
 def count_local_maxima(rho) -> int:
-    """Strict interior local maxima of a sampled profile above 1% of its
-    global maximum.  Counts every interference fringe separately."""
+    """Strict interior local maxima of a sampled profile above 1% of its global
+    maximum, each interference fringe counted apart; ValueError if it is empty."""
     r = np.asarray(rho, dtype=float)
+    if r.size == 0:
+        raise ValueError("rho must hold at least one sample")
     thr = _MAXIMA_THRESHOLD * float(r.max())
     interior = (r[1:-1] > r[:-2]) & (r[1:-1] > r[2:]) & (r[1:-1] > thr)
     return int(np.sum(interior))

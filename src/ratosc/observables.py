@@ -38,6 +38,7 @@ from .specfun import (
 )
 from .system import (
     StateLabel,
+    _SUPPORT_PADDING,
     _basis_blocks,
     _turning_point,
     wavefunction_rows,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
@@ -122,43 +123,39 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
-def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
-                       tail_tol: float = 1e-14) -> float:
-    """<H> in the coherent state.
-
-    closed_form evaluates the hypergeometric ratio (nonlinear) or the
-    quadratic law 2 mu + 2m + 2 + (m+1)|z|^2 (linearized); direct sums the
-    eigenvalues against the truncated weights.  The two agree to the
-    truncation and series tolerances.  NumericalError is raised where the
-    linearized closed form leaves the double range.
-    """
-    base = 2.0 * spec.mu + 2.0 * spec.m + 2.0
+def _rung_moments(spec: CoherentSpec, method: str, tail_tol: float, orders) -> tuple[float, ...]:
+    """<N> (order 1) and <N(N-1)> (order 2), one per entry of orders: sums
+    against the truncated weights (direct), or the Poisson forms, unchecked,
+    and the series ratios of :func:`_factorial_moments` (closed_form)."""
     if method == "direct":
         w = np.exp(_log_weights(spec, tail_tol)[0])
         k = np.arange(len(w), dtype=float)
-        return float(np.sum((base + (2.0 * spec.m + 2.0) * k) * w))
+        return tuple(float(np.sum((k * (k - 1.0) if order == 2 else k) * w)) for order in orders)
     if method != "closed_form":
         raise ValueError("method must be 'closed_form' or 'direct'")
     if spec.variant == "linearized":
-        return _finite(base + (spec.m + 1.0) * (spec.abs_z * spec.abs_z), "<H>")
-    (mean_k,) = _factorial_moments(spec.m, spec.mu, spec.abs_z, (1,))
-    return base + (2.0 * spec.m + 2.0) * mean_k
+        n = 0.5 * (spec.abs_z * spec.abs_z)
+        return tuple(n * n if order == 2 else n for order in orders)
+    return _factorial_moments(spec.m, spec.mu, spec.abs_z, orders)
+
+
+def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
+                       tail_tol: float = 1e-14) -> float:
+    """<H> = 2 mu + 2m + 2 + (2m+2) <N> in the coherent state, rung k having
+    the eigenvalue 2 (mu + (m+1) k + m + 1), with <N> as in number_moments:
+    closed_form and direct agree to the truncation and series tolerances.
+    NumericalError where the linearized closed form leaves the double range.
+    """
+    (mean_k,) = _rung_moments(spec, method, tail_tol, (1,))
+    return _finite(2.0 * spec.mu + 2.0 * spec.m + 2.0 + (2.0 * spec.m + 2.0) * mean_k, "<H>")
 
 
 def number_moments(spec: CoherentSpec, method: str = "closed_form",
                    tail_tol: float = 1e-14):
     """(<N>, <N(N-1)>) for the rung-number operator N |mu + (m+1)k> = k |...>;
     NumericalError where the linearized closed form leaves the double range."""
-    if method == "direct":
-        w = np.exp(_log_weights(spec, tail_tol)[0])
-        k = np.arange(len(w), dtype=float)
-        return float(np.sum(k * w)), float(np.sum(k * (k - 1.0) * w))
-    if method != "closed_form":
-        raise ValueError("method must be 'closed_form' or 'direct'")
-    if spec.variant == "linearized":
-        n = 0.5 * (spec.abs_z * spec.abs_z)
-        return n, _finite(n * n, "<N(N-1)>")
-    return _factorial_moments(spec.m, spec.mu, spec.abs_z, (1, 2))
+    n1, n2 = _rung_moments(spec, method, tail_tol, (1, 2))
+    return n1, _finite(n2, "<N(N-1)>")
 
 
 def mandel_q(spec: CoherentSpec, method: str = "closed_form",
@@ -172,7 +169,7 @@ def mandel_q(spec: CoherentSpec, method: str = "closed_form",
     A bad method, or a bad tail_tol on the direct route, raises ValueError
     at z = 0 too, as in number_moments.
     """
-    if method == "closed_form" and (spec.abs_z == 0.0 or spec.variant == "linearized"):
+    if method == "closed_form" and spec.variant == "linearized":
         return 0.0
     n1, n2 = number_moments(spec, method, tail_tol)
     if n1 == 0.0:
@@ -215,7 +212,7 @@ def _lattice_sums(m: int, mu: int, K: int, sums, abs_tol: float, max_refinements
     if max_refinements < 1:
         raise ValueError("need at least one refinement pass")
     k_osc = _turning_point(m, mu, K)
-    half = k_osc + 4.0
+    half = k_osc + _SUPPORT_PADDING
     n = math.ceil(half / _lattice_step(m, k_osc, 0.0))
     h = half / n
     coarse = h * sums(h * np.arange(-n, n + 1))
@@ -255,6 +252,7 @@ def _moment_sums(m: int, mu: int, K: int, x: np.ndarray) -> np.ndarray:
         sums[0] += w @ p0.T
         w *= xb
         sums[1] += w @ p0.T
+        del w  # else it outlives the block, beside the kernel's next one
         sums[2] += p0 @ p1.T
         sums[3] += p1 @ p1.T
     return sums
@@ -497,9 +495,9 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     amplitude counts as zero past |x| = k_osc + 6.  Raises ValueError for a
     non-finite window, a resolution that is not two integers, or a momentum
     range whose step would make the y kernel or the amplitude lattice pass
-    _WIGNER_MAX_ENTRIES entries (checked before either is built);
-    NumericalError if the imaginary residue or the change from step h to
-    h/2 exceeds 1e-6 of the largest real value.
+    _WIGNER_MAX_ENTRIES entries, or a reversed axis (each checked before either
+    is built; an axis of zero width is allowed); NumericalError if the imaginary
+    residue or the change from step h to h/2 exceeds 1e-6 of the largest real value.
     """
     c = coefficients(spec, tail_tol)
     (x_lo, x_hi), (p_lo, p_hi) = window
@@ -509,10 +507,13 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     if nx < 2 or np_count < 2 or not all(map(math.isfinite, (x_lo, x_hi, p_lo, p_hi,
                                                                  x_hi - x_lo, p_hi - p_lo))):
         raise ValueError("the grid needs a finite window and two points per axis")
+    for axis, lo, hi in (("x", x_lo, x_hi), ("p", p_lo, p_hi)):
+        if hi < lo:
+            raise ValueError(f"the {axis} window ({lo}, {hi}) is reversed; give it as (min, max)")
     x = np.linspace(x_lo, x_hi, nx)
     p = np.linspace(p_lo, p_hi, np_count)
     values_c, change, h, points = _wigner_lattice(spec.m, spec.mu, range(len(c.entries)),
-                                                  (c.entries,), x, abs(x_hi - x_lo) / (nx - 1), p)
+                                                  (c.entries,), x, (x_hi - x_lo) / (nx - 1), p)
 
     scale = float(np.max(np.abs(values_c.real)))
     residue = float(np.max(np.abs(values_c.imag)))

@@ -38,6 +38,7 @@ __all__ = [
 
 MAX_ORDER = 12          # recurrence-verified range for the deformation order
 MAX_STATE_INDEX = 10_000
+_SUPPORT_PADDING = 4.0  # spatial grids and lattices: beyond the turning point
 
 
 def _check_order(m: int) -> None:
@@ -371,7 +372,7 @@ def verify_hamiltonian(label: StateLabel, grid_step: float = 1e-3) -> float:
     if not 1e-4 <= grid_step <= 1e-2:
         raise ValueError("grid_step must lie in [1e-4, 1e-2]")
     e = energy(label)
-    half_range = math.sqrt(2.0 * max(e, 2.0)) + 4.0
+    half_range = _turning_point(label.m, label.mu, label.k) + _SUPPORT_PADDING
     n = int(2.0 * half_range / grid_step) + 1
     x = np.linspace(-half_range, half_range, n)
     psi, d2 = (row[0] for row in _wavefunction_stack(label.m, label.mu, [label.k], x, (0, 2)))

@@ -1,5 +1,6 @@
 """Command-line surface: option table, file formats, exit codes."""
 
+import importlib.util
 import json
 import math
 import re
@@ -472,6 +473,18 @@ def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
             assert err.count("\n") == 1 and "unrecognized arguments" in err, (command, flag)
             assert not out.exists(), (command, flag)
     capsys.readouterr()
+
+
+@pytest.mark.skipif(importlib.util.find_spec("matplotlib") is not None,
+                    reason="matplotlib imports here")
+def test_plot_without_matplotlib_refuses_before_any_work(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(_COMMAND_TABLE, "spectrum", _COMMAND_TABLE["spectrum"]._replace(
+        handler=lambda config: ran.append(config)))
+    code, out = run_cli(["spectrum", "--m", "2", "--k", "1", "--plot"], tmp_path, "s.csv")
+    assert code == 1 and not out.exists() and not ran
+    assert capsys.readouterr().err == (
+        "error: --plot requires matplotlib (install the 'plot' extra)\n")
 
 
 def test_abbreviated_options_are_refused(tmp_path, capsys):

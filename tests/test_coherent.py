@@ -338,6 +338,8 @@ def test_wavepacket_counter_smooths_fringes():
     fringed = packets * (1.0 + 0.8 * np.cos(12.0 * x))
     assert count_local_maxima(fringed) > 3
     assert count_wavepackets(x, fringed, fringe_scale=2 * math.pi / 12.0) == 3
+    with pytest.raises(ValueError, match="rho must hold at least one sample"):
+        count_local_maxima([])
 
 
 def test_wavepacket_kernel_is_capped_at_the_profile(monkeypatch):

@@ -4,6 +4,7 @@ products and Wigner functions."""
 import cmath
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ def test_number_operator_consistency():
         e_mean = energy_expectation(spec, "direct")
         recovered = (e_mean - 2.0 * spec.mu - 2.0 * spec.m - 2.0) / (2.0 * spec.m + 2.0)
         assert n_mean == pytest.approx(recovered, abs=1e-10)
+
+
+def test_energy_is_affine_in_the_mean_rung_number():
+    # <H> = 2 mu + 2m + 2 + (2m+2) <N>, bitwise, on both routes and variants
+    for variant in ("nonlinear", "linearized"):
+        for m, mu, az in ((0, -1, 0.0), (2, -3, 1e-170), (4, -5, 3.0), (6, 2, 40.0),
+                          (12, -13, 300.0), (4, 1, 2.0 * cmath.exp(0.7j))):
+            spec = CoherentSpec(variant, m, mu, az)
+            for method in ("closed_form", "direct"):
+                n_mean, _ = number_moments(spec, method)
+                expected = 2.0 * mu + 2.0 * m + 2.0 + (2.0 * m + 2.0) * n_mean
+                assert energy_expectation(spec, method) == expected, (spec, method)
 
 
 def test_linearized_number_moments():
@@ -374,6 +387,8 @@ def test_moment_matrices_refinement_guard():
 
     with pytest.raises(NumericalError):
         moment_matrices(4, -5, 8, abs_tol=1e-30, max_refinements=1)
+    with pytest.raises(ValueError, match="at least one refinement"):
+        moment_matrices(4, -5, 8, max_refinements=0)
     # the step's margin for the Gaussian momentum tail: the first lattice of
     # the lowest rungs is already right
     assert moment_matrices(0, -1, 1, abs_tol=1e-30, max_refinements=1).change <= 1e-12
@@ -506,7 +521,7 @@ def test_wigner_grid_refuses_unbuildable_momentum_window():
         assert time.process_time() - start < 0.1
 
 
-def test_wigner_entry_points_refuse_bad_arguments():
+def test_wigner_entry_points_refuse_bad_arguments(monkeypatch):
     spec = CoherentSpec("nonlinear", 2, -3, 1.0)
     with pytest.raises(ValueError, match="resolution"):
         wigner_grid(spec, resolution=(2.5, 3))
@@ -514,6 +529,30 @@ def test_wigner_entry_points_refuse_bad_arguments():
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="x must be finite"):
             wigner_cross_term(a, b, x, 0.3)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        wigner_cross_term(a, b, 0.5, 0.3, tol=0.0)
+    with pytest.raises(NumericalError, match="past tol"):
+        wigner_cross_term(a, b, 0.5, 0.3, tol=1e-300)
+    with monkeypatch.context() as patch:
+        patch.setattr(observables, "_WIGNER_REL_TOL", 0.0)
+        with pytest.raises(NumericalError, match="residue"):
+            wigner_grid(spec, resolution=(9, 9))
+
+
+def test_wigner_grid_refuses_a_reversed_window(monkeypatch):
+    # read backwards, the window gave the mass, negative volume and x
+    # marginal with their signs flipped; each axis is refused by name
+    # before any lattice is built, and a zero-width axis stays allowed
+    spec = CoherentSpec("nonlinear", 4, -5, 3.0)
+    forward = wigner_grid(spec, ((-8.0, 8.0), (-8.0, 8.0)), (5, 5))
+    assert forward.mass > 0.0 and forward.negative_volume > 0.0
+    monkeypatch.setattr(observables, "_wigner_lattice", None)  # any call fails
+    for window, axis in ((((8.0, -8.0), (-8.0, 8.0)), "x"), (((-8.0, 8.0), (8.0, -8.0)), "p")):
+        with pytest.raises(ValueError, match=f"the {axis} window .* is reversed"):
+            wigner_grid(spec, window, (5, 5))
+    monkeypatch.undo()
+    for window in (((1.0, 1.0), (-3.0, 3.0)), ((-3.0, 3.0), (0.5, 0.5))):
+        assert np.isfinite(wigner_grid(spec, window, (3, 5)).values).all()
 
 
 def test_wigner_grid_negativity_contrast():
@@ -590,6 +629,32 @@ def test_moment_matrices_take_one_basis_pass_per_node_set(monkeypatch):
         assert np.unique(points).size == points.size and points.min() == 0.0
         step = points.max() / ((mats.nodes - 1) // 2)
         assert np.allclose(points / step, np.rint(points / step), rtol=0, atol=1e-9)
+
+
+def test_moment_matrices_work_space_is_bounded_by_the_block(monkeypatch):
+    # beside three (4, K+1, K+1) stacks of lattice sums and their products,
+    # the moment sums hold the kernel's two row buffers and one block
+    # product, never the product of the block before (a fourth buffer)
+    real = observables._basis_blocks
+    widths = []
+
+    def spy(*args, **kwargs):
+        for start, stop, rows in real(*args, **kwargs):
+            widths.append(stop - start)
+            yield start, stop, rows
+
+    monkeypatch.setattr(observables, "_basis_blocks", spy)
+    for K in (40, 120):
+        moment_matrices(6, -7, K)  # the cached series and tables outside the trace
+        widths.clear()
+        tracemalloc.start()
+        try:
+            moment_matrices(6, -7, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = K + 1
+        assert peak <= 8 * (3 * rows * max(widths) + 13 * rows * rows) + (1 << 18), (K, peak)
 
 
 def test_number_moments_share_the_denominator_series(monkeypatch):
@@ -669,7 +734,6 @@ def test_wigner_grid_matches_panel_reference():
         (CoherentSpec("nonlinear", 12, -13, 2.0), ((-4, 4), (-4, 4)), (9, 9)),
         (CoherentSpec("nonlinear", 4, -5, 2.0), ((-4, 4), (-4, 4)), (9, 9)),
         (CoherentSpec("linearized", 4, -5, 1.5 - 2.0j), ((-6, 6), (-5, 5)), (31, 29)),
-        (CoherentSpec("nonlinear", 4, -5, 3.0), ((4, -4), (-3, 3)), (9, 9)),    # reversed
         (CoherentSpec("nonlinear", 4, -5, 3.0), ((1, 1), (-3, 3)), (3, 9)),     # zero width
         (CoherentSpec("nonlinear", 6, 1, 2.0), ((0.3, 0.5), (-3, 3)), (9, 9)),  # dx < step
     ]
