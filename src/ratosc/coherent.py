@@ -21,8 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import SignedLog, _series_stack, _series_terms, signed_series
-from .system import _SUPPORT_PADDING, _basis_blocks, _check_ladder, _turning_point, ladder_element
+from .specfun import SignedLog, _series_stack, _series_terms
+from .specfun import signed_series  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
+from .system import (_SUPPORT_PADDING, _basis_blocks, _check_ladder, _linspace, _turning_point,
+                     ladder_element)
 from .system import wavefunction_rows  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 
 __all__ = [
@@ -119,9 +121,12 @@ def series_argument(m: int, abs_z: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _log_series_argument(m: int, abs_z: float) -> float:
-    """ln x = 2 ln|z| - (m+1) ln(2m+2), finite wherever |z| > 0 is, even
-    where x itself under- or overflows a double."""
-    return 2.0 * math.log(abs_z) - (m + 1) * math.log(2 * m + 2)
+    """ln x = 2 ln|z| - (m+1) ln(2m+2), the argument of every series of the
+    model, finite even where x under- or overflows, -inf at |z| = 0; the one
+    check on |z|: ValueError for a negative one, before any series runs."""
+    if abs_z < 0.0:
+        raise ValueError("abs_z must be >= 0")
+    return 2.0 * math.log(abs_z) - (m + 1) * math.log(2 * m + 2) if abs_z else -math.inf
 
 
 def _log_weights(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
@@ -142,6 +147,9 @@ def _log_weights(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
     """
     if not 0.0 < tail_tol <= 1e-8:
         raise ValueError("tail_tol must lie in (0, 1e-8]")
+    if not isinstance(min_index, (int, np.integer)) or not 0 <= min_index <= MAX_COEFFICIENTS:
+        raise ValueError(f"min_index must be an integer in [0, {MAX_COEFFICIENTS}], "
+                         f"got {min_index!r}")
     m, mu = spec.m, spec.mu
     az = spec.abs_z
     if az == 0.0:  # A_0 = 1 and every later entry 0
@@ -151,10 +159,7 @@ def _log_weights(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
     else:
         row, log_x = ((), (), False), 2.0 * math.log(az) - math.log(2.0)
     (t,) = _series_terms([row], log_x, math.log(tail_tol), MAX_COEFFICIENTS, min_index)
-    if spec.variant == "linearized":
-        return t.logs - 0.5 * az ** 2, t.tail
-    peak = float(np.maximum.reduce(t.logs))
-    return t.logs - (peak + math.log(float(np.add.reduce(np.exp(t.logs - peak))))), t.tail
+    return t.logs - (t.log_total if spec.variant == "nonlinear" else 0.5 * az ** 2), t.tail
 
 
 def coefficients(spec: CoherentSpec, tail_tol: float = 1e-14,
@@ -194,10 +199,9 @@ def normalization_F(m: int, mu: int, abs_z: float) -> SignedLog:
     """Squared-norm series F = sum |z|^{2k} / D_k^2, evaluated through its
     closed hypergeometric form (one upper parameter equal to 1)."""
     _check_ladder(m, mu)
-    if abs_z < 0.0:
-        raise ValueError("abs_z must be >= 0")
-    return signed_series((1.0,), hypergeometric_parameters(m, mu),
-                         series_argument(m, abs_z)).value
+    (F,) = _series_stack([((1.0,), hypergeometric_parameters(m, mu), False)],
+                         _log_series_argument(m, abs_z))
+    return F.value
 
 
 def overlap(m: int, mu: int, abs_z: float, tail_tol: float = 1e-16) -> float:
@@ -206,8 +210,9 @@ def overlap(m: int, mu: int, abs_z: float, tail_tol: float = 1e-16) -> float:
 
     Each summand is at most one, so the result carries ordinary absolute
     double precision even when |z| = 1e8 makes the unnormalised terms span
-    hundreds of orders of magnitude.
+    hundreds of orders of magnitude.  ValueError for a negative |z|.
     """
+    _log_series_argument(m, abs_z)  # the check on |z|, before any series runs
     weights = np.exp(_log_weights(CoherentSpec("nonlinear", m, mu, complex(abs_z)), tail_tol)[0])
     signs = np.where(np.arange(len(weights)) % 2 == 0, 1.0, -1.0)
     return float(np.sum(signs * weights))
@@ -216,11 +221,11 @@ def overlap(m: int, mu: int, abs_z: float, tail_tol: float = 1e-16) -> float:
 def overlap_closed_form(m: int, mu: int, abs_z: float) -> float:
     """The same overlap via the ratio of the normalisation series at
     negated and positive argument, summed as one stacked pair and divided
-    in signed-log arithmetic."""
+    in signed-log arithmetic; ValueError for a negative |z|."""
     _check_ladder(m, mu)
     params = hypergeometric_parameters(m, mu)
     num, den = _series_stack([((1.0,), params, True), ((1.0,), params, False)],
-                             series_argument(m, abs_z))
+                             _log_series_argument(m, abs_z))
     return (num.value / den.value).to_float()
 
 
@@ -320,10 +325,7 @@ def _support_grid(coeffs: CoefficientVector) -> np.ndarray:
     half_range = k_max + _SUPPORT_PADDING
     step = 2.0 * math.pi / k_max / _GRID_POINTS_PER_WAVELENGTH
     n = max(int(math.ceil(2.0 * half_range / step)) + 1, 101)
-    # mirror-symmetric to the bit, x[i] == -x[n-1-i], so that the basis
-    # kernel folds it across x = 0; each point moves by at most 1 ulp
-    x = np.linspace(-half_range, half_range, n)
-    return 0.5 * (x - x[::-1])
+    return _linspace(-half_range, half_range, n)
 
 
 def density_profile(spec: CoherentSpec, times, x=None, tail_tol: float = 1e-14):

@@ -23,7 +23,6 @@ from .coherent import (
     coefficients,
     evolve,
     hypergeometric_parameters,
-    series_argument,
 )
 from .specfun import (
     _LOG_HALF_EPS,
@@ -32,7 +31,6 @@ from .specfun import (
     SignedLog,
     _series_terms,
     hermite,
-    log_pochhammer,
     panel_nodes,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
     signed_series,  # noqa: F401  (no caller here; bench/tracer.py wraps this name)
 )
@@ -66,13 +64,11 @@ _CLOSED_FORM_TOL = 1e-8  # the relative rounding bound a closed-form moment may 
 @lru_cache(maxsize=64)
 def _moment_series(m: int, mu: int, order: int):
     """The stack row (order+1; b+order) of the order-th factorial-moment
-    series of ladder (m, mu) and its prefactor order! / prod_j (b_j)_order
-    as one SignedLog; cached per ladder and order, since a |z| sweep
-    reuses them."""
+    series of ladder (m, mu) and its prefactor order! / prod_j (b_j)_order,
+    a float (order <= 2 and every |b_j|, |b_j + 1| >= 1/(m+1)); cached per
+    ladder and order, since a |z| sweep reuses them."""
     b = hypergeometric_parameters(m, mu)
-    pref = SignedLog(1, math.log(math.factorial(order)))
-    for bj in b:
-        pref = pref / log_pochhammer(bj, order)
+    pref = math.factorial(order) / math.prod(bj + i for bj in b for i in range(order))
     return ((order + 1.0,), tuple(bj + order for bj in b), False), pref
 
 
@@ -85,35 +81,30 @@ def _factorial_moments(m: int, mu: int, abs_z: float, orders) -> tuple[float, ..
 
     The denominator F(1; b; x) and the numerators of all orders, series of
     positive terms, are summed in one stacked pass to the tolerance of
-    signed_series, and ln F is formed as signed_series forms it.  A moment
-    whose relative rounding bound, the ``rounding_bound`` of its numerator
-    plus that of the denominator, passes _CLOSED_FORM_TOL raises
-    NumericalError: the running log sums that give the terms lose digits
-    as the series grow (Q was off by 0.9% at K ~ 1.7e5).  The bound is
-    first order, so it refuses from K ~ 1,350 (m = 12) to ~5,000 (m = 0).
+    signed_series at the ln x of the weights, and read back as their
+    ``log_total``.  A moment whose relative rounding bound, the sum of the
+    ``rounding_bound`` of its numerator and denominator, passes
+    _CLOSED_FORM_TOL raises NumericalError: the running log sums that give
+    the terms lose digits as the series grow (Q was off by 0.9% at K ~
+    1.7e5).  The bound is first order, so it refuses from K ~ 1,350
+    (m = 12) to ~5,000 (m = 0).
     """
     if abs_z == 0.0:
         return (0.0,) * len(orders)
     moments = [_moment_series(m, mu, order) for order in orders]
     rows = [((1.0,), hypergeometric_parameters(m, mu), False)] + [row for row, _ in moments]
-    x = series_argument(m, abs_z)
-    if x == 0.0:  # |z| below ~1e-160: every F is 1
-        log_den, *log_nums = [0.0] * len(rows)
-    else:  # ln F as signed_series forms it
-        den, *nums = _series_terms(rows, math.log(x), _LOG_HALF_EPS, MAX_SERIES_TERMS - 1)
-        den_bound = den.rounding_bound
-        for order, num in zip(orders, nums):
-            bound = den_bound + num.rounding_bound
-            if bound > _CLOSED_FORM_TOL:
-                raise NumericalError(f"the closed form of the order-{order} moment has a "
-                                     f"rounding bound of {bound:.1e}, past "
-                                     f"{_CLOSED_FORM_TOL:.0e}; the direct route answers")
-        log_den, *log_nums = [math.log(t.total) + t.peak for t in (den, *nums)]
-    # ln x from |z|: finite where x itself underflows
-    log_x = _log_series_argument(m, abs_z)
-    return tuple(SignedLog(pref.sign, order * log_x + pref.log_mag
-                           + (log_num - log_den)).to_float()
-                 for order, (_, pref), log_num in zip(orders, moments, log_nums))
+    log_x = _log_series_argument(m, abs_z)  # finite where x itself underflows
+    den, *nums = _series_terms(rows, log_x, _LOG_HALF_EPS, MAX_SERIES_TERMS - 1)
+    den_bound = den.rounding_bound
+    for order, num in zip(orders, nums):
+        bound = den_bound + num.rounding_bound
+        if bound > _CLOSED_FORM_TOL:
+            raise NumericalError(f"the closed form of the order-{order} moment has a "
+                                 f"rounding bound of {bound:.1e}, past "
+                                 f"{_CLOSED_FORM_TOL:.0e}; the direct route answers")
+    return tuple(SignedLog(1 if pref > 0.0 else -1, order * log_x + math.log(abs(pref))
+                           + (num.log_total - den.log_total)).to_float()
+                 for order, (_, pref), num in zip(orders, moments, nums))
 
 
 def _finite(value: float, name: str) -> float:

@@ -1,9 +1,10 @@
 """Numerical kernels shared by the whole library.
 
 Signed-log arithmetic, the oscillator-function recurrence and generalized
-hypergeometric series; outside ``__all__``, the reference oracles of the
-tests and ``selftest`` (``hermite_phi``, ``mod_hermite``, Gauss-Legendre
-``panel_nodes``) and ``hermite`` and ``log_pochhammer`` (one private caller each).
+hypergeometric series, each cut by ``_series_terms`` on one path for terms
+of either sign and read back as its ``log_total``; outside ``__all__``, the
+reference oracles of the tests and ``selftest`` (``hermite_phi``,
+``mod_hermite``, Gauss-Legendre ``panel_nodes``) and ``hermite``.
 Everything is a pure function of its inputs.  The only shared state is
 a set of bounded lru caches of the argument-free parts of the series
 (read-only arrays and immutable records), so all routines are safe to
@@ -297,28 +298,8 @@ def phi_rows(rows, x) -> dict[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer and hypergeometric series
+# hypergeometric series
 # ---------------------------------------------------------------------------
-
-def log_pochhammer(a: float, k: int) -> SignedLog:
-    """Pochhammer symbol (a)_k = a (a+1) ... (a+k-1) as a SignedLog.
-
-    Computed as a k-fold product in log space with sign tracking; negative
-    a is allowed, and an exactly-zero factor gives the signed-log zero.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    sign = 1
-    log_mag = 0.0
-    for j in range(k):
-        f = a + j
-        if f == 0.0:
-            return SignedLog.ZERO
-        if f < 0.0:
-            sign = -sign
-        log_mag += math.log(abs(f))
-    return SignedLog(sign, log_mag)
-
 
 @dataclass(frozen=True)
 class SeriesResult:
@@ -372,7 +353,7 @@ def _ratio_logs(upper, lower, length: int):
 _ratio_table = lru_cache(maxsize=_TABLE_CACHE_SIZE)(_ratio_logs)
 
 
-def _log_terms(rows, log_x: float, count: int, signed: bool = True):
+def _log_terms(rows, log_x: float, count: int):
     """ln|t_k| and sign(t_k), k = 0..count-1, of the series sum_k t_k with
     t_0 = 1 and t_{k+1}/t_k = x prod_i (a_i + k) / ((k+1) prod_j (b_j + k))
     at -|x| where negative is set: column j of two (count, len(rows))
@@ -386,11 +367,11 @@ def _log_terms(rows, log_x: float, count: int, signed: bool = True):
     _TABLE_MAX_ENTRIES entries; longer series build theirs per call), every
     entry computed on its own, so a row is bitwise the same in any stack
     and through warm or cold tables.  upper and lower are tuples, since
-    they key the cache; the signs are read-only, or None unless signed.
-    count stays at or below the first zero term of a terminating series.
+    they key the cache; the signs are read-only.  count stays at or below
+    the first zero term of a terminating series.
     """
     logs = np.empty((count, len(rows)))
-    signs = np.empty((count, len(rows))) if signed else None
+    signs = np.empty((count, len(rows)))
     logs[0] = 0.0
     length = max(count, _TABLE_MIN_ENTRIES)
     for j, (upper, lower, negative) in enumerate(rows):
@@ -399,13 +380,11 @@ def _log_terms(rows, log_x: float, count: int, signed: bool = True):
         else:
             log_ratio, prefix = _ratio_logs(upper, lower, count)
         np.add(log_ratio[:count - 1], log_x, out=logs[1:, j])
-        if signed:
-            signs[:, j] = prefix[:count]
-            if negative:  # t_k of x < 0 carries the extra sign (-1)^k
-                np.negative(signs[1::2, j], out=signs[1::2, j])
+        signs[:, j] = prefix[:count]
+        if negative:  # t_k of x < 0 carries the extra sign (-1)^k
+            np.negative(signs[1::2, j], out=signs[1::2, j])
     np.add.accumulate(logs, axis=0, out=logs)  # 0 + a is a: row 0 adds nothing
-    if signed:
-        signs.flags.writeable = False
+    signs.flags.writeable = False
     return logs, signs
 
 
@@ -417,7 +396,6 @@ class _SeriesLimits(NamedTuple):
     end: int                 # index of the first zero term, at most max_index + 3
     open_pq: bool            # p > q and the series does not terminate
     cap_log: float           # ln|r| at index max_index (-inf where r = 0)
-    signed: bool             # some term is negative at x > 0
 
 
 @lru_cache(maxsize=_LIMITS_CACHE_SIZE)
@@ -429,14 +407,10 @@ def _series_limits(upper: tuple, lower: tuple, max_index: int) -> _SeriesLimits:
               + [max_index + 3])
     open_pq = len(upper) > len(lower) and end == max_index + 3
     if bad_lower is not None:  # refused before any limit is read
-        return _SeriesLimits(bad_lower, end, open_pq, math.nan, False)
+        return _SeriesLimits(bad_lower, end, open_pq, math.nan)
     factor = abs(_ratio_factors(upper, lower, float(max_index)))
     cap_log = math.log(factor) if factor > 0.0 else -math.inf
-    # at x > 0 a term is negative only past a negative ratio r_k, and only
-    # the k < -c of a negative parameter c have a negative factor
-    n_neg = min(max([math.ceil(-c) for c in (*upper, *lower) if c < 0.0] + [0]), end - 1)
-    signed = bool(np.any(_ratio_factors(upper, lower, np.arange(float(n_neg))) < 0.0))
-    return _SeriesLimits(bad_lower, end, open_pq, cap_log, signed)
+    return _SeriesLimits(bad_lower, end, open_pq, cap_log)
 
 
 @lru_cache(maxsize=16)  # the rows of a stack mostly share their first count
@@ -464,6 +438,12 @@ class _Terms(NamedTuple):
     total: float       # sum_{k<=K} t_k / e^peak
     abs_total: float   # sum_{k<=K} |t_k| / e^peak
     tail: float        # bound on |sum_{k>K} t_k| / |sum_{k<=K} t_k|
+
+    @property
+    def log_total(self) -> float:
+        """ln|sum_{k<=K} t_k|, or -inf where the sum is 0: the one read-back
+        of every series of the library."""
+        return math.log(abs(self.total)) + self.peak if self.total else -math.inf
 
     @property
     def rounding_bound(self) -> float:
@@ -505,17 +485,14 @@ def _series_terms(rows, log_x: float, log_tol: float, max_index: int,
     while todo:
         count = counts[todo[0]]
         group = [i for i in todo if counts[i] == count]  # the rows of this pass
-        alternating = [rows[i][2] or limits[i].signed for i in group]
-        signed = any(alternating)
-        logs, signs = _log_terms([rows[i] for i in group], log_x, count, signed)
+        logs, signs = _log_terms([rows[i] for i in group], log_x, count)
         peak = np.maximum.reduce(logs)
         scaled = np.exp(logs - peak)
-        running = np.add.accumulate(signs * scaled if signed else scaled)
+        running = np.add.accumulate(signs * scaled)  # a sign +1 multiplies exactly
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = logs[1:] - logs[:-1]  # ln|t_{k+1}/t_k|
             # ln(exp(log_tol) |sum_{k<=K} t_k|), K = 0..count-3
-            partial = np.abs(running[:-2]) if signed else running[:-2]
-            log_limit = np.log(partial) + (peak + log_tol)
+            log_limit = np.log(np.abs(running[:-2])) + (peak + log_tol)
             # a ratio t_{K+2}/t_{K+1} of one or more gives nan or inf: no stop
             log_tail = logs[1:-1] - np.log1p(-np.exp(steps[1:]))
             falls = steps[:-1] < 0.0
@@ -533,9 +510,8 @@ def _series_terms(rows, log_x: float, log_tol: float, max_index: int,
                 raise NumericalError(f"series did not converge within {max_index + 1} terms")
             else:
                 K, tail = count - 1, 0.0
-            total = float(running[K, j])
-            abs_total = float(np.add.reduce(scaled[:K + 1, j])) if alternating[j] else total
-            out[i] = _Terms(logs[:K + 1, j], steps[:K, j], float(peak[j]), total, abs_total, tail)
+            out[i] = _Terms(logs[:K + 1, j], steps[:K, j], float(peak[j]), float(running[K, j]),
+                            float(np.add.reduce(scaled[:K + 1, j])), tail)
         todo = [i for i in todo if out[i] is None]
     return out
 
@@ -552,30 +528,28 @@ def signed_series(upper, lower, x: float) -> SeriesResult:
     argument, or p > q unless the series terminates; NumericalError, also
     up front, where the terms still grow at the MAX_SERIES_TERMS cap.
     """
-    return _series_stack([(tuple(upper), tuple(lower), x < 0.0)], abs(x))[0]
+    log_x = math.log(abs(x)) if x != 0.0 else -math.inf
+    return _series_stack([(tuple(upper), tuple(lower), x < 0.0)], log_x)[0]
 
 
-def _series_stack(rows, x: float) -> list[SeriesResult]:
+def _series_stack(rows, log_x: float) -> list[SeriesResult]:
     """:func:`signed_series` of each row (upper, lower, negative) of a stack,
-    at the argument -x where negative is set and at x >= 0 elsewhere, from
-    one stacked pass of :func:`_series_terms`; each result is bitwise that
-    of signed_series on its row alone."""
+    at the argument -x where negative is set and at x elsewhere, ln|x| =
+    log_x (-inf for x = 0), from one stacked pass of :func:`_series_terms`;
+    each result is bitwise that of the row alone."""
     for upper, lower, _ in rows:
         limits = _series_limits(upper, lower, MAX_SERIES_TERMS - 1)
         if limits.bad_lower is not None:
             raise ValueError(f"lower parameter {limits.bad_lower} is a nonpositive integer")
-        if math.isnan(x):
+        if math.isnan(log_x):
             raise ValueError("series argument is NaN")
         if limits.open_pq:
             raise ValueError("a series with p > q upper/lower parameters must terminate")
-    if x == 0.0:
+    if log_x == -math.inf:
         return [SeriesResult(SignedLog.ONE, 1, 0.0)] * len(rows)
-    out = []
-    for t in _series_terms(rows, math.log(x), _LOG_HALF_EPS, MAX_SERIES_TERMS - 1):
-        value = (SignedLog.ZERO if t.total == 0.0 else
-                 SignedLog(1 if t.total > 0.0 else -1, math.log(abs(t.total)) + t.peak))
-        out.append(SeriesResult(value, len(t.logs), t.rounding_bound))
-    return out
+    return [SeriesResult(SignedLog((t.total > 0.0) - (t.total < 0.0), t.log_total),
+                         len(t.logs), t.rounding_bound)
+            for t in _series_terms(rows, log_x, _LOG_HALF_EPS, MAX_SERIES_TERMS - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,14 @@ def _turning_point(m: int, mu: int, K: int) -> float:
     return math.sqrt(4.0 * max(mu + (m + 1) * K + m + 1, 1))
 
 
+def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n), made mirror-symmetric to the bit,
+    x[i] == -x[n-1-i], where lo == -hi and n > 1, so that the basis kernel
+    folds it across x = 0; each point moves by at most 1 ulp of hi."""
+    x = np.linspace(lo, hi, n)
+    return 0.5 * (x - x[::-1]) if lo == -hi and n > 1 else x
+
+
 def energy(label: StateLabel) -> float:
     """Eigenvalue 2 (nu + m + 1) = 2 mu + (2m+2)(k+1)."""
     return 2.0 * (label.nu + label.m + 1)
@@ -374,7 +382,7 @@ def verify_hamiltonian(label: StateLabel, grid_step: float = 1e-3) -> float:
     e = energy(label)
     half_range = _turning_point(label.m, label.mu, label.k) + _SUPPORT_PADDING
     n = int(2.0 * half_range / grid_step) + 1
-    x = np.linspace(-half_range, half_range, n)
+    x = _linspace(-half_range, half_range, n)
     psi, d2 = (row[0] for row in _wavefunction_stack(label.m, label.mu, [label.k], x, (0, 2)))
     v = hamiltonian_potential(label.m, x)
     residual = np.abs(-d2 + (v - e) * psi)

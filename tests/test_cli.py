@@ -505,3 +505,44 @@ def test_uncertainty_takes_one_time(tmp_path, capsys):
     assert code == 0
     assert "# t = 0.3" in out.read_text().splitlines()
     capsys.readouterr()
+
+
+def _csv_columns(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return np.array([[float(v) for v in l.split(",")] for l in lines[1:]]).T
+
+
+def test_a_negative_abs_z_minimum_is_a_usage_error(tmp_path, capsys):
+    for command in ("energy", "mandel", "overlap", "entropy"):
+        code, out = run_cli([command, "--m", "4", "--mu=-5", "--z-abs=-3:3:7"],
+                            tmp_path, f"{command}.csv")
+        assert code == 1 and not out.exists(), command
+        assert "|z| must be >= 0" in capsys.readouterr().err
+    code, _ = run_cli(["overlap", "--m", "4", "--mu=-5", "--z-abs=0:3:7"], tmp_path, "ok.csv")
+    assert code == 0
+    capsys.readouterr()
+
+
+def test_symmetric_x_grids_keep_parity_to_the_bit(tmp_path, capsys):
+    # a --x-grid window with min = -max is mirror-symmetric to the bit (a
+    # linspace is not), so the basis kernel folds it, and the eigenstate
+    # rows obey psi^(d)(-x) = (-1)^(nu+1+d) psi^(d)(x) exactly
+    grid = "--x-grid=-8:8:401"
+    for m, mu, k in ((4, -5, 0), (4, -5, 2), (2, 1, 3)):
+        code, path = run_cli(["eigenstate", "--m", str(m), f"--mu={mu}", "--k", str(k), grid],
+                             tmp_path, "eigenstate.csv")
+        assert code == 0
+        x, *rows = _csv_columns(path)
+        assert np.array_equal(x, -x[::-1])
+        nu = mu + (m + 1) * k
+        for d, row in enumerate(rows):
+            assert np.array_equal(row[::-1], (-1.0) ** (nu + 1 + d) * row), (m, mu, k, d)
+    code, path = run_cli(["potential", "--m", "4", grid], tmp_path, "potential.csv")
+    x, v, vh = _csv_columns(path)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(v, v[::-1])
+    for args in (["density", "--z-re", "3"], ["cat", "--z-re", "3"]):
+        code, path = run_cli(args + ["--m", "4", "--mu=-5", grid], tmp_path, "rho.csv")
+        x = _csv_columns(path)[0]
+        assert code == 0 and np.array_equal(x, -x[::-1]), args
+        assert np.max(np.abs(x - np.linspace(-8.0, 8.0, 401))) <= 8.9e-16
+    capsys.readouterr()

@@ -28,8 +28,9 @@ from ratosc.coherent import (
     overlap_closed_form,
     series_argument,
 )
-from ratosc.coherent import _PROFILE_BLOCK, _profile_from_coefficients, _support_grid
-from ratosc import system
+from ratosc.coherent import (MAX_COEFFICIENTS, _PROFILE_BLOCK, _profile_from_coefficients,
+                             _support_grid)
+from ratosc import coherent, system
 from ratosc.specfun import NumericalError
 from ratosc.system import StateLabel, ladder_element, lowest_weights, wavefunction, wavefunction_rows
 
@@ -528,3 +529,30 @@ def test_asymmetric_grid_keeps_the_unfolded_products():
         part = np.ascontiguousarray(c.imag[start:start + _PROFILE_BLOCK]) @ psi
         expected[start:start + _PROFILE_BLOCK] += part * part
     assert np.array_equal(_profile_from_coefficients(coeffs, times, x), expected)
+
+
+def test_a_negative_abs_z_is_refused_before_any_series_runs(monkeypatch):
+    # one check on |z|, in coherent._log_series_argument, which the overlap
+    # of either route and the normalisation series reach first
+    def no_series(*args):
+        raise AssertionError("a series ran")
+
+    monkeypatch.setattr(coherent, "_series_terms", no_series)
+    monkeypatch.setattr(coherent, "_series_stack", no_series)
+    for call in (overlap, overlap_closed_form, normalization_F):
+        for az in (-3.0, -1e-300, -math.inf):
+            with pytest.raises(ValueError, match="abs_z must be >= 0"):
+                call(4, -5, az)
+
+
+def test_coefficients_refuse_a_min_index_outside_its_range():
+    # a negative index used to move K (to 40 instead of 3 at |z| = 3), raise
+    # IndexError at z = 0, TypeError for 2.5 and "did not converge" for 10**6
+    for az in (0.0, 3.0, 1e5):
+        spec = CoherentSpec("nonlinear", 4, -5, az)
+        for bad in (-1, -40, 2.5, 10**6, MAX_COEFFICIENTS + 1, "3", None):
+            with pytest.raises(ValueError, match="min_index"):
+                coefficients(spec, min_index=bad)
+    spec = CoherentSpec("nonlinear", 4, -5, 3.0)
+    assert coefficients(spec).K == 3
+    assert coefficients(spec, min_index=np.int64(7)).K >= 7

@@ -9,10 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ratosc import observables, system
+from ratosc import coherent, observables, specfun, system
 from ratosc.coherent import (
     CoherentSpec,
     _amplitudes,
+    _log_weights,
     coefficients,
     density,
     evolve,
@@ -779,3 +780,34 @@ def test_pole_distance_matches_gauss_hermite_nodes():
         nodes = np.polynomial.hermite.hermgauss(m)[0]
         expected = float(np.min(np.abs(nodes)))
         assert observables._pole_distance(m) == pytest.approx(expected, rel=4.5e-16, abs=0.0)
+
+
+def test_both_statistics_routes_cut_the_weights_at_one_log_x(monkeypatch):
+    # the weights of the direct route are the first terms of the closed
+    # form's denominator F(1; b; x), to the bit, and are normalised by the
+    # one read-back of its sum: both routes cut F at one ln x
+    seen = []
+
+    def spy(rows, *args):
+        out = specfun._series_terms(rows, *args)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(coherent, "_series_terms", spy)
+    monkeypatch.setattr(observables, "_series_terms", spy)
+    normalised = []
+    for m in (0, 2, 4, 6, 12):
+        for mu in lowest_weights(m):
+            for az in (1e-3, 0.7, 3.0, 10.0, 100.0):
+                seen.clear()
+                log_w, _ = _log_weights(CoherentSpec("nonlinear", m, mu, az), 1e-14)
+                try:
+                    _factorial_moments(m, mu, az, (1,))
+                except NumericalError:  # the rounding guard refuses after the sums
+                    pass
+                weights, den = seen
+                assert len(weights.logs) <= len(den.logs), (m, mu, az)
+                assert weights.logs.tobytes() == den.logs[:len(weights.logs)].tobytes(), (m, mu, az)
+                normalised.append((log_w, weights))
+    for log_w, weights in normalised:
+        assert np.array_equal(log_w, weights.logs - weights.log_total)

@@ -17,7 +17,7 @@ EXPORTS = {
     "q_polynomial", "rank_one_residual", "split", "two_photon_distribution", "uncertainties",
     "uncertainty", "verify_hamiltonian", "wavefunction", "wigner_cross_term", "wigner_grid",
 }
-ORACLES = ("hermite", "hermite_phi", "mod_hermite", "log_pochhammer")
+ORACLES = ("hermite", "hermite_phi", "mod_hermite")
 
 
 def test_package_exports_are_the_library_names():

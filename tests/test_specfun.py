@@ -22,7 +22,6 @@ from ratosc.specfun import (
     _log_terms,
     hermite,
     hermite_phi,
-    log_pochhammer,
     mod_hermite,
     panel_nodes,
     phi_rows,
@@ -172,13 +171,6 @@ def test_phi_rows_matches_scalar_oracle_past_underflow():
         assert np.all(rows[n][expected == 0.0] == 0.0)
     far = phi_rows([0, 7], np.array([-1e300, 2e6, np.inf]))
     assert np.all(far[0] == 0.0) and np.all(far[7] == 0.0)
-
-
-def test_log_pochhammer():
-    assert log_pochhammer(0.3, 0).to_float() == 1.0
-    assert log_pochhammer(-0.2, 1).to_float() == pytest.approx(-0.2, rel=1e-15)
-    assert log_pochhammer(-0.2, 3).to_float() == pytest.approx(-36.0 / 125.0, rel=1e-14)
-    assert log_pochhammer(-2.0, 4).sign == 0
 
 
 def test_hypergeometric_argument_zero_is_one():
@@ -459,7 +451,7 @@ def test_stacked_rows_are_bitwise_one_row_stacks():
                 assert _terms_bits(t) == _terms_bits(alone), (row, x, min_index)
         if x < 10.0:  # the short row's pass was doubled on its own
             assert len(stacked[-1].logs) > specfun._first_count(math.log(x), 1, log_tol, 10**6 + 3)
-        for row, result in zip(rows, specfun._series_stack(rows, x)):
+        for row, result in zip(rows, specfun._series_stack(rows, math.log(x))):
             upper, lower, negative = row
             alone = signed_series(upper, lower, -x if negative else x)
             assert _series_bits(result) == _series_bits(alone), (row, x)
@@ -502,3 +494,24 @@ def test_retained_tables_stay_within_their_bound():
     table_bytes = specfun._TABLE_CACHE_SIZE * specfun._TABLE_MAX_ENTRIES * 16
     assert retained > 0.9 * table_bytes  # the tables are kept ...
     assert retained <= table_bytes + 65536  # ... within their bound plus records
+
+
+def test_a_zero_sum_reads_back_as_minus_infinity():
+    # 1F0(-1;;1) = 1 - 1: the one read-back of a sum is -inf, and the
+    # series value the signed-log zero
+    (t,) = specfun._series_terms([((-1.0,), (), False)], 0.0, specfun._LOG_HALF_EPS, 10)
+    assert len(t.logs) == 2 and t.total == 0.0 and t.log_total == -math.inf
+    assert signed_series((-1.0,), (), 1.0).value == SignedLog.ZERO
+
+
+def test_rows_of_one_sign_take_the_path_of_signed_rows():
+    # a row of positive terms is summed by the one path for either sign:
+    # its sum is the running sum, and sum|t_k| the pairwise sum of the terms
+    b = hypergeometric_parameters(4, -5)
+    for row in (((1.0,), b, False), ((2.0,), tuple(bj + 1 for bj in b), False), ((), (), False)):
+        for log_x in (-3.0, 0.5, 4.0, 12.0):
+            (t,) = specfun._series_terms([row], log_x, specfun._LOG_HALF_EPS, 10**6)
+            scaled = np.exp(t.logs - t.peak)
+            assert t.total == np.add.accumulate(scaled)[-1]
+            assert t.abs_total == np.add.reduce(scaled)
+            assert t.log_total == math.log(t.total) + t.peak

@@ -26,7 +26,7 @@ from ratosc.system import (
     wavefunction_rows,
 )
 from ratosc.cli import _exact_rational_factors
-from ratosc.system import _rational_factors, _top_ratio, _wavefunction_stack
+from ratosc.system import _linspace, _rational_factors, _top_ratio, _wavefunction_stack
 
 # spot values frozen from 30-digit evaluations of the quotient form
 PSI_SPOTS = [
@@ -487,3 +487,27 @@ def test_basis_kernel_validates_the_rungs_before_any_point(monkeypatch):
             next(system._basis_blocks(m, mu, ks, x, (0,)))
         assert str(kernel_error.value) == str(label_error.value)
     assert not evaluated and not seen
+
+
+def test_symmetric_windows_give_mirror_symmetric_grids():
+    for lo, hi, n in ((-8.0, 8.0, 401), (-8.0, 8.0, 321), (-0.3, 0.3, 10), (-46.0, 46.0, 93)):
+        x, linear = _linspace(lo, hi, n), np.linspace(lo, hi, n)
+        assert np.array_equal(x, -x[::-1])
+        assert np.max(np.abs(x - linear)) <= np.spacing(hi)
+    assert not np.array_equal(np.linspace(-8.0, 8.0, 401), -np.linspace(-8.0, 8.0, 401)[::-1])
+    # any other window, and a single point, is the plain linspace
+    for lo, hi, n in ((-8.0, 9.0, 401), (0.0, 5.0, 11), (-5.0, 5.0, 1)):
+        assert np.array_equal(_linspace(lo, hi, n), np.linspace(lo, hi, n))
+
+
+def test_verify_hamiltonian_scans_a_mirror_symmetric_grid(monkeypatch):
+    grids = []
+
+    def spy(m, mu, ks, x, orders):
+        grids.append(x)
+        return _wavefunction_stack(m, mu, ks, x, orders)
+
+    monkeypatch.setattr(system, "_wavefunction_stack", spy)
+    verify_hamiltonian(StateLabel(4, -5, 1), 1e-2)
+    (x,) = grids
+    assert np.array_equal(x, -x[::-1])
