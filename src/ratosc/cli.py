@@ -255,7 +255,7 @@ def _cmd_wigner(config: argparse.Namespace):
     meta = {"K": grid.truncation, "min_value": grid.min_value,
             "negative_volume": grid.negative_volume, "mass": grid.mass,
             "step": grid.step, "lattice_points": grid.lattice_points,
-            "change": grid.change, "residue": grid.residue}
+            "change": grid.change}
     return ["x", "p", "wigner"], rows, meta
 
 
@@ -434,6 +434,11 @@ def _selftest() -> int:
     kernel = ob.wigner_cross_term(ground, ground, 0.7, -0.4)
     check("lattice Wigner kernel of the oscillator ground state is exp(-x^2-p^2)/pi",
           abs(kernel - math.exp(-0.65) / math.pi) < 1e-13)
+    grid = ob.wigner_grid(co.CoherentSpec("nonlinear", 0, -1, 1.3 - 0.7j),  # about -z: (-1)^k
+                          ((-4.0, 4.0), (-4.0, 4.0)), (33, 33), tail_tol=1e-30)
+    x, p = np.ix_(grid.x, grid.p)
+    check("lattice Wigner grid of the m=0 coherent state is exp(-|x+ip+z|^2)/pi (z=1.3-0.7i)",
+          np.max(np.abs(grid.values - np.exp(-(x + 1.3) ** 2 - (p - 0.7) ** 2) / math.pi)) < 1e-15)
 
     indices = [mu + 5 * k for mu in sy.lowest_weights(4) for k in range(4)]
     expected = {-5} | set(range(0, 20)) - {15}  # 15 needs step 4 of the lowest ladder

@@ -136,10 +136,10 @@ def _log_weights(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
     The unnormalised weights are series terms, cut at tail_tol by the rule
     of every series (:func:`~ratosc.specfun._series_terms`): for the
     nonlinear variant those of F(1; b; x), since the ladder elements obey
-    a^2(nu_{k+1}) = (2m+2)^{m+1} prod_j (b_j + k), normalised by their
-    truncated sum (the dropped mass is below tail_tol, far under double
-    resolution); for the linearized one those of e^x at x = |z|^2/2,
-    normalised by e^x.  Both enter through ln x, so no |z| underflows.
+    a^2(nu_{k+1}) = (2m+2)^{m+1} prod_j (b_j + k); for the linearized one
+    those of e^x at x = |z|^2/2, the m = 0 argument.  Both enter through ln x,
+    so no |z| underflows, and are normalised from the peak by their truncated
+    sum (the dropped mass is below tail_tol, far under double resolution).
     coefficients and the statistics that need only |A_k|^2 read them here.
     NumericalError is raised at once when the weights still grow at index
     MAX_COEFFICIENTS, and after the terms are computed when the tail bound
@@ -157,9 +157,9 @@ def _log_weights(spec: CoherentSpec, tail_tol: float, min_index: int = 0):
     if spec.variant == "nonlinear":
         row, log_x = ((1.0,), hypergeometric_parameters(m, mu), False), _log_series_argument(m, az)
     else:
-        row, log_x = ((), (), False), 2.0 * math.log(az) - math.log(2.0)
+        row, log_x = ((), (), False), _log_series_argument(0, az)
     (t,) = _series_terms([row], log_x, math.log(tail_tol), MAX_COEFFICIENTS, min_index)
-    return t.logs - (t.log_total if spec.variant == "nonlinear" else 0.5 * az ** 2), t.tail
+    return (t.logs - t.peak) - math.log(t.total), t.tail
 
 
 def coefficients(spec: CoherentSpec, tail_tol: float = 1e-14,
@@ -170,7 +170,7 @@ def coefficients(spec: CoherentSpec, tail_tol: float = 1e-14,
     ladder matrix elements, so the sign (-1)^k appears by itself and the
     two-term recurrence a_{nu_{k+1}} A_{k+1} = z A_k holds by construction.
 
-    linearized: A_k = exp(-|z|^2/4) (z/sqrt(2))^k / sqrt(k!).
+    linearized: A_k = (z/sqrt(2))^k / sqrt(k!) over the truncated sum of e^{|z|^2/2}.
 
     The truncation index K is the first index past which a geometric bound
     on the dropped |A_k|^2, the terms of the normalisation series cut by the

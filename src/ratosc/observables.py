@@ -331,10 +331,8 @@ class WignerGrid:
     """Wigner function sampled on a rectangular phase-space grid.
 
     step is the trapezoid step h of the y integral, lattice_points the
-    number of points, spaced h/2, at which the state amplitude was
-    evaluated, change the largest change of the transform from step h to
-    h/2 on a subset of x rows, and residue the largest imaginary part of
-    the transform, which vanishes for the exact Wigner function.
+    number of points, spaced h/2, at which the state amplitude was evaluated,
+    change the largest change from step h to h/2 on a subset of x rows.
     """
 
     x: np.ndarray
@@ -347,7 +345,6 @@ class WignerGrid:
     step: float
     lattice_points: int
     change: float
-    residue: float
 
     def marginal_x(self) -> np.ndarray:
         """Momentum-integrated marginal, which equals the position density."""
@@ -356,7 +353,7 @@ class WignerGrid:
 
 _WIGNER_BLOCK = 1 << 19  # (x, y) pairs per gathered block of the y transform
 _WIGNER_MAX_ENTRIES = 1 << 23  # y kernel entries, and amplitude lattice points
-_WIGNER_REL_TOL = 1e-6  # imaginary residue and step change, relative to the peak
+_WIGNER_TOL = 1e-10  # absolute bound on the step change; every state has |W| <= 1/pi
 
 
 @lru_cache(maxsize=None)
@@ -384,24 +381,28 @@ def _lattice_step(m: int, k_osc: float, p_max: float) -> float:
 def _y_transform(left: np.ndarray, right: np.ndarray, centres: np.ndarray, stride: int,
                  h: float, half: float, p: np.ndarray) -> np.ndarray:
     """(h/pi) sum_{|jh|<=half} left[c - stride j] right[c + stride j] exp(-2ipjh)
-    for each centre c; indices past either end of the pads read their end points."""
-    n = math.ceil(half / h)
-    j = np.arange(-n, n + 1)
-    kernel = (h / math.pi) * np.exp(-2j * np.outer(h * j, p))
-    last = right.size - 1
-    blocks = np.array_split(centres, max(1, centres.size * j.size // _WIGNER_BLOCK))
-    return np.concatenate([(left[np.clip(c[:, None] - stride * j, 0, last)]
-                            * right[np.clip(c[:, None] + stride * j, 0, last)]) @ kernel
-                           for c in blocks])
+    for each centre c, each pair +-j once against real tables of cos and sin, so
+    real where left = conj(right); indices past the pads read their end points."""
+    j = np.arange(1, math.ceil(half / h) + 1)
+    phase = np.outer(2.0 * h * j, p)
+    cos, sin = (h / math.pi) * np.cos(phase), (h / math.pi) * np.sin(phase)
+    out = []
+    for c in np.array_split(centres, max(1, centres.size * (2 * j.size + 1) // _WIGNER_BLOCK)):
+        lo, hi = (np.clip(c[:, None] + s, 0, right.size - 1) for s in (-stride * j, stride * j))
+        fwd, back = left[lo] * right[hi], left[hi] * right[lo]
+        out.append(_amplitudes(fwd + back, cos) - 1j * _amplitudes(fwd - back, sin)
+                   + (h / math.pi) * (left[c] * right[c])[:, None])
+    return np.concatenate(out)
 
 
-def _wigner_lattice(m: int, mu: int, ks, rows, x: np.ndarray, dx: float, p: np.ndarray):
+def _wigner_lattice(m: int, mu: int, ks, rows, x: np.ndarray, dx: float, p: np.ndarray,
+                    tol: float):
     """The y transform (1/pi) int dy conj(a(x-y)) b(x+y) exp(-2ipy) of the
     amplitudes a = rows[0] @ basis and b = rows[-1] @ basis over the rungs
     ks of ladder (m, mu), at the rows x spaced dx and the momenta p, on the
     lattice of :func:`wigner_grid` for the top rung of ks: (values, change,
     h, lattice points), change the largest change from step h to h/2 on a
-    subset of the rows."""
+    subset of the rows; NumericalError where it passes the absolute tol."""
     k_osc = _turning_point(m, mu, max(ks))
     half = k_osc + 6.0  # the support of the amplitudes
     p_max = float(np.max(np.abs(p)))
@@ -436,11 +437,13 @@ def _wigner_lattice(m: int, mu: int, ks, rows, x: np.ndarray, dx: float, p: np.n
     some = slice(None, None, max(1, centres.size // 8))
     change = float(np.max(np.abs(_y_transform(left, right, centres[some], 1, 0.5 * h, half, p)
                                  - values[inside][some]), initial=0.0))
+    if not change <= tol:
+        raise NumericalError(f"step change {change:.3e} at h = {h:.3g} past tol = {tol:.1e}")
     return values, change, h, points.size
 
 
 def wigner_cross_term(label_a: StateLabel, label_b: StateLabel,
-                      x: float, p: float, tol: float = 1e-10) -> complex:
+                      x: float, p: float, tol: float = _WIGNER_TOL) -> complex:
     """Phase-space kernel (1/pi) int dy psi_a(x-y) psi_b(x+y) exp(-2ipy)
     between two basis states of the same ladder: the lattice transform of
     :func:`wigner_grid` for one row and one momentum, with k_osc that of the
@@ -458,11 +461,8 @@ def wigner_cross_term(label_a: StateLabel, label_b: StateLabel,
         raise ValueError(f"x must be finite, got {x}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    values, change, h, _ = _wigner_lattice(label_a.m, label_a.mu, (label_a.k, label_b.k), np.eye(2),
-                                           np.array([x], float), 0.0, np.array([p], float))
-    if not change <= tol:
-        raise NumericalError(f"kernel changes by {change:.3e} from step {h:.3g} to its half, "
-                             f"past tol = {tol:.1e}")
+    values = _wigner_lattice(label_a.m, label_a.mu, (label_a.k, label_b.k), np.eye(2),
+                             np.array([x], float), 0.0, np.array([p], float), tol)[0]
     return complex(values[0, 0])
 
 
@@ -483,12 +483,13 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     closer rows, and a window with fewer than two rows inside the support,
     take h = h0 and a lattice each; the lattice amplitude is contracted from
     the blocks of :func:`~ratosc.system._basis_blocks` as they come.  The
-    amplitude counts as zero past |x| = k_osc + 6.  Raises ValueError for a
+    amplitude counts as zero past |x| = k_osc + 6; each pair +-y is summed
+    once, so the values are real by construction.  Raises ValueError for a
     non-finite window, a resolution that is not two integers, or a momentum
     range whose step would make the y kernel or the amplitude lattice pass
     _WIGNER_MAX_ENTRIES entries, or a reversed axis (each checked before either
-    is built; an axis of zero width is allowed); NumericalError if the imaginary
-    residue or the change from step h to h/2 exceeds 1e-6 of the largest real value.
+    is built; an axis of zero width is allowed); NumericalError if the change
+    from step h to h/2 passes _WIGNER_TOL = 1e-10 absolute, whatever the window.
     """
     c = coefficients(spec, tail_tol)
     (x_lo, x_hi), (p_lo, p_hi) = window
@@ -503,16 +504,10 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
             raise ValueError(f"the {axis} window ({lo}, {hi}) is reversed; give it as (min, max)")
     x = np.linspace(x_lo, x_hi, nx)
     p = np.linspace(p_lo, p_hi, np_count)
-    values_c, change, h, points = _wigner_lattice(spec.m, spec.mu, range(len(c.entries)),
-                                                  (c.entries,), x, (x_hi - x_lo) / (nx - 1), p)
-
-    scale = float(np.max(np.abs(values_c.real)))
-    residue = float(np.max(np.abs(values_c.imag)))
-    if max(residue, change) > _WIGNER_REL_TOL * scale:
-        raise NumericalError(f"imaginary residue {residue:.3e} or step change {change:.3e} "
-                             f"exceeds {_WIGNER_REL_TOL:.1e} of peak {scale:.3e}")
-    values = values_c.real
+    values, change, h, points = _wigner_lattice(spec.m, spec.mu, range(c.K + 1), (c.entries,), x,
+                                                (x_hi - x_lo) / (nx - 1), p, _WIGNER_TOL)
+    values = values.real  # the transform of one amplitude is real by construction
     cell = (x[1] - x[0]) * (p[1] - p[0])
     negative = float(np.sum(np.abs(np.minimum(values, 0.0))) * cell)
     return WignerGrid(x, p, values, float(values.min()), negative, float(values.sum() * cell),
-                      c.K, h, points, change, residue)
+                      c.K, h, points, change)

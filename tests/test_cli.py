@@ -164,7 +164,7 @@ def test_wigner_rows_are_row_major(tmp_path, capsys):
                   if l.startswith("# ") and " = " in l)
     assert 0.0 < float(header["step"]) <= 1.0
     assert int(header["lattice_points"]) > 0
-    assert float(header["change"]) <= 1e-12 and float(header["residue"]) <= 1e-12
+    assert float(header["change"]) <= 1e-12 and "residue" not in header
     capsys.readouterr()
 
 
@@ -294,6 +294,50 @@ def test_readme_option_table_matches_the_command_table():
         flags, defaults = table[name]
         assert flags == [flag[dest] for dest in command.reads], name
         assert defaults == {flag[dest]: text for dest, text in command.defaults.items()}, name
+
+
+def _readme_header_table() -> dict[str, list[str]]:
+    """command -> the keys of the README table "header records beyond its options"."""
+    table = README.read_text().split("| command | header records beyond its options |\n|---|---|\n",
+                                     1)[1]
+    out = {}
+    for line in table.split("\n\n", 1)[0].splitlines():
+        _, commands, keys, _ = line.split("|")
+        out.update((name, re.findall(r"`([A-Za-z_]+)`", keys))
+                   for name in re.findall(r"`([a-z]+)`", commands))
+    return out
+
+
+_CHEAP_ARGS = {
+    "spectrum": [],
+    "potential": ["--x-grid=-1:1:3"],
+    "eigenstate": ["--x-grid=-1:1:3"],
+    "coeffs": ["--z-re", "1"],
+    "energy": ["--z-abs", "0:1:2"],
+    "density": ["--z-re", "1", "--x-grid=-1:1:3"],
+    "cat": ["--z-re", "1", "--x-grid=-1:1:3"],
+    "overlap": ["--z-abs", "0:1:2"],
+    "wigner": ["--z-re", "1", "--x-grid=-1:1:3", "--p-grid=-1:1:3"],
+    "uncertainty": ["--z-re-grid=0:0:1", "--z-im-grid=0:0:1"],
+    "mandel": ["--z-abs", "0:1:2"],
+    "beamsplitter": ["--z-re", "1"],
+    "entropy": ["--z-abs", "0:1:2"],
+}
+
+
+def test_readme_header_table_matches_each_command_header(tmp_path, capsys):
+    # the header lists the settings the command reads, in the order of
+    # _OPTIONS, then what it records
+    table = _readme_header_table()
+    assert sorted(table) == sorted(_COMMAND_TABLE) == sorted(_CHEAP_ARGS)
+    for name, command in _COMMAND_TABLE.items():
+        code, path = run_cli([name, *_CHEAP_ARGS[name]], tmp_path, f"{name}.csv")
+        assert code == 0, name
+        keys = [line[2:].split(" = ", 1)[0] for line in path.read_text().splitlines()
+                if line.startswith("# ") and " = " in line]
+        shown = (*command.reads, "output", "fmt", "plot")
+        assert keys == ["command", *(key for key in _OPTIONS if key in shown), *table[name]], name
+    capsys.readouterr()
 
 
 def test_seventeen_digit_round_trip(tmp_path, capsys):

@@ -158,6 +158,15 @@ def test_mandel_q_values():
     assert q == pytest.approx(q_direct, rel=1e-8)
 
 
+def test_linearized_direct_q_is_poissonian_at_large_z():
+    # the weights are normalised from their peak, so they share no rounding
+    # of a large ln sum: Q was -1.0e-10 and -8.2e-10 when they were divided by e^x
+    for m, mu, az in ((4, -5, 30.0), (2, 1, 45.0)):
+        weights = np.exp(_log_weights(CoherentSpec("linearized", m, mu, az), 1e-14)[0])
+        assert abs(math.fsum(weights) - 1.0) <= 1e-15
+        assert abs(mandel_q(CoherentSpec("linearized", m, mu, az), "direct")) <= 1e-12
+
+
 def test_mandel_q_negative_for_nonlinear_order4():
     for mu in lowest_weights(4):
         for az in (1.0, 10.0, 1e3, 1e5):
@@ -535,8 +544,8 @@ def test_wigner_entry_points_refuse_bad_arguments(monkeypatch):
     with pytest.raises(NumericalError, match="past tol"):
         wigner_cross_term(a, b, 0.5, 0.3, tol=1e-300)
     with monkeypatch.context() as patch:
-        patch.setattr(observables, "_WIGNER_REL_TOL", 0.0)
-        with pytest.raises(NumericalError, match="residue"):
+        patch.setattr(observables, "_WIGNER_TOL", 0.0)
+        with pytest.raises(NumericalError, match="step change"):
             wigner_grid(spec, resolution=(9, 9))
 
 
@@ -742,9 +751,37 @@ def test_wigner_grid_matches_panel_reference():
         grid = wigner_grid(spec, window, resolution)
         reference = _panel_wigner_reference(spec, window, resolution)
         assert np.max(np.abs(grid.values - reference)) <= 1e-12, (spec, window)
-        assert grid.change <= 1e-12 and grid.residue <= 1e-12
+        assert grid.change <= 1e-12 and np.isrealobj(grid.values)
         dx = abs(window[0][1] - window[0][0]) / (resolution[0] - 1)
         assert dx < grid.step or dx / grid.step == pytest.approx(round(dx / grid.step), abs=1e-9)
+
+
+def test_wigner_grid_of_the_oscillator_coherent_state_is_gaussian():
+    # m = 0 is the oscillator: W = exp(-(x - x0)^2 - (p - p0)^2) / pi about
+    # x0 + i p0 = -z for the nonlinear ladder (its sign (-1)^k) and +z for
+    # the linearized one
+    for variant, sign in (("nonlinear", -1.0), ("linearized", 1.0)):
+        for z in (1.3 - 0.7j, 0.4 + 2.1j):
+            grid = wigner_grid(CoherentSpec(variant, 0, -1, z), ((-4, 4), (-4, 4)), (33, 33),
+                               tail_tol=1e-30)
+            x, p = np.meshgrid(grid.x, grid.p, indexing="ij")
+            exact = np.exp(-(x - sign * z.real) ** 2 - (p - sign * z.imag) ** 2) / math.pi
+            assert np.max(np.abs(grid.values - exact)) <= 5e-16, (variant, z)
+
+
+def test_wigner_grid_answers_a_window_that_misses_the_mass():
+    # the window holds W ~ 1e-9 of a state whose peak is ~0.03; the step
+    # change (~4e-15) is judged against the absolute 1e-10, not against the
+    # window's peak, and the values are those of a window holding the mass
+    spec = CoherentSpec("nonlinear", 4, -5, 1e9)
+    small = wigner_grid(spec, ((-6.0, 6.0), (-6.0, 6.0)), (21, 21))
+    wide = wigner_grid(spec, ((-102.0, 102.0), (-102.0, 102.0)), (35, 35))  # spacing 6
+    assert np.max(np.abs(small.values)) < 1e-8 < 1e-3 < wide.values.max()
+    rows = np.searchsorted(wide.x, [-6.0, 0.0, 6.0])
+    assert np.array_equal(wide.x[rows], small.x[[0, 10, 20]])
+    assert np.array_equal(wide.p[rows], small.p[[0, 10, 20]])
+    cut = wide.values[np.ix_(rows, rows)]
+    assert np.max(np.abs(cut - small.values[np.ix_([0, 10, 20], [0, 10, 20])])) <= 1e-12
 
 
 def test_wigner_grid_is_zero_off_the_support():
@@ -784,8 +821,8 @@ def test_pole_distance_matches_gauss_hermite_nodes():
 
 def test_both_statistics_routes_cut_the_weights_at_one_log_x(monkeypatch):
     # the weights of the direct route are the first terms of the closed
-    # form's denominator F(1; b; x), to the bit, and are normalised by the
-    # one read-back of its sum: both routes cut F at one ln x
+    # form's denominator F(1; b; x), to the bit, and are normalised from
+    # the peak term by the scaled sum: both routes cut F at one ln x
     seen = []
 
     def spy(rows, *args):
@@ -810,4 +847,4 @@ def test_both_statistics_routes_cut_the_weights_at_one_log_x(monkeypatch):
                 assert weights.logs.tobytes() == den.logs[:len(weights.logs)].tobytes(), (m, mu, az)
                 normalised.append((log_w, weights))
     for log_w, weights in normalised:
-        assert np.array_equal(log_w, weights.logs - weights.log_total)
+        assert np.array_equal(log_w, (weights.logs - weights.peak) - math.log(weights.total))
