@@ -218,24 +218,22 @@ def _dual_route(quantity, name: str):
 
 def _profile(config: argparse.Namespace, coeffs: co.CoefficientVector, meta: dict):
     """Density rows at --times on --x-grid, or else on the support grid."""
-    times = config.times or [0.0]
     x = sy._linspace(*config.x_grid) if config.x_grid else co._support_grid(coeffs)
-    rho = co._profile_from_coefficients(coeffs, times, x)
-    columns = ["x"] + [f"rho_t{i}" for i in range(len(times))]
+    rho = co._profile_from_coefficients(coeffs, config.times, x)
+    columns = ["x"] + [f"rho_t{i}" for i in range(len(config.times))]
     return columns, np.column_stack([x, rho.T]).tolist(), meta
 
 
 def _cmd_density(config: argparse.Namespace):
     coeffs = co.coefficients(_spec(config), config.tail_tol)
-    meta = {"times": config.times or [0.0], "K": coeffs.K, "tail_mass": coeffs.tail_mass,
-            "period": math.pi / (config.m + 1)}
+    meta = {"K": coeffs.K, "tail_mass": coeffs.tail_mass, "period": math.pi / (config.m + 1)}
     return _profile(config, coeffs, meta)
 
 
 def _cmd_cat(config: argparse.Namespace):
     cat = co.cat_coefficients(_spec(config), config.parity, normalize=True,
                               tail_tol=config.tail_tol)
-    return _profile(config, cat, {"parity": config.parity, "K": cat.K})
+    return _profile(config, cat, {"K": cat.K})
 
 
 def _cmd_overlap(config: argparse.Namespace):
@@ -262,12 +260,11 @@ def _cmd_wigner(config: argparse.Namespace):
 def _cmd_uncertainty(config: argparse.Namespace):
     if len(config.times) > 1:
         raise UsageError(f"uncertainty takes one time, got --times {config.times}")
-    t = config.times[0] if config.times else 0.0
     zs = [complex(re_z, im_z) for re_z in np.linspace(*config.z_re_grid)
           for im_z in np.linspace(*config.z_im_grid)]
-    results = ob.uncertainties([_spec(config, z) for z in zs], t, config.tail_tol)
+    results = ob.uncertainties([_spec(config, z) for z in zs], config.times[0], config.tail_tol)
     rows = [[z.real, z.imag, *res] for z, res in zip(zs, results)]
-    return ["re_z", "im_z", "sigma_x", "sigma_p", "product"], rows, {"t": t}
+    return ["re_z", "im_z", "sigma_x", "sigma_p", "product"], rows, {}
 
 
 def _cmd_beamsplitter(config: argparse.Namespace):
@@ -368,11 +365,15 @@ def _selftest() -> int:
         check(f"stacked derivative rows match single-order rows (m={m}, mu={mu})",
               all(np.array_equal(a, b) for a, b in zip(stack, single)))
 
-    grid = np.linspace(-40.0, 40.0, 321)
+    # R, R' at the clip points too; there R'' cancels to 1e-18 (3.5e-10 off), its rows 0
+    grid = np.concatenate([np.linspace(-40.0, 40.0, 321), [-1e6, 1e6]])
     exact = np.array([_exact_rational_factors(12, t) for t in grid]).T
-    check("rational factors R, R', R'' match exact rationals (m=12)", all(
-        np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e))
-        for g, e in zip(sy._rational_factors(12, sy._top_ratio(12, grid)[0], grid), exact)))
+    with warnings.catch_warnings(record=True) as caught:  # any warning fails the check
+        warnings.simplefilter("always")
+        factors = sy._rational_factors(12, sy._top_ratio(12, grid)[0], grid)
+    check("rational factors R, R', R'' match exact rationals (m=12; R, R' at |x| = 1e6 too)",
+          not caught and all(np.max(np.abs(g - e)[:stop]) <= 1e-13 * np.max(np.abs(e))
+                             for g, e, stop in zip(factors, exact, (None, None, -2))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -523,15 +524,16 @@ _COMMAND_TABLE = {
     "coeffs": _Command(_cmd_coeffs, (*_STATE, "z_re", "z_im", "tail_tol")),
     "energy": _Command(_dual_route(ob.energy_expectation, "energy"), _SWEEP),
     "density": _Command(_cmd_density,
-                        (*_STATE, "z_re", "z_im", "times", "x_grid", "tail_tol")),
-    "cat": _Command(_cmd_cat, (*_STATE, "z_re", "parity", "times", "x_grid", "tail_tol")),
+                        (*_STATE, "z_re", "z_im", "times", "x_grid", "tail_tol"), {"times": "0"}),
+    "cat": _Command(_cmd_cat, (*_STATE, "z_re", "parity", "times", "x_grid", "tail_tol"),
+                    {"times": "0"}),
     "overlap": _Command(_cmd_overlap, ("m", "mu", "z_abs_grid")),
     "wigner": _Command(_cmd_wigner,
                        (*_STATE, "z_re", "z_im", "x_grid", "p_grid", "tail_tol"),
                        {"x_grid": "-8:8:161", "p_grid": "-8:8:161"}),
     "uncertainty": _Command(_cmd_uncertainty,
                             (*_STATE, "z_re_grid", "z_im_grid", "times", "tail_tol"),
-                            {"z_re_grid": "-2:2:11", "z_im_grid": "-2:2:11"}),
+                            {"z_re_grid": "-2:2:11", "z_im_grid": "-2:2:11", "times": "0"}),
     "mandel": _Command(_dual_route(ob.mandel_q, "q"), _SWEEP),
     "beamsplitter": _Command(_cmd_beamsplitter, (*_STATE, "z_re", "z_im", "tail_tol")),
     "entropy": _Command(_cmd_entropy, _SWEEP),

@@ -175,20 +175,14 @@ def coefficients(spec: CoherentSpec, tail_tol: float = 1e-14,
     The truncation index K is the first index past which a geometric bound
     on the dropped |A_k|^2, the terms of the normalisation series cut by the
     rule of every series (:func:`_log_weights`), is below tail_tol; the
-    bound is reported as tail_mass.
+    bound is reported as tail_mass.  At z = 0, A_0 = 1 and the rest are 0.
     """
     log_w, tail = _log_weights(spec, tail_tol, min_index)
-    if spec.abs_z == 0.0:
-        entries = np.zeros(len(log_w), dtype=complex)
-        entries[0] = 1.0
-        return CoefficientVector(spec, entries, 0.0)
     mags = np.exp(0.5 * log_w)
     if spec.variant == "nonlinear":
         np.negative(mags[1::2], out=mags[1::2])  # the sign (-1)^k
-    theta = cmath.phase(spec.z)
-    phases = np.exp(1j * theta * np.arange(len(log_w))) if theta != 0.0 else np.ones(len(log_w))
-    entries = mags * phases
-    return CoefficientVector(spec, entries.astype(complex), tail)
+    phases = np.exp(1j * cmath.phase(spec.z) * np.arange(len(log_w)))
+    return CoefficientVector(spec, mags * phases, tail)
 
 
 # ---------------------------------------------------------------------------

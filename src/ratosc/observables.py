@@ -25,6 +25,7 @@ from .coherent import (
     hypergeometric_parameters,
 )
 from .specfun import (
+    _EPS,
     _LOG_HALF_EPS,
     MAX_SERIES_TERMS,
     NumericalError,
@@ -64,47 +65,56 @@ _CLOSED_FORM_TOL = 1e-8  # the relative rounding bound a closed-form moment may 
 @lru_cache(maxsize=64)
 def _moment_series(m: int, mu: int, order: int):
     """The stack row (order+1; b+order) of the order-th factorial-moment
-    series of ladder (m, mu) and its prefactor order! / prod_j (b_j)_order,
-    a float (order <= 2 and every |b_j|, |b_j + 1| >= 1/(m+1)); cached per
-    ladder and order, since a |z| sweep reuses them."""
+    series of ladder (m, mu), its prefactor order! / prod_j (b_j)_order, a
+    float (order <= 2 and every |b_j|, |b_j + 1| >= 1/(m+1)), and a bound on
+    its relative rounding (b_j + i within eps (2 |b_j| + 1) / |b_j + i|, one
+    more per product); cached per ladder and order, reused by a |z| sweep."""
     b = hypergeometric_parameters(m, mu)
     pref = math.factorial(order) / math.prod(bj + i for bj in b for i in range(order))
-    return ((order + 1.0,), tuple(bj + order for bj in b), False), pref
+    pref_err = _EPS * sum((2 * abs(bj) + 1) / abs(bj + i) + 2 for bj in b for i in range(order))
+    return ((order + 1.0,), tuple(bj + order for bj in b), False), pref, pref_err
 
 
-def _factorial_moments(m: int, mu: int, abs_z: float, orders) -> tuple[float, ...]:
+def _factorial_moments(m: int, mu: int, abs_z: float, orders) -> tuple[tuple[float, float], ...]:
     """Falling-factorial moments <k (k-1) ... (k-order+1)> of the rung number
-    for the nonlinear weights, one per entry of orders, via the
-    shifted-parameter series ratio
+    for the nonlinear weights, one (value, bound) pair per entry of orders,
+    via the shifted-parameter series ratio
 
         order! x^order / prod_j (b_j)_order * F(order+1; b+order; x) / F(1; b; x).
 
     The denominator F(1; b; x) and the numerators of all orders, series of
     positive terms, are summed in one stacked pass to the tolerance of
     signed_series at the ln x of the weights, and read back as their
-    ``log_total``.  A moment whose relative rounding bound, the sum of the
-    ``rounding_bound`` of its numerator and denominator, passes
+    ``log_total``.  The bound adds to their ``rounding_bound`` the
+    prefactor's and 4 ulps of each part of the exponent order ln x + ln pref
+    + (ln F_num - ln F_den), ln x = 2 ln|z| - (m+1) ln(2m+2) by its parts,
+    which dominate at small |z|.  A moment whose bound passes
     _CLOSED_FORM_TOL raises NumericalError: the running log sums that give
     the terms lose digits as the series grow (Q was off by 0.9% at K ~
     1.7e5).  The bound is first order, so it refuses from K ~ 1,350
     (m = 12) to ~5,000 (m = 0).
     """
     if abs_z == 0.0:
-        return (0.0,) * len(orders)
+        return ((0.0, 0.0),) * len(orders)
     moments = [_moment_series(m, mu, order) for order in orders]
-    rows = [((1.0,), hypergeometric_parameters(m, mu), False)] + [row for row, _ in moments]
+    rows = [((1.0,), hypergeometric_parameters(m, mu), False)] + [row for row, *_ in moments]
     log_x = _log_series_argument(m, abs_z)  # finite where x itself underflows
+    log_x_size = 2.0 * abs(math.log(abs_z)) + (m + 1) * math.log(2 * m + 2)
     den, *nums = _series_terms(rows, log_x, _LOG_HALF_EPS, MAX_SERIES_TERMS - 1)
-    den_bound = den.rounding_bound
-    for order, num in zip(orders, nums):
-        bound = den_bound + num.rounding_bound
+    den_bound, log_den = den.rounding_bound, den.log_total
+    out = []
+    for order, (_, pref, pref_err), num in zip(orders, moments, nums):
+        log_pref, log_num = math.log(abs(pref)), num.log_total
+        parts = order * log_x_size + abs(log_pref) + abs(log_num) + abs(log_den)
+        bound = den_bound + num.rounding_bound + pref_err + 4.0 * _EPS * (parts + 1.0)
         if bound > _CLOSED_FORM_TOL:
             raise NumericalError(f"the closed form of the order-{order} moment has a "
                                  f"rounding bound of {bound:.1e}, past "
                                  f"{_CLOSED_FORM_TOL:.0e}; the direct route answers")
-    return tuple(SignedLog(1 if pref > 0.0 else -1, order * log_x + math.log(abs(pref))
-                           + (num.log_total - den.log_total)).to_float()
-                 for order, (_, pref), num in zip(orders, moments, nums))
+        value = SignedLog(1 if pref > 0.0 else -1,
+                          order * log_x + log_pref + (log_num - log_den)).to_float()
+        out.append((value, bound))
+    return tuple(out)
 
 
 def _finite(value: float, name: str) -> float:
@@ -127,7 +137,7 @@ def _rung_moments(spec: CoherentSpec, method: str, tail_tol: float, orders) -> t
     if spec.variant == "linearized":
         n = 0.5 * (spec.abs_z * spec.abs_z)
         return tuple(n * n if order == 2 else n for order in orders)
-    return _factorial_moments(spec.m, spec.mu, spec.abs_z, orders)
+    return tuple(value for value, _ in _factorial_moments(spec.m, spec.mu, spec.abs_z, orders))
 
 
 def energy_expectation(spec: CoherentSpec, method: str = "closed_form",
@@ -178,9 +188,10 @@ _QUAD_TOL = 1e-10  # uncertainty: absolute change of the lattice sums between pa
 # summation rounding: 1e-14 to 2e-14 measured at K = 469, 1000 and 1400,
 # where the sums reach 1e4 and an abs_tol of 1e-10 cannot be met.
 _MOMENT_ROUNDING = 1e-13
+_MAX_REFINEMENTS = 3  # _lattice_sums: halvings of the step before it refuses
 
 
-def _lattice_sums(m: int, mu: int, K: int, sums, abs_tol: float, max_refinements: int = 3):
+def _lattice_sums(m: int, mu: int, K: int, sums, abs_tol: float):
     """Trapezoid sums of the integrands that sums(x) adds up over the
     mirror-symmetric nodes x, whose half x >= 0 the basis kernel evaluates,
     for the basis of ladder (m, mu) up to rung K: (value, nodes,
@@ -197,17 +208,15 @@ def _lattice_sums(m: int, mu: int, K: int, sums, abs_tol: float, max_refinements
     abs_tol, or to 1e-13 of the largest sum where that is larger.  nodes
     counts the accepted lattice, change is the last change between passes.
     ValueError for a top state index mu + (m+1) K past MAX_STATE_INDEX, before
-    any node is evaluated; NumericalError if max_refinements passes fall short.
+    any node is evaluated; NumericalError if _MAX_REFINEMENTS passes fall short.
     """
     StateLabel(m, mu, K)  # validates the ladder and the top state index
-    if max_refinements < 1:
-        raise ValueError("need at least one refinement pass")
     k_osc = _turning_point(m, mu, K)
     half = k_osc + _SUPPORT_PADDING
     n = math.ceil(half / _lattice_step(m, k_osc, 0.0))
     h = half / n
     coarse = h * sums(h * np.arange(-n, n + 1))
-    for refinement in range(1, max_refinements + 1):
+    for refinement in range(1, _MAX_REFINEMENTS + 1):
         # T(h/2) - T(h) = (h sum f(midpoints) - T(h)) / 2, formed in place
         step = sums(h * (np.arange(-n, n) + 0.5))
         step *= h
@@ -219,7 +228,7 @@ def _lattice_sums(m: int, mu: int, K: int, sums, abs_tol: float, max_refinements
         if diff <= max(abs_tol, _MOMENT_ROUNDING * max(coarse.max(), -coarse.min())):
             return coarse, 2 * n + 1, refinement, diff
     raise NumericalError(f"lattice sums change by {diff:.3e} in refinement "
-                         f"{max_refinements}, past {abs_tol:.1e}")
+                         f"{_MAX_REFINEMENTS}, past {abs_tol:.1e}")
 
 
 # Matrix elements of x, x^2, p, p^2 between the rungs 0..K of one ladder,
@@ -249,13 +258,11 @@ def _moment_sums(m: int, mu: int, K: int, x: np.ndarray) -> np.ndarray:
     return sums
 
 
-def moment_matrices(m: int, mu: int, K: int, abs_tol: float = 1e-10,
-                    max_refinements: int = 3) -> MomentMatrices:
+def moment_matrices(m: int, mu: int, K: int, abs_tol: float = 1e-10) -> MomentMatrices:
     """The (K+1) x (K+1) moment matrices, entries stable to abs_tol, with
-    <p^2> as int psi_a' psi_b' (integration by parts): the reference of
-    :func:`uncertainty`, which sums the same integrals of the state itself."""
-    sums, *passes = _lattice_sums(m, mu, K, lambda x: _moment_sums(m, mu, K, x),
-                                  abs_tol, max_refinements)
+    <p^2> as int psi_a' psi_b' (integration by parts), on the lattice of
+    :func:`_lattice_sums`: the reference of :func:`uncertainty`."""
+    sums, *passes = _lattice_sums(m, mu, K, lambda x: _moment_sums(m, mu, K, x), abs_tol)
     mx, mx2, mp, mp2 = sums
     return MomentMatrices(m, mu, K, mx, mx2, -1j * mp, mp2, *passes)
 

@@ -413,7 +413,6 @@ def _series_limits(upper: tuple, lower: tuple, max_index: int) -> _SeriesLimits:
     return _SeriesLimits(bad_lower, end, open_pq, cap_log)
 
 
-@lru_cache(maxsize=16)  # the rows of a stack mostly share their first count
 def _first_count(log_x: float, slope: int, log_tol: float, cap: int) -> int:
     """Terms to compute in a first pass: the peak index |x|^{1/slope} of a
     series whose term ratio falls like x / k^slope, plus a Gaussian tail

@@ -101,22 +101,18 @@ def energy(label: StateLabel) -> float:
 
 
 def _top_ratio(m: int, x):
-    """(R, 1/P_m) with R = P_{m-1}/P_m, from one pass of the all-positive
-    modified Hermite recurrence P_{j+1} = 2x P_j + 2j P_{j-1}, the model's
-    only one.  The pair (P_{j-1}, P_j) is divided by its larger magnitude
-    after every step and the scales are kept as a reciprocal, so nothing
-    overflows where P_m would (|x| past ~1e77 at m = 4): 1/P_m underflows
-    to 0.  At x = 0 the odd orders vanish and R is exactly 0.  Every
-    derivative the model needs is a function of R (:func:`_rational_factors`).
+    """(R, 1/P_m) with R = P_{m-1}/P_m, from one unscaled pass of the
+    all-positive modified Hermite recurrence P_{j+1} = 2x P_j + 2j P_{j-1},
+    the model's only one, at x its callers clip to |x| <= _PHI_X_ZERO = 1e6,
+    where |P_12| < 4.2e75.  At x = 0 the odd orders vanish and R is exactly
+    0.  Every derivative the model needs is a function of R (:func:`_rational_factors`).
     """
     lo = x * 0.0
-    hi = inv = x * 0.0 + 1.0
+    hi = x * 0.0 + 1.0
     two_x = 2.0 * x
     for j in range(m):
         lo, hi = hi, two_x * hi + 2.0 * j * lo
-        scale = np.maximum(np.abs(lo), np.abs(hi))
-        lo, hi, inv = lo / scale, hi / scale, inv / scale
-    return lo / hi, inv / hi
+    return lo / hi, 1.0 / hi
 
 
 def _rational_factors(m: int, r, x):
@@ -132,19 +128,19 @@ def potential(m: int, x):
     even-order modified Hermite polynomial.
 
     With P' = 2m P_{m-1}, P'' = 4m(m-1) P_{m-2} and the recurrence, this is
-    x^2 - 2 - 4m R' in R = P_{m-1}/P_m alone, R' = 1 - 2xR - 2mR^2, which
-    stays finite wherever x^2 does.  An x whose square overflows raises
-    NumericalError.  The rational part decays like 2m/x^2, so the curve
-    approaches x^2 - 2 at large |x| for every order.  See
-    hamiltonian_potential for the energy origin that pairs with the
-    spectrum convention used here.
+    x^2 - 2 - 4m R' in R = P_{m-1}/P_m alone, R' = 1 - 2xR - 2mR^2, formed
+    at x clipped to |x| <= 1e6 as in the basis kernel: past it 4m R' ~ 2m/x^2
+    lies below half an ulp of x^2 - 2, which the curve equals there.  An x
+    whose square overflows raises NumericalError.  See hamiltonian_potential
+    for the energy origin that pairs with the spectrum convention used here.
     """
     _check_order(m)
     with np.errstate(over="ignore"):
         x2 = x * x
     if np.any(np.isinf(x2)):
         raise NumericalError(f"x^2 overflows at |x| = {float(np.max(np.abs(x))):.3g}")
-    _, r1, _ = _rational_factors(m, _top_ratio(m, x)[0], x)
+    xc = np.clip(x, -_PHI_X_ZERO, _PHI_X_ZERO)
+    _, r1, _ = _rational_factors(m, _top_ratio(m, xc)[0], xc)
     return x2 - 2.0 - 4.0 * m * r1
 
 
@@ -253,9 +249,9 @@ def wavefunction_rows(m: int, mu: int, ks, x, derivative_order: int = 0) -> np.n
     phi_n' = sqrt(2n) phi_{n-1} - x phi_n and phi_n'' = (x^2 - 2n - 1) phi_n
     the derivatives of the two-term form are exact, like the values.  R
     enters with R' = 1 - 2xR - 2mR^2 and R'' = -2R - 2xR' - 4mRR', and the
-    ground row with P_m'/P_m = 2mR, all from the rescaled R of one pass:
-    no P_m is formed, so the rows are finite for every finite x, and
-    exactly 0 past |x| = 1e6.  The rows are those of the kernel
+    ground row with P_m'/P_m = 2mR and 1/P_m, all from one unscaled pass
+    of :func:`_top_ratio` at x clipped to |x| <= 1e6: the rows are finite
+    for every finite x, and exactly 0 past |x| = 1e6.  The rows are those of the kernel
     :func:`_basis_blocks`, stored, bitwise the same for any set of orders.
 
     Parity holds to the bit: the d-th derivative obeys

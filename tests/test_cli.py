@@ -337,6 +337,11 @@ def test_readme_header_table_matches_each_command_header(tmp_path, capsys):
                 if line.startswith("# ") and " = " in line]
         shown = (*command.reads, "output", "fmt", "plot")
         assert keys == ["command", *(key for key in _OPTIONS if key in shown), *table[name]], name
+        # no key twice, so a reader that builds a dict from the header loses
+        # nothing: the times used and a cat's parity are settings lines
+        assert len(keys) == len(set(keys)), name
+        if "times" in command.reads:
+            assert "# times = [0.0]" in path.read_text().splitlines(), name
     capsys.readouterr()
 
 
@@ -547,7 +552,7 @@ def test_uncertainty_takes_one_time(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
     code, out = run_cli(base + ["--times", "0.3"], tmp_path, "one.csv")
     assert code == 0
-    assert "# t = 0.3" in out.read_text().splitlines()
+    assert "# times = [0.3]" in out.read_text().splitlines()
     capsys.readouterr()
 
 

@@ -54,6 +54,11 @@ def test_zero_eigenvalue_collapses_to_lowest_weight():
         assert c.K == 0
         assert c.entries[0] == 1.0
         assert c.tail_mass == 0.0
+        # past a floor: A_0 = 1 and zeros, from the weights' general path
+        c = coefficients(CoherentSpec(variant, 4, -5, 0.0), min_index=3)
+        assert c.entries.dtype == complex
+        assert c.entries.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert c.tail_mass == 0.0
 
 
 def test_first_coefficient_ratio_is_ladder_element():

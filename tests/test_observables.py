@@ -5,6 +5,7 @@ import cmath
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,6 +232,40 @@ def test_closed_forms_refuse_past_their_rounding_bound():
         assert mandel_q(spec, "direct") == pytest.approx(-m / (m + 1.0), abs=1e-4)
 
 
+def _exact_factorial_moment(m, mu, abs_z, order):
+    """order! x^order / prod_j (b_j)_order F(order+1; b+order; x) / F(1; b; x)
+    in Fraction arithmetic, with the exact b_j and x of the double |z|, each
+    series summed until a term falls below 1e-60 of the sum."""
+    b = [Fraction(mu - j, m + 1) + 1 for j in range(1, m + 1)] + [Fraction(mu + m + 1, m + 1) + 1]
+    x = Fraction(abs_z) ** 2 / (2 * m + 2) ** (m + 1)
+
+    def series(a, lower):
+        total, term, k = Fraction(0), Fraction(1), 0
+        while abs(term) >= abs(total) * Fraction(1, 10 ** 60):
+            total += term
+            term = term * x * (a + k) / ((k + 1) * math.prod(bj + k for bj in lower))
+            k += 1
+        return total
+
+    pref = Fraction(math.factorial(order)) / math.prod(bj + i for bj in b for i in range(order))
+    return pref * x ** order * series(order + 1, [bj + order for bj in b]) / series(1, b)
+
+
+def test_closed_form_bound_covers_the_moment_returned():
+    # at small |z| the series are ~1 and the rounding of the exponent
+    # order ln x + ln pref + (ln F_num - ln F_den) dominates: up to 4.3e-14
+    # (m = 10, mu = 6, |z| = 1e-20, order 2), once against a bound of 4.4e-16
+    for az in (1e-20, 1e-12, 1e-9):
+        for m in range(0, 13, 2):
+            for mu in lowest_weights(m):
+                moments = _factorial_moments(m, mu, az, (1, 2))
+                for order, (value, bound) in zip((1, 2), moments):
+                    exact = _exact_factorial_moment(m, mu, az, order)
+                    assert abs(Fraction(value) - exact) <= Fraction(bound) * abs(exact), \
+                        (m, mu, az, order)
+                    assert bound < 1e-12
+
+
 def test_moment_matrix_structure():
     mats = moment_matrices(4, -5, 6)
     # parity selection: <a|x|b> = 0 whenever (m+1)(k_a - k_b) is even
@@ -392,16 +427,18 @@ def test_wigner_grid_matches_kernel_double_sum():
         assert grid.values[i, j] == pytest.approx(total.real, rel=1e-6, abs=1e-11)
 
 
-def test_moment_matrices_refinement_guard():
+def test_moment_matrices_refinement_guard(monkeypatch):
+    from ratosc import observables
     from ratosc.specfun import NumericalError
 
-    with pytest.raises(NumericalError):
-        moment_matrices(4, -5, 8, abs_tol=1e-30, max_refinements=1)
-    with pytest.raises(ValueError, match="at least one refinement"):
-        moment_matrices(4, -5, 8, max_refinements=0)
+    monkeypatch.setattr(observables, "_MAX_REFINEMENTS", 1)
+    with pytest.raises(NumericalError, match="in refinement 1"):
+        moment_matrices(4, -5, 8, abs_tol=1e-30)
     # the step's margin for the Gaussian momentum tail: the first lattice of
     # the lowest rungs is already right
-    assert moment_matrices(0, -1, 1, abs_tol=1e-30, max_refinements=1).change <= 1e-12
+    mats = moment_matrices(0, -1, 1, abs_tol=1e-30)
+    assert mats.refinements == 1 and mats.change <= 1e-12
+    monkeypatch.undo()
     # an abs_tol below the summation rounding of the entries is met at
     # 1e-13 of the largest entry instead
     mats = moment_matrices(4, -5, 8, abs_tol=1e-30)
@@ -689,8 +726,8 @@ def test_number_moments_share_the_denominator_series(monkeypatch):
         calls.clear()
         n1, n2 = number_moments(spec)
         assert rows_per_call() == [(3, 1)]
-        assert n1 == _factorial_moments(4, -5, az, (1,))[0]
-        assert n2 == _factorial_moments(4, -5, az, (2,))[0]
+        assert n1 == _factorial_moments(4, -5, az, (1,))[0][0]
+        assert n2 == _factorial_moments(4, -5, az, (2,))[0][0]
         calls.clear()
         mandel_q(spec)
         assert rows_per_call() == [(3, 1)]

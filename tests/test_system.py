@@ -3,6 +3,7 @@ ladder elements and the spectral algebra identity."""
 
 import math
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -88,12 +89,13 @@ def test_potential_ratio_form_matches_quotient_form():
         v = potential(m, x)
         assert np.max(np.abs(v - reference) / np.maximum(1.0, np.abs(reference))) < 1e-13
         assert potential(m, 0.0) == -2.0 - 4.0 * m
-    far = np.array([-1e150, -1e77, 1e77, 1e150])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        v = potential(12, far)
-    assert np.all(np.isfinite(v))
-    assert np.allclose(v, far * far, rtol=1e-15, atol=0.0)
+    # past the clip at |x| = 1e6, 4m R' lies below half an ulp of x^2 - 2
+    far = np.array([1.5e6, 1e10, 1e77, 1e150])
+    far = np.concatenate([far, -far])
+    for m in range(0, MAX_ORDER + 1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(potential(m, far), far * far - 2.0), m
     with pytest.raises(NumericalError, match="overflows"):
         potential(4, np.array([0.0, 1e200]))
 
@@ -317,6 +319,23 @@ def test_rational_factors_match_modified_hermite_quotients():
         exact = np.array([_exact_rational_factors(m, t) for t in x]).T
         for g, e in zip(got, exact):
             assert np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e)), m
+
+
+def test_top_ratio_matches_exact_rationals_without_warnings():
+    # the unscaled pass on the points its callers pass, clipped at 1e6:
+    # R = P_{m-1}/P_m and 1/P_m, each within 1e-15 of the exact rational
+    x = np.array([0.0, 1e-300, -1e-300, 0.5, -0.5, 37.5, -37.5, 1e6, -1e6])
+    for m in range(0, MAX_ORDER + 1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, inv_pm = _top_ratio(m, x)
+        for t, got_r, got_inv in zip(x, r, inv_pm):
+            p = [Fraction(0), Fraction(1)]  # P_{-1}, P_0
+            for j in range(m):
+                p.append(2 * Fraction(t) * p[-1] + 2 * j * p[-2])
+            exact_r, exact_inv = p[-2] / p[-1], 1 / p[-1]
+            assert abs(Fraction(got_r) - exact_r) <= Fraction(1e-15) * abs(exact_r), (m, t)
+            assert abs(Fraction(got_inv) - exact_inv) <= Fraction(1e-15) * exact_inv, (m, t)
 
 
 def test_stacked_orders_are_bitwise_the_single_order_rows():
