@@ -267,9 +267,7 @@ def moment_matrices(m: int, mu: int, K: int, abs_tol: float = 1e-10) -> MomentMa
     return MomentMatrices(m, mu, K, mx, mx2, -1j * mp, mp2, *passes)
 
 
-@lru_cache(maxsize=64)
-def _cached_matrices(m: int, mu: int, K: int, abs_tol: float) -> MomentMatrices:
-    return moment_matrices(m, mu, K, abs_tol)
+_cached_matrices = lru_cache(maxsize=64)(moment_matrices)
 
 
 UncertaintyResult = namedtuple("UncertaintyResult", ["sigma_x", "sigma_p", "product"])
@@ -361,6 +359,9 @@ class WignerGrid:
 _WIGNER_BLOCK = 1 << 19  # (x, y) pairs per gathered block of the y transform
 _WIGNER_MAX_ENTRIES = 1 << 23  # y kernel entries, and amplitude lattice points
 _WIGNER_TOL = 1e-10  # absolute bound on the step change; every state has |W| <= 1/pi
+# The Wigner integrand pairs the amplitude's edge with its peak: below k_osc ~ 5 the
+# support k_osc + 4 cuts the lowest rungs' Gaussian tail at ~1e-8, |x| = 9 at ~1e-17
+_WIGNER_MIN_SUPPORT = 9.0
 
 
 @lru_cache(maxsize=None)
@@ -409,9 +410,10 @@ def _wigner_lattice(m: int, mu: int, ks, rows, x: np.ndarray, dx: float, p: np.n
     ks of ladder (m, mu), at the rows x spaced dx and the momenta p, on the
     lattice of :func:`wigner_grid` for the top rung of ks: (values, change,
     h, lattice points), change the largest change from step h to h/2 on a
-    subset of the rows; NumericalError where it passes the absolute tol."""
+    subset of the rows; NumericalError where it passes the absolute tol.
+    The support is |x| <= max(k_osc + _SUPPORT_PADDING, _WIGNER_MIN_SUPPORT)."""
     k_osc = _turning_point(m, mu, max(ks))
-    half = k_osc + 6.0  # the support of the amplitudes
+    half = max(k_osc + _SUPPORT_PADDING, _WIGNER_MIN_SUPPORT)
     p_max = float(np.max(np.abs(p)))
     h = _lattice_step(m, k_osc, p_max)
     inside = np.abs(x) <= half  # elsewhere one factor of the integrand vanishes
@@ -490,13 +492,15 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     closer rows, and a window with fewer than two rows inside the support,
     take h = h0 and a lattice each; the lattice amplitude is contracted from
     the blocks of :func:`~ratosc.system._basis_blocks` as they come.  The
-    amplitude counts as zero past |x| = k_osc + 6; each pair +-y is summed
-    once, so the values are real by construction.  Raises ValueError for a
-    non-finite window, a resolution that is not two integers, or a momentum
-    range whose step would make the y kernel or the amplitude lattice pass
-    _WIGNER_MAX_ENTRIES entries, or a reversed axis (each checked before either
-    is built; an axis of zero width is allowed); NumericalError if the change
-    from step h to h/2 passes _WIGNER_TOL = 1e-10 absolute, whatever the window.
+    amplitude counts as zero past |x| = k_osc + 4, the model's support, or
+    past 9 where that is larger (the Gaussian tail of the lowest rungs);
+    each pair +-y is summed once, so the values are real by construction.
+    Raises ValueError for a non-finite window, a resolution that is not two
+    integers, or a momentum range whose step would make the y kernel or the
+    amplitude lattice pass _WIGNER_MAX_ENTRIES entries, or a reversed axis
+    (each checked before either is built; an axis of zero width is
+    allowed); NumericalError if the change from step h to h/2 passes
+    _WIGNER_TOL = 1e-10 absolute, whatever the window.
     """
     c = coefficients(spec, tail_tol)
     (x_lo, x_hi), (p_lo, p_hi) = window

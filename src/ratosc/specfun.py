@@ -147,6 +147,18 @@ SignedLog.ONE = SignedLog(1, 0.0)
 # Hermite-family recurrences
 # ---------------------------------------------------------------------------
 
+def _hermite_pass(n: int, x, step: float):
+    """The three-term recurrence h_{j+1} = 2x h_j + step j h_{j-1} from
+    h_0 = 1, h_1 = 2x, up to order n: H_n for step -2, P_n for step +2."""
+    h_prev = x * 0.0 + 1.0  # scalar or array, matching x
+    if n == 0:
+        return h_prev
+    h = 2.0 * x
+    for j in range(1, n):
+        h, h_prev = 2.0 * x * h + step * j * h_prev, h
+    return h
+
+
 def hermite(n: int, x):
     """Hermite polynomial H_n(x), physicists' convention.
 
@@ -156,47 +168,26 @@ def hermite(n: int, x):
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    h_prev = x * 0.0 + 1.0  # scalar or array, matching x
-    if n == 0:
-        return h_prev
-    h = 2.0 * x
-    for j in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * j * h_prev, h
-    return h
-
-
-def _mod_hermite_value(n: int, x):
-    # all-positive recurrence: stable for every real x
-    h_prev = x * 0.0 + 1.0
-    if n == 0:
-        return h_prev
-    h = 2.0 * x
-    for j in range(1, n):
-        h, h_prev = 2.0 * x * h + 2.0 * j * h_prev, h
-    return h
+    return _hermite_pass(n, x, -2.0)
 
 
 def mod_hermite(n: int, x, derivative_order: int = 0):
     """Hermite polynomial of rotated argument, (-i)^n H_n(ix), real for real x.
 
-    Satisfies the all-positive recurrence P_{n+1} = 2x P_n + 2n P_{n-1},
+    Satisfies the all-positive recurrence P_{n+1} = 2x P_n + 2n P_{n-1}, the
+    pass of :func:`hermite` with the other sign and stable for every real x,
     so for even n it is strictly positive (>= 2 for n >= 2); that is what
     keeps the deformed potential nonsingular.  Derivatives follow from
     P_n' = 2n P_{n-1}.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    if derivative_order == 0:
-        return _mod_hermite_value(n, x)
-    if derivative_order == 1:
-        if n == 0:
-            return x * 0.0
-        return 2.0 * n * _mod_hermite_value(n - 1, x)
-    if derivative_order == 2:
-        if n < 2:
-            return x * 0.0
-        return 4.0 * n * (n - 1) * _mod_hermite_value(n - 2, x)
-    raise ValueError("derivative_order must be 0, 1 or 2")
+    if derivative_order not in (0, 1, 2):
+        raise ValueError("derivative_order must be 0, 1 or 2")
+    if n < derivative_order:
+        return x * 0.0
+    scale = math.perm(n, derivative_order) * 2.0 ** derivative_order  # 2^d n!/(n-d)!, exact
+    return scale * _hermite_pass(n - derivative_order, x, 2.0)
 
 
 def hermite_phi(n: int, x: float) -> float:
@@ -236,22 +227,23 @@ def hermite_phi(n: int, x: float) -> float:
 
 
 def _phi_orders(x, wanted):
-    """Yield (n, phi_n) at the clipped points x for each n of the ascending
-    list wanted: the pass of :func:`phi_rows`, run in place.  A yielded row
-    is a reused buffer that stays valid until order n + 3 is reached, so a
-    caller holds phi_{n-1}, phi_n and phi_{n+1} at once, copies what it
-    keeps longer and writes to none.  Every value is that of the plain step
+    """Yield (n, window) at the clipped points x for each n of the ascending
+    list wanted: the pass of :func:`phi_rows`, run in place.  window[j % 3]
+    holds phi_j (phi_{-1} = 0) for the wanted j among n - 2, n - 1 and n, in
+    buffers the next step overwrites and a caller writes to none; on points
+    with a log offset they are a ring of folded rows, filled at the wanted
+    orders only.  Every value is that of the plain step
     (x c_n) phi_n - d_n phi_{n-1}, for any split of the points into blocks.
     """
     log_start = -0.5 * x * x
     deep = log_start < _PHI_LOG_START_MIN
     offset = np.where(deep, log_start, 0.0) if np.any(deep) else None
     phi0 = math.pi ** -0.25 * np.exp(log_start if offset is None else log_start - offset)
-    ring = [phi0, np.empty_like(phi0), np.zeros_like(phi0)]  # phi_n in ring[n % 3]
+    ring = window = [phi0, np.empty_like(phi0), np.zeros_like(phi0)]  # phi_n in ring[n % 3]
     scratch = np.empty_like(phi0)
     if offset is not None:  # exp(offset/2) changes only where the offset does, at a rescale
         half = np.exp(0.5 * offset)
-        emitted = [np.empty_like(phi0) for _ in range(3)]
+        window = [np.empty_like(phi0), np.empty_like(phi0), np.zeros_like(phi0)]
     wanted_set = set(wanted)
     for k in range(-1, wanted[-1] if wanted else 0):
         new = ring[(k + 1) % 3]
@@ -270,9 +262,9 @@ def _phi_orders(x, wanted):
                     np.exp(np.multiply(offset, 0.5, out=half), out=half)
         if k + 1 in wanted_set:
             if offset is not None:  # the offset folded back in as two factors exp(offset/2)
-                new = np.multiply(new, half, out=emitted[(k + 1) % 3])
-                new *= half
-            yield k + 1, new
+                np.multiply(new, half, out=window[(k + 1) % 3])
+                window[(k + 1) % 3] *= half
+            yield k + 1, window
 
 
 def phi_rows(rows, x) -> dict[int, np.ndarray]:
@@ -286,15 +278,15 @@ def phi_rows(rows, x) -> dict[int, np.ndarray]:
     past 1e200 are scaled back and their offset raised to match (Bunck,
     BIT 49 (2009) 281).  An emitted row folds the offset back in as two
     factors exp(offset/2), so values below the double range come out as 0.
-    Points with |x| > 1e6 give 0, exact for every order below 1e10.  The
-    eigenfunction kernel runs the same pass, :func:`_phi_orders`, per block
-    of points and keeps no rows.
+    Points with |x| > 1e6 give 0, exact for every order below 1e10.  Each
+    row is copied from the window of the pass :func:`_phi_orders`, which the
+    eigenfunction kernel reads per block of points, keeping no rows.
     """
     wanted = sorted({int(r) for r in rows})
     if wanted and wanted[0] < 0:
         raise ValueError("orders must be >= 0")
     x = np.clip(np.asarray(x, dtype=float), -_PHI_X_ZERO, _PHI_X_ZERO)
-    return {n: row.reshape(x.shape).copy() for n, row in _phi_orders(x.reshape(-1), wanted)}
+    return {n: w[n % 3].reshape(x.shape).copy() for n, w in _phi_orders(x.reshape(-1), wanted)}
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,12 @@ def _top_ratio(m: int, x):
 def _rational_factors(m: int, r, x):
     """(R, R', R'') from R = P_{m-1}/P_m, m > 0: R' = 1 - 2xR - 2mR^2 and
     R'' = -2R - 2xR' - 4mRR'.  Each term is odd (R, R'') or even (R') in x,
-    so parity holds to the bit."""
+    so parity holds to the bit.  R' ~ -1/(2x^2) cancels terms ~1: it loses
+    relative accuracy like x^2 eps from |x| ~ 1e3 on (3.5e-4 at |x| = 1e6,
+    m = 12, against exact rationals), and R'' ~ 1/x^3 inherits the error
+    through 2xR' (no digit is left past |x| ~ 1e4).  Where they are used, in
+    the rows and the potential, their terms fall below an ulp of the leading
+    terms or multiply oscillator functions that are exactly 0."""
     r1 = 1.0 - 2.0 * x * r - 2.0 * m * r * r
     return r, r1, -2.0 * r - 2.0 * x * r1 - 4.0 * m * r * r1
 
@@ -286,11 +291,12 @@ def _basis_blocks(m: int, mu: int, ks, x, orders, held: int = 0):
     """The basis kernel: yield (start, stop, rows) over blocks of the points
     x, rows[j] the (len(ks), stop - start) rows of derivative order
     orders[j] (0, 1 or 2) at x[start:stop], in buffers the next block
-    overwrites and the caller writes to none.  Per block, the in-place pass
-    of :func:`~ratosc.specfun.phi_rows` forms each rung's rows once it holds
-    phi_{nu-1}, phi_nu and phi_{nu+1}, in the operation order of the
-    two-term form (so bitwise for any blocking), and one modified-Hermite
-    pass gives R, R', R'' and the ground row.  ``held`` counts the values
+    overwrites and the caller writes to none.  Per block, each rung's rows
+    are formed from the window of phi_{nu-1}, phi_nu and phi_{nu+1} that the
+    in-place pass :func:`~ratosc.specfun._phi_orders` yields at order nu + 1,
+    in the operation order of the two-term form (so bitwise for any
+    blocking), and one modified-Hermite pass gives R, R', R'' and the ground
+    row (its rung found once per call).  ``held`` counts the values
     per point the caller keeps beside the rows.  The library's one parity
     fold: on points mirror-symmetric to the bit, x[i] == -x[n-1-i], the
     pass runs on x[n//2:] >= 0 only, and after each block its buffer is
@@ -314,6 +320,8 @@ def _basis_blocks(m: int, mu: int, ks, x, orders, held: int = 0):
     for i, nu in enumerate(nus):
         if nu >= 0:
             completes.setdefault(nu + 1, []).append(i)
+    ground = [i for i, nu in enumerate(nus) if nu == -m - 1]
+    norm = math.sqrt(2.0 ** m * math.factorial(m) / math.sqrt(math.pi))
     size = min(_BLOCK_POINTS, max(16, _BLOCK_ENTRIES // max(len(nus) * len(orders) + held, 1)))
     buffers = [np.empty((len(nus), min(size, x.size - half))) for _ in orders]
     for start in range(half, x.size, size):
@@ -321,28 +329,22 @@ def _basis_blocks(m: int, mu: int, ks, x, orders, held: int = 0):
         out = [buf[:, :xb.size] for buf in buffers]
         r, inv_pm = _top_ratio(m, xb)
         r, r1, r2 = _rational_factors(m, r, xb) if m else (0.0, 0.0, 0.0)
-        for i, nu in enumerate(nus):
-            if nu == -m - 1:
-                # N exp(-x^2/2)/P_m: log-derivative -s, s = x + P_m'/P_m = x + 2mR, s' = 1 + 2mR'
-                norm = math.sqrt(2.0 ** m * math.factorial(m) / math.sqrt(math.pi))
-                g = norm * np.exp(-0.5 * xb * xb) * inv_pm
-                s = xb + 2.0 * m * r
-                ground = (g, -s * g, (s * s - 1.0 - 2.0 * m * r1) * g)
-                for dst, order in zip(out, orders):
-                    dst[i] = ground[order]
-        zero = np.zeros_like(xb)
-        recent = {}  # the rows of the last three orders of the pass
-        for n, ph_up in _phi_orders(xb, wanted):
-            recent[n] = ph_up
-            recent.pop(n - 3, None)
+        if ground:
+            # N exp(-x^2/2)/P_m: log-derivative -s, s = x + P_m'/P_m = x + 2mR, s' = 1 + 2mR'
+            g = norm * np.exp(-0.5 * xb * xb) * inv_pm
+            s = xb + 2.0 * m * r
+            rows = (g, -s * g, (s * s - 1.0 - 2.0 * m * r1) * g)
+            for dst, order in zip(out, orders):
+                dst[ground] = rows[order]
+        for n, window in _phi_orders(xb, wanted):
             if n not in completes:
                 continue
             nu = n - 1
             alpha = math.sqrt((nu + 1.0) / (nu + m + 1.0))
             beta = 2.0 * m / math.sqrt(2.0 * (nu + m + 1.0))
-            ph_n = recent[nu]
+            ph_up, ph_n = window[n % 3], window[nu % 3]
             if top_order:
-                ph_dn = recent.get(nu - 1, zero)
+                ph_dn = window[(nu - 1) % 3]
                 d_up = math.sqrt(2.0 * (nu + 1)) * ph_n - xb * ph_up
                 d_n = math.sqrt(2.0 * nu) * ph_dn - xb * ph_n
             for dst, order in zip(out, orders):

@@ -367,7 +367,7 @@ def test_wigner_kernel_matches_panel_reference():
         ka, kb = (int(k) for k in rng.integers(0, 8, size=2))
         x, p = float(rng.uniform(-4.0, 4.0)), float(rng.uniform(-6.0, 6.0))
         k_osc = math.sqrt(4.0 * max(mu + (m + 1) * 10 + m + 1, 1))
-        half = k_osc + 10.0  # past the lattice's support k_osc + 6
+        half = k_osc + 10.0  # past the lattice's support max(k_osc + 4, 9)
         ys, ws = panel_nodes(-half, half, int(math.ceil(2.0 * half * (k_osc + 2.0 * abs(p)) / 5.0)),
                              degree=24)
         psi_a = wavefunction_rows(m, mu, [ka], x - ys)[0]
@@ -470,21 +470,7 @@ def test_uncertainty_beyond_the_old_cap():
         assert np.max(np.abs(np.subtract(result, _forms(spec))) / np.array(result)) <= 1e-12
 
 
-def _recurrence_points(monkeypatch):
-    """A list that collects the points of every oscillator recurrence pass
-    of the basis kernel as the passes run."""
-    seen = []
-    real = system._phi_orders
-
-    def spy(x, wanted):
-        seen.append(x.copy())
-        return real(x, wanted)
-
-    monkeypatch.setattr(system, "_phi_orders", spy)
-    return seen
-
-
-def test_uncertainty_sums_the_amplitude_at_its_own_truncation(monkeypatch):
+def test_uncertainty_sums_the_amplitude_at_its_own_truncation(monkeypatch, recurrence_points):
     """One basis-kernel pass per lattice pass over exactly the rungs 0..K
     of the state, on mirror-symmetric node sets whose recurrence runs at
     each non-negative node of the accepted lattice once, the half-width
@@ -502,18 +488,17 @@ def test_uncertainty_sums_the_amplitude_at_its_own_truncation(monkeypatch):
         return real(m, mu, ks, x, orders, *held)
 
     monkeypatch.setattr(observables, "_basis_blocks", counted)
-    evaluated = _recurrence_points(monkeypatch)
     for spec in (CoherentSpec("nonlinear", 4, -5, 1.0 + 0.5j),     # K = 3
                  CoherentSpec("linearized", 6, -7, 3.0),
                  CoherentSpec("linearized", 4, -5, 8.0)):
         K = coefficients(spec).K
         passes.clear()
-        evaluated.clear()
+        recurrence_points.clear()
         uncertainty(spec, 0.07)
         assert passes and all(ks == list(range(K + 1)) and orders == (0, 1)
                               for ks, _, orders in passes)
         assert all(np.array_equal(x, -x[::-1]) for _, x, _ in passes)
-        points = np.sort(np.concatenate(evaluated))
+        points = np.sort(np.concatenate(recurrence_points))
         assert np.unique(points).size == points.size and points[0] == 0.0
         step = points[-1] / (points.size - 1)
         assert np.allclose(points / step, np.arange(points.size), rtol=0, atol=1e-9)
@@ -652,7 +637,7 @@ def test_moment_matrices_agree_with_gauss_legendre():
         assert np.min(np.linalg.eigvalsh(mats.mp2)) >= -1e-12
 
 
-def test_moment_matrices_take_one_basis_pass_per_node_set(monkeypatch):
+def test_moment_matrices_take_one_basis_pass_per_node_set(monkeypatch, recurrence_points):
     passes = []
     real = observables._basis_blocks
 
@@ -661,17 +646,16 @@ def test_moment_matrices_take_one_basis_pass_per_node_set(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(observables, "_basis_blocks", counted)
-    evaluated = _recurrence_points(monkeypatch)
     for m, mu, K in ((4, -5, 8), (6, -7, 40)):
         passes.clear()
-        evaluated.clear()
+        recurrence_points.clear()
         mats = moment_matrices(m, mu, K)
         assert passes and all(orders == (0, 1) for _, orders in passes)
         assert all(np.array_equal(x, -x[::-1]) for x, _ in passes)
         # every refinement evaluates only the new midpoints, and parity only
         # the half x >= 0: the recurrence runs at the non-negative nodes of
         # the accepted lattice, each once
-        points = np.concatenate(evaluated)
+        points = np.concatenate(recurrence_points)
         assert points.size == (mats.nodes + 1) // 2
         assert np.unique(points).size == points.size and points.min() == 0.0
         step = points.max() / ((mats.nodes - 1) // 2)
@@ -832,6 +816,30 @@ def test_wigner_grid_is_zero_off_the_support():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             wigner_grid(spec, ((-4.0, bad), (-3.0, 3.0)), (9, 9))
+
+
+def test_wigner_grid_takes_the_model_support(recurrence_points):
+    # the amplitude's support is that of every spatial path of the model,
+    # |x| <= k_osc + 4: rows past it are exactly 0, and the shared lattice
+    # evaluates no point more than half a step beyond it
+    spec = CoherentSpec("nonlinear", 6, 1, 10.0)
+    half = system._turning_point(6, 1, coefficients(spec).K) + system._SUPPORT_PADDING
+    assert half > observables._WIGNER_MIN_SUPPORT
+    grid = wigner_grid(spec, window=((-half - 1.5, half + 1.5), (-8.0, 8.0)),
+                       resolution=(61, 41))
+    outside = np.abs(grid.x) > half
+    assert outside.any() and not outside.all()
+    assert np.all(grid.values[outside] == 0.0)
+    assert grid.step <= grid.x[1] - grid.x[0]  # one lattice shared by the rows
+    assert np.max(np.abs(np.concatenate(recurrence_points))) <= half + 0.5 * grid.step
+    # below k_osc ~ 5 that support would cut the Gaussian tail of the lowest
+    # rungs at ~1e-8, which the integrand pairs with the peak: the m = 0
+    # ground state (k_osc = 2) keeps |x| <= 9 and its exact exp(-x^2-p^2)/pi
+    # on a shared lattice
+    grid = wigner_grid(CoherentSpec("nonlinear", 0, -1, 1e-8), resolution=(17, 17))
+    assert grid.truncation == 0 and grid.step <= grid.x[1] - grid.x[0]
+    exact = np.exp(-grid.x[:, None] ** 2 - grid.p[None, :] ** 2) / math.pi
+    assert np.max(np.abs(grid.values - exact)) <= 1e-15
 
 
 def test_wigner_grid_evaluates_the_amplitude_once(monkeypatch):

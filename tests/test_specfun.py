@@ -102,6 +102,16 @@ def test_mod_hermite_values():
     assert mod_hermite(4, 2.0) == pytest.approx(16 * 16 + 48 * 4 + 12)
 
 
+def test_mod_hermite_is_hermite_of_the_rotated_argument():
+    # P_n(x) = (-i)^n H_n(ix), the identity of mod_hermite's docstring, holds
+    # to the bit: the two are one three-term pass with opposite signs
+    x = np.concatenate([np.linspace(-40.0, 40.0, 2001), [0.0, 1e-300, 1e6, -1e6]])
+    for n in range(13):
+        rotated = (-1j) ** n * hermite(n, 1j * x)
+        assert np.all(rotated.imag == 0.0), n
+        assert np.array_equal(mod_hermite(n, x), rotated.real), n
+
+
 def test_mod_hermite_positive_for_even_orders():
     x = np.linspace(-20, 20, 401)
     for n in range(0, 13, 2):

@@ -438,22 +438,8 @@ def test_fused_rows_across_blocks_keep_bitwise_parity(monkeypatch):
         assert np.array_equal(l[:, ::-1], sign * r)
 
 
-def _spy_recurrence(monkeypatch):
-    """A list that collects the points of every oscillator recurrence pass
-    of the basis kernel as the passes run."""
-    seen = []
-    real = system._phi_orders
-
-    def spy(x, wanted):
-        seen.append(x.copy())
-        return real(x, wanted)
-
-    monkeypatch.setattr(system, "_phi_orders", spy)
-    return seen
-
-
 @pytest.mark.parametrize("block", [7, None])
-def test_basis_kernel_folds_mirror_symmetric_points(monkeypatch, block):
+def test_basis_kernel_folds_mirror_symmetric_points(monkeypatch, recurrence_points, block):
     # on points mirror-symmetric to the bit the recurrence runs on x >= 0
     # only and the other half is the parity image: bitwise the two halves
     # evaluated apart, for odd and even grids, with and without x = 0,
@@ -465,7 +451,6 @@ def test_basis_kernel_folds_mirror_symmetric_points(monkeypatch, block):
     grids = (np.concatenate([-right[::-1], [0.0], right]),
              np.concatenate([-right[::-1], right]),
              0.37 * np.arange(-20, 21), 0.37 * (np.arange(-20, 20) + 0.5))
-    seen = _spy_recurrence(monkeypatch)
     for x in grids:
         assert np.array_equal(x, -x[::-1])
         half = x.size // 2
@@ -474,29 +459,28 @@ def test_basis_kernel_folds_mirror_symmetric_points(monkeypatch, block):
             apart = [np.hstack(pair) for pair in
                      zip(_wavefunction_stack(m, mu, ks, x[:half], (0, 1, 2)),
                          _wavefunction_stack(m, mu, ks, x[half:], (0, 1, 2)))]
-            seen.clear()
+            recurrence_points.clear()
             spans = [(start, stop) for start, stop, _ in
                      system._basis_blocks(m, mu, ks, x, (0, 1, 2))]
             # every point yielded once, x = 0 included; the recurrence saw x[half:]
             assert sorted(j for start, stop in spans for j in range(start, stop)) \
                 == list(range(x.size))
-            assert np.array_equal(np.concatenate(seen), np.minimum(x[half:], 1e6))
+            assert np.array_equal(np.concatenate(recurrence_points), np.minimum(x[half:], 1e6))
             for got, want in zip(_wavefunction_stack(m, mu, ks, x, (0, 1, 2)), apart):
                 assert np.array_equal(got, want), (m, mu, x.size)
     # one point off the mirror: every point goes through the recurrence
     x = grids[0].copy()
     x[3] = np.nextafter(x[3], 0.0)
-    seen.clear()
+    recurrence_points.clear()
     _wavefunction_stack(4, -5, [0, 3], x, (0,))
-    assert np.array_equal(np.concatenate(seen), np.clip(x, -1e6, 1e6))
+    assert np.array_equal(np.concatenate(recurrence_points), np.clip(x, -1e6, 1e6))
 
 
-def test_basis_kernel_validates_the_rungs_before_any_point(monkeypatch):
+def test_basis_kernel_validates_the_rungs_before_any_point(monkeypatch, recurrence_points):
     # a bad k, top state index or ladder raises the ValueError of StateLabel
     # before any point is evaluated
     evaluated = []
     monkeypatch.setattr(system, "_top_ratio", lambda *args: evaluated.append(args))
-    seen = _spy_recurrence(monkeypatch)
     x = np.linspace(-3.0, 3.0, 11)
     for m, mu, ks, bad in ((4, -5, [0, 3, -1, 2], -1), (4, -5, [0, 2002, 5], 2002),
                            (2, -3, range(3336), 3335), (4, 7, [0, 1], 1)):
@@ -505,7 +489,7 @@ def test_basis_kernel_validates_the_rungs_before_any_point(monkeypatch):
         with pytest.raises(ValueError) as kernel_error:
             next(system._basis_blocks(m, mu, ks, x, (0,)))
         assert str(kernel_error.value) == str(label_error.value)
-    assert not evaluated and not seen
+    assert not evaluated and not recurrence_points
 
 
 def test_symmetric_windows_give_mirror_symmetric_grids():
