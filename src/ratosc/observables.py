@@ -357,7 +357,7 @@ class WignerGrid:
 
 
 _WIGNER_BLOCK = 1 << 19  # (x, y) pairs per gathered block of the y transform
-_WIGNER_MAX_ENTRIES = 1 << 23  # y kernel entries, and amplitude lattice points
+_WIGNER_MAX_ENTRIES = 1 << 23  # y kernel entries per h/2 pass, and lattice points with pads
 _WIGNER_TOL = 1e-10  # absolute bound on the step change; every state has |W| <= 1/pi
 # The Wigner integrand pairs the amplitude's edge with its peak: below k_osc ~ 5 the
 # support k_osc + 4 cuts the lowest rungs' Gaussian tail at ~1e-8, |x| = 9 at ~1e-17
@@ -386,17 +386,19 @@ def _lattice_step(m: int, k_osc: float, p_max: float) -> float:
     return h
 
 
-def _y_transform(left: np.ndarray, right: np.ndarray, centres: np.ndarray, stride: int,
-                 h: float, half: float, p: np.ndarray) -> np.ndarray:
+def _y_transform(left: np.ndarray, right: np.ndarray, centres: np.ndarray, width: int,
+                 stride: int, h: float, half: float, p: np.ndarray) -> np.ndarray:
     """(h/pi) sum_{|jh|<=half} left[c - stride j] right[c + stride j] exp(-2ipjh)
     for each centre c, each pair +-j once against real tables of cos and sin, so
-    real where left = conj(right); indices past the pads read their end points."""
+    real where left = conj(right); left and right are lattices of width points
+    laid end to end, and an index past the ends of its centre's lattice reads them."""
     j = np.arange(1, math.ceil(half / h) + 1)
     phase = np.outer(2.0 * h * j, p)
     cos, sin = (h / math.pi) * np.cos(phase), (h / math.pi) * np.sin(phase)
     out = []
     for c in np.array_split(centres, max(1, centres.size * (2 * j.size + 1) // _WIGNER_BLOCK)):
-        lo, hi = (np.clip(c[:, None] + s, 0, right.size - 1) for s in (-stride * j, stride * j))
+        end = (c - c % width)[:, None]  # the low end of each centre's lattice
+        lo, hi = (np.clip(c[:, None] + s, end, end + width - 1) for s in (-stride * j, stride * j))
         fwd, back = left[lo] * right[hi], left[hi] * right[lo]
         out.append(_amplitudes(fwd + back, cos) - 1j * _amplitudes(fwd - back, sin)
                    + (h / math.pi) * (left[c] * right[c])[:, None])
@@ -408,47 +410,48 @@ def _wigner_lattice(m: int, mu: int, ks, rows, x: np.ndarray, dx: float, p: np.n
     """The y transform (1/pi) int dy conj(a(x-y)) b(x+y) exp(-2ipy) of the
     amplitudes a = rows[0] @ basis and b = rows[-1] @ basis over the rungs
     ks of ladder (m, mu), at the rows x spaced dx and the momenta p, on the
-    lattice of :func:`wigner_grid` for the top rung of ks: (values, change,
+    lattices of :func:`wigner_grid` for the top rung of ks: (values, change,
     h, lattice points), change the largest change from step h to h/2 on a
     subset of the rows; NumericalError where it passes the absolute tol.
     The support is |x| <= max(k_osc + _SUPPORT_PADDING, _WIGNER_MIN_SUPPORT)."""
     k_osc = _turning_point(m, mu, max(ks))
     half = max(k_osc + _SUPPORT_PADDING, _WIGNER_MIN_SUPPORT)
     p_max = float(np.max(np.abs(p)))
-    h = _lattice_step(m, k_osc, p_max)
+    s = 0.5 * _lattice_step(m, k_osc, p_max)  # h0/2; checked before anything divides by it
+    if (2.0 * half / s if s > 0.0 else math.inf) * p.size > _WIGNER_MAX_ENTRIES:
+        raise ValueError(f"momentum window max|p| = {p_max:.3g} needs a y step of {2 * s:.3g}, "
+                         f"too fine for a y kernel of at most {_WIGNER_MAX_ENTRIES} entries")
     inside = np.abs(x) <= half  # elsewhere one factor of the integrand vanishes
     xs = x[inside]
-    per_row = dx < h or xs.size < 2  # else dx <= 2 half, so dx / h is finite
-    # y nodes of the h/2 pass; the lattice holds at most twice as many
-    # points, or that many per row
-    ny = 4.0 * half / h if h > 0.0 else math.inf
-    if ny * max(p.size, xs.size if per_row else 2.0) > _WIGNER_MAX_ENTRIES:
-        raise ValueError(f"momentum window max|p| = {p_max:.3g} needs a y step of {h:.3g}, "
-                         f"too fine for a lattice of at most {_WIGNER_MAX_ENTRIES} entries")
-    if per_row:
-        n = math.ceil(half / h)
-        offsets = np.arange(-2 * n, 2 * n + 1)
-        points = (xs[:, None] + 0.5 * h * offsets).ravel()
-        centres = 1 + 2 * n + offsets.size * np.arange(xs.size)
-    else:
-        h = dx / math.ceil(dx / h)
-        x0 = xs[0]
-        lo, hi = math.floor(2.0 * (-half - x0) / h), math.ceil(2.0 * (half - x0) / h)
-        points = x0 + 0.5 * h * np.arange(lo, hi + 1)
-        centres = np.rint((xs - x0) / (0.5 * h)).astype(int) + 1 - lo
-    pad = np.zeros((len(rows), points.size + 2), dtype=complex)  # between zero end points
+    n = xs.size
+    values = np.zeros((x.size, p.size), dtype=complex)
+    if not n:
+        return values, 0.0, 2.0 * s, 0
+    # row i lies on the lattice through row i mod q, c (i // q) spacings along:
+    # q rows closer than s, and a lattice per row where all n are that close
+    q = n if 0.0 < n * dx <= s else 1 if dx == 0.0 else max(1, math.floor(s / dx))  # s/dx < n
+    c = math.ceil(q * dx / s) if q < n else 0
+    s = q * dx / c if c else s
+    k = np.arange(math.floor((-half - xs[q - 1]) / s), math.ceil((half - xs[0]) / s) + 1)
+    width = k.size + 2  # each lattice lies between two zero end points
+    if q * width > _WIGNER_MAX_ENTRIES:
+        raise ValueError(f"{n} x rows spaced {dx:.3g} need {q * width} lattice points, too many")
+    lattice = xs[:q, None] + s * k
+    keep = np.abs(lattice) < half + s  # within one spacing of the support
+    at, points = np.flatnonzero(np.pad(keep, ((0, 0), (1, 1)))), lattice[keep]
+    pad = np.zeros((len(rows), q * width), dtype=complex)
     for start, stop, (psi,) in _basis_blocks(m, mu, ks, points, (0,)):
         for row, amplitude in zip(rows, pad):
-            amplitude[1 + start:1 + stop] = _amplitudes(row, psi)
+            amplitude[at[start:stop]] = _amplitudes(row, psi)
     left, right = np.conj(pad[0]), pad[-1]
-    values = np.zeros((x.size, p.size), dtype=complex)
-    values[inside] = _y_transform(left, right, centres, 2, h, half, p)
-    some = slice(None, None, max(1, centres.size // 8))
-    change = float(np.max(np.abs(_y_transform(left, right, centres[some], 1, 0.5 * h, half, p)
+    centres = width * (np.arange(n) % q) + c * (np.arange(n) // q) + 1 - k[0]
+    values[inside] = _y_transform(left, right, centres, width, 2, 2.0 * s, half, p)
+    some = slice(None, None, max(1, n // 8))
+    change = float(np.max(np.abs(_y_transform(left, right, centres[some], width, 1, s, half, p)
                                  - values[inside][some]), initial=0.0))
     if not change <= tol:
-        raise NumericalError(f"step change {change:.3e} at h = {h:.3g} past tol = {tol:.1e}")
-    return values, change, h, points.size
+        raise NumericalError(f"step change {change:.3e} at h = {2 * s:.3g} past tol = {tol:.1e}")
+    return values, change, 2.0 * s, points.size
 
 
 def wigner_cross_term(label_a: StateLabel, label_b: StateLabel,
@@ -486,21 +489,22 @@ def wigner_grid(spec: CoherentSpec, window=((-8.0, 8.0), (-8.0, 8.0)),
     Gaussian momentum tail, and the strip step
     2 pi a / (ln(1/eps) + 2 a max|p|), a being the distance to the nearest
     pole of the amplitude, the smallest |zero| of H_m, whose aliasing error
-    exp(-2 pi a / h) the factor exp(-2ipy) raises by exp(2 a |p|).  For a
-    grid spacing dx >= h0 the step h = dx / ceil(dx / h0) divides dx, so
-    every x +- y falls on one lattice where the amplitude is evaluated once;
-    closer rows, and a window with fewer than two rows inside the support,
-    take h = h0 and a lattice each; the lattice amplitude is contracted from
-    the blocks of :func:`~ratosc.system._basis_blocks` as they come.  The
-    amplitude counts as zero past |x| = k_osc + 4, the model's support, or
-    past 9 where that is larger (the Gaussian tail of the lowest rungs);
-    each pair +-y is summed once, so the values are real by construction.
-    Raises ValueError for a non-finite window, a resolution that is not two
-    integers, or a momentum range whose step would make the y kernel or the
-    amplitude lattice pass _WIGNER_MAX_ENTRIES entries, or a reversed axis
-    (each checked before either is built; an axis of zero width is
-    allowed); NumericalError if the change from step h to h/2 passes
-    _WIGNER_TOL = 1e-10 absolute, whatever the window.
+    exp(-2 pi a / h) the factor exp(-2ipy) raises by exp(2 a |p|).  The
+    amplitude is evaluated once, on lattices of spacing h/2: of the n rows
+    inside the support, spaced dx, row i lies on the lattice through row
+    i mod q, q = min(n, max(1, floor(h0 / (2 dx)))) or 1 where dx = 0, with
+    h = 2 q dx / ceil(2 q dx / h0) for q < n (one lattice where dx >= h0/2),
+    else h = h0 and a lattice per row; it is contracted from the blocks of
+    :func:`~ratosc.system._basis_blocks` as they come.  The amplitude counts
+    as zero past |x| = k_osc + 4, the model's support, or past 9 where that
+    is larger (the Gaussian tail of the lowest rungs); each lattice reaches
+    at most one spacing past it, and each pair +-y is summed once, so the
+    values are real by construction.  Raises ValueError for a non-finite
+    window, a resolution that is not two integers, a momentum range whose
+    step would make the y kernel pass _WIGNER_MAX_ENTRIES entries, or rows
+    whose lattices would, or a reversed axis (each checked before either is
+    built; an axis of zero width is allowed); NumericalError if the change
+    from step h to h/2 passes _WIGNER_TOL = 1e-10 absolute, whatever the window.
     """
     c = coefficients(spec, tail_tol)
     (x_lo, x_hi), (p_lo, p_hi) = window

@@ -543,7 +543,7 @@ def test_uncertainty_at_huge_time():
             uncertainty(spec, t)
 
 
-def test_wigner_grid_refuses_unbuildable_momentum_window():
+def test_wigner_grid_refuses_unbuildable_momentum_window(monkeypatch):
     # the step underflows to 0 near 1e308 and to ~1e-300 at 1e300
     spec = CoherentSpec("nonlinear", 2, -3, 2.0)
     for momenta in ((0.8e308, 0.9e308), (-1e300, 1e300), (-1e6, 1e6)):
@@ -551,6 +551,11 @@ def test_wigner_grid_refuses_unbuildable_momentum_window():
         with pytest.raises(ValueError, match="momentum window"):
             wigner_grid(spec, ((-1.0, 1.0), momenta), (3, 3))
         assert time.process_time() - start < 0.1
+    # close rows whose lattices would pass the bound are refused for their
+    # rows, as the y kernel fits (under 2^23 the grid evaluates 447,044 points)
+    monkeypatch.setattr(observables, "_WIGNER_MAX_ENTRIES", 1 << 16)
+    with pytest.raises(ValueError, match="x rows spaced"):
+        wigner_grid(CoherentSpec("nonlinear", 6, 1, 10.0), ((-0.3, 0.3), (-8.0, 8.0)), (10_000, 3))
 
 
 def test_wigner_entry_points_refuse_bad_arguments(monkeypatch):
@@ -585,6 +590,14 @@ def test_wigner_grid_refuses_a_reversed_window(monkeypatch):
     monkeypatch.undo()
     for window in (((1.0, 1.0), (-3.0, 3.0)), ((-3.0, 3.0), (0.5, 0.5))):
         assert np.isfinite(wigner_grid(spec, window, (3, 5)).values).all()
+    # rows far closer than the step: 1 + 1e-300 rounds to 1, and (0, 1e-300)
+    # spaces the rows 5e-301 apart, so that the step over dx passes 1e298
+    for x_window in ((1.0, 1.0 + 1e-300), (0.0, 1e-300)):
+        try:
+            grid = wigner_grid(spec, (x_window, (-3.0, 3.0)), (3, 5))
+        except ValueError:
+            continue
+        assert np.isfinite(grid.values).all()
 
 
 def test_wigner_grid_negativity_contrast():
@@ -767,14 +780,34 @@ def test_wigner_grid_matches_panel_reference():
         (CoherentSpec("linearized", 4, -5, 1.5 - 2.0j), ((-6, 6), (-5, 5)), (31, 29)),
         (CoherentSpec("nonlinear", 4, -5, 3.0), ((1, 1), (-3, 3)), (3, 9)),     # zero width
         (CoherentSpec("nonlinear", 6, 1, 2.0), ((0.3, 0.5), (-3, 3)), (9, 9)),  # dx < step
+        # rows closer than half the step, on lattices shared by every q-th row
+        (CoherentSpec("linearized", 12, 9, 16.5), ((-10.52, -10.39), (-8, 8)), (12, 5)),
+        (CoherentSpec("nonlinear", 6, 1, 10.0), ((-0.3, 0.3), (-8, 8)), (21, 41)),
+        (CoherentSpec("nonlinear", 6, 1, 10.0), ((4.0, 4.5), (-8, 8)), (11, 5)),
     ]
     for spec, window, resolution in cases:
         grid = wigner_grid(spec, window, resolution)
-        reference = _panel_wigner_reference(spec, window, resolution)
-        assert np.max(np.abs(grid.values - reference)) <= 1e-12, (spec, window)
+        # at K = 235 the reference sums 236 rungs at ~71,000 y nodes a row,
+        # so there it is taken on the first and the last row only
+        found = spec.m == 12 and spec.mu == 9
+        reference = _panel_wigner_reference(spec, window, (2 if found else resolution[0],
+                                                           resolution[1]))
+        values = grid.values[[0, -1]] if found else grid.values
+        assert np.max(np.abs(values - reference)) <= 1e-12, (spec, window)
         assert grid.change <= 1e-12 and np.isrealobj(grid.values)
-        dx = abs(window[0][1] - window[0][0]) / (resolution[0] - 1)
-        assert dx < grid.step or dx / grid.step == pytest.approx(round(dx / grid.step), abs=1e-9)
+        # row i lies on the lattice through row i mod q, q the rows closer
+        # than h0/2: q dx is a whole number of spacings h/2, or each of the
+        # rows inside the support takes a lattice of its own at h = h0
+        k_osc = system._turning_point(spec.m, spec.mu, grid.truncation)
+        half = max(k_osc + system._SUPPORT_PADDING, observables._WIGNER_MIN_SUPPORT)
+        h0 = observables._lattice_step(spec.m, k_osc, float(np.max(np.abs(grid.p))))
+        dx, n = grid.x[1] - grid.x[0], int(np.sum(np.abs(grid.x) <= half))
+        q = 1 if dx == 0.0 else min(n, max(1, math.floor(0.5 * h0 / dx)))
+        spacings = q * dx / (0.5 * grid.step)
+        assert (q < n and spacings == pytest.approx(round(spacings), abs=1e-9)
+                or q == n and grid.step == h0), (spec, window)
+        if found:  # a lattice per row would take 313,500 points
+            assert grid.lattice_points < 50_000
 
 
 def test_wigner_grid_of_the_oscillator_coherent_state_is_gaussian():
@@ -832,6 +865,14 @@ def test_wigner_grid_takes_the_model_support(recurrence_points):
     assert np.all(grid.values[outside] == 0.0)
     assert grid.step <= grid.x[1] - grid.x[0]  # one lattice shared by the rows
     assert np.max(np.abs(np.concatenate(recurrence_points))) <= half + 0.5 * grid.step
+    # rows closer than the step share lattices that keep to the support too
+    # (a lattice centred on each row would reach 17.94 against 13.38), and
+    # 10,000 rows within 0.6 answer (a lattice each would pass the bound)
+    for x_window, resolution in (((4.0, 4.5), (11, 5)), ((-0.3, 0.3), (10_000, 3))):
+        recurrence_points.clear()
+        grid = wigner_grid(spec, (x_window, (-8.0, 8.0)), resolution)
+        assert np.isfinite(grid.values).all() and grid.change <= 1e-12
+        assert np.max(np.abs(np.concatenate(recurrence_points))) <= half + 0.5 * grid.step
     # below k_osc ~ 5 that support would cut the Gaussian tail of the lowest
     # rungs at ~1e-8, which the integrand pairs with the peak: the m = 0
     # ground state (k_osc = 2) keeps |x| <= 9 and its exact exp(-x^2-p^2)/pi
