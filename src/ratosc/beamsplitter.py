@@ -4,7 +4,9 @@ The input superposition rides on one port, vacuum on the other.  Each
 basis excitation of weight k splits binomially over the two output arms,
 giving the output amplitude table, the joint excitation-number
 distribution, a factorization metric and the linear entropy of one arm.
-Only the input vector is stored; each quantity forms the rows it reads.
+Only the input vector is stored.  The table and the distribution are
+formed in row blocks; the entropy forms no table at all, as the purity of
+one arm is read off two copies of the input vector.
 """
 
 from __future__ import annotations
@@ -31,11 +33,16 @@ __all__ = [
 
 
 _EPS = float(np.finfo(float).eps)
-# Rows of the table per formed block and per matrix product of
-# linear_entropy.  Larger blocks mean fewer passes but more BLAS work
-# space: at K = 622, 32-row purity blocks raised the peak resident size
-# by ~1.2 MB, 16-row ones by ~0.7.
+# Rows per formed block: of the table in _row_blocks, and of the pairs
+# (n, m) in linear_entropy.  Each block holds a few arrays of this many
+# rows by at most K + _PURITY_BLOCK columns, so the work space grows as
+# _PURITY_BLOCK * K; larger blocks mean fewer passes over more memory.
 _PURITY_BLOCK = 16
+# Factor on the doubled pair term in row n = i0 + r and column
+# N = 2 i0 + j of a linear_entropy block: 0 where m = N - n < n (the pair
+# (m, n) is counted in its own row), 1/2 on m = n, 1 past it.
+_PAIR_FACTOR = 0.5 * (1.0 + np.sign(np.arange(2 * _PURITY_BLOCK)
+                                    - 2 * np.arange(_PURITY_BLOCK)[:, None]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,32 +149,57 @@ class EntropyResult:
 def linear_entropy(out: OutputState) -> EntropyResult:
     """1 - purity of one output arm after tracing out the other.
 
-    The reduced state of the first arm is rho = T T^H with T the amplitude
-    table, so the purity is ||T T^H||_F^2.  T is formed in 16-row blocks
-    over the columns each block's first row reaches, and kept as that
-    packed anti-triangle, about half the dense table.  Each pair of blocks
-    is multiplied once over the columns its later block reaches, the
-    off-diagonal pairs counted twice by symmetry, and that block is
-    conjugated once for all its earlier partners.  All sums run to the
-    truncation K, and twice the dropped coefficient mass bounds the
-    truncation error of the purity (Cauchy-Schwarz).
-    error_bound adds to that a rounding term 4 (K+1) ln(K+2) eps times the
-    purity sum: the table entries carry the rounding of log-space binomials
-    as large as K ln K, and each entry of rho sums K+1 of their products.
-    A value within that bound below zero is clamped to zero.
+    The purity of an arm is the mean of SWAP on two copies of it, and SWAP
+    is the parity of the copies' difference mode.  With vacuum on both
+    empty ports the purity is thus the probability that a balanced
+    splitter on two copies of the input leaves the difference port empty,
+
+        purity = sum_{N=0}^{2K} |c_N|^2,
+        c_N = sum_{n+m=N} sqrt(C(N, n) / 2^N) A_n A_m,
+
+    and no amplitude table is formed.  The pairs m >= n, those off the
+    diagonal doubled, are weighted in blocks of _PURITY_BLOCK rows n from
+    one table of ln j!, j <= 2K, and summed over the rows into c: O(K^2)
+    time, O(_PURITY_BLOCK K) memory and no overflow.
+
+    Twice the dropped coefficient mass bounds the truncation error
+    (Cauchy-Schwarz); error_bound adds 1e-13 and the rounding term
+    (3.5 ln((2K)!) + 4K + 10) eps M^2, M = sum_k |A_k|^2.  If each c_N is
+    off by at most e S_N, S_N the c_N of the |A_k|, the purity is off by
+    at most 2 e sum_N S_N^2 <= 2 e M^2.  e takes 1.65 eps ln N! + 0.52 eps N
+    from the log weight (three math.lgamma values within 1.4 eps relative
+    for j <= 2.4e4, ln n! + ln m! <= ln N!, four roundings), ~2 eps from
+    exp and the products, and 0.36 K eps from the at most K/2 + 1 terms of
+    c_N; the 2K + 1 squares add K eps.  A value within the bound below zero
+    is clamped to zero.
     """
+    a = out.entries
     K = out.K
-    rows = [block for _, block in _row_blocks(out.entries)]
-    purity = 0.0
-    for jb, row in enumerate(rows):
-        w = row.shape[1]
-        later = row.conj().T
-        for ib in range(jb + 1):
-            block = rows[ib][:, :w] @ later
-            inner = float(np.vdot(block, block).real)
-            purity += inner if ib == jb else 2.0 * inner
+    half_log_fact = 0.5 * np.fromiter(map(lgamma, range(1, 2 * K + 2)), float, 2 * K + 1)
+    half_log_2N = 0.5 * math.log(2.0) * np.arange(2 * K + 1)
+    # m = N - n passes 0..K by up to _PURITY_BLOCK - 1 at either end of a
+    # block; the padding gives those pairs weight exp(-inf) = 0 and A_m = 0
+    inside = slice(_PURITY_BLOCK, _PURITY_BLOCK + K + 1)
+    padded_half_log_fact = np.full(K + 1 + 2 * _PURITY_BLOCK, np.inf)
+    padded_half_log_fact[inside] = half_log_fact[:K + 1]
+    padded_a = np.zeros(K + 1 + 2 * _PURITY_BLOCK, dtype=complex)
+    padded_a[inside] = a
+    c = np.zeros(2 * K + 1, dtype=complex)
+    for i0 in range(0, K + 1, _PURITY_BLOCK):
+        i1 = min(i0 + _PURITY_BLOCK, K + 1)
+        N = slice(2 * i0, i1 + K)  # the sums n + m of rows n = i0 .. i1 - 1
+        m = np.arange(N.start, N.stop) + _PURITY_BLOCK - np.arange(i0, i1)[:, None]
+        # ln N! - ln n! - ln m! before the power of 2: the order error_bound counts
+        logs = (half_log_fact[N] - half_log_fact[i0:i1, None] - padded_half_log_fact[m]
+                - half_log_2N[N])
+        terms = np.exp(logs) * (2.0 * a[i0:i1, None]) * padded_a[m]
+        lead = terms[:, :2 * (i1 - i0)]
+        lead *= _PAIR_FACTOR[:i1 - i0, :lead.shape[1]]
+        c[N] += terms.sum(axis=0)
+    purity = float(np.vdot(c, c).real)
     value = 1.0 - purity
-    rounding = 4.0 * (K + 1) * math.log(K + 2) * _EPS * purity
+    mass = float(np.vdot(a, a).real)
+    rounding = (7.0 * half_log_fact[-1] + 4.0 * K + 10.0) * _EPS * mass**2
     bound = 2.0 * out.tail_mass + 1e-13 + rounding
     if -bound <= value < 0.0:
         value = 0.0

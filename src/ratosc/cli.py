@@ -474,7 +474,7 @@ def _selftest() -> int:
     cols = [out.amplitudes[: out.K + 1 - r, r] for r in range(out.K + 1)]
     loop = sum(abs(np.vdot(c2[: min(c1.size, c2.size)], c1[: min(c1.size, c2.size)])) ** 2
                for c1 in cols for c2 in cols)
-    check(f"blocked purity matches the double loop at K={out.K}",
+    check(f"two-copy purity matches the column double loop at K={out.K}",
           abs(bs.linear_entropy(out).value - (1.0 - loop)) < 1e-14)
 
     d = co.overlap(6, -7, 10.0)

@@ -26,6 +26,10 @@ from ratosc.coherent import (
 )
 
 
+# the m = 0 ladder climbs one state index per rung, so K may reach 10,000
+_LADDER_M0 = CoherentSpec("nonlinear", 0, -1, 0.0)
+
+
 def _vector(entries, spec=None):
     spec = spec or CoherentSpec("nonlinear", 4, -5, 0.0)
     return CoefficientVector(spec, np.asarray(entries, dtype=complex), 0.0)
@@ -67,7 +71,8 @@ def _reference_purity(amp):
 
 
 def _table_purity(amp):
-    """The blocked product loop run over the dense (n1, n2) table."""
+    """||T T^H||_F^2 of the dense (n1, n2) table T, summed over products of
+    16-row blocks."""
     K = amp.shape[0] - 1
     purity = 0.0
     for j0 in range(0, K + 1, 16):
@@ -257,12 +262,52 @@ def test_distribution_scatter_is_bitwise_the_double_loop():
         assert np.array_equal(two_photon_distribution(out).p, reference)
 
 
-def test_blocked_entropy_is_bitwise_the_loop_over_the_table():
+def test_two_copy_entropy_matches_the_loop_over_the_table():
     rng = np.random.default_rng(17)
     # sub-normalised so the entropy sits far from its clamp at 0
     for K in (0, 1, 15, 16, 17, 137, 400):
         out = split(_vector(0.8 * _random_state(rng, K)))
-        assert linear_entropy(out).value == 1.0 - _table_purity(out.amplitudes)
+        assert linear_entropy(out).value == pytest.approx(
+            1.0 - _table_purity(out.amplitudes), abs=1e-14)
+
+
+def test_random_state_entropy_is_the_table_purity_within_the_bound():
+    rng = np.random.default_rng(29)
+    for K in (2, 300, 2000):
+        out = split(_vector(_random_state(rng, K)))
+        result = linear_entropy(out)
+        assert abs(result.value - (1.0 - _table_purity(out.amplitudes))) <= result.error_bound
+
+
+def test_fock_input_entropy_is_one_minus_the_central_binomial():
+    # |n> splits into the binomial mixture C(n, k) / 2^n over one arm, whose
+    # purity is sum_k C(n, k)^2 / 4^n = C(2n, n) / 4^n
+    for n in (0, 1, 2, 10, 100, 1000, 3000):
+        fock = np.zeros(n + 1)
+        fock[n] = 1.0
+        result = linear_entropy(split(_vector(fock, _LADDER_M0)))
+        exact = 1.0 - math.comb(2 * n, n) / 4**n
+        assert abs(result.value - exact) <= result.error_bound, n
+
+
+def test_linearized_entropy_is_zero_within_the_bound_up_to_k_2000():
+    # a linearized input is a coherent state of the rungs, so both arms
+    # stay pure and only rounding and the tail move the value off 0
+    for z in (10.0, 30.0, 45.0, 60.0):
+        coeffs = coefficients(CoherentSpec("linearized", 0, -1, z))
+        result = linear_entropy(split(coeffs))
+        assert 0.0 <= result.value <= result.error_bound, z
+    assert coeffs.K > 2000
+
+
+def test_entropy_is_prompt_at_the_state_index_edge():
+    # m = 0 climbs one state index per rung: K = 10,000 is the top of the domain
+    K = 10000
+    out = split(_vector(_random_state(np.random.default_rng(6), K), _LADDER_M0))
+    start = time.process_time()
+    result = linear_entropy(out)
+    assert time.process_time() - start < 5.0
+    assert 0.0 < result.value < 1.0
 
 
 def test_split_allocates_nothing_quadratic():
@@ -286,12 +331,13 @@ def test_split_is_prompt_where_the_table_would_be_a_gigabyte():
     assert out.K == K
 
 
-def test_entropy_peak_memory_is_the_packed_rows():
-    # the 16-row blocks keep the anti-triangle, about half the dense table
-    K = 600
-    out = split(_vector(_random_state(np.random.default_rng(3), K)))
-    peak = _traced_peak(lambda: linear_entropy(out))
-    assert peak <= 0.6 * (K + 1) ** 2 * np.dtype(complex).itemsize
+def test_entropy_peak_memory_grows_linearly_in_k():
+    # the 16-row blocks of pairs hold a few arrays of 16 x (K + 16) entries:
+    # ~88 complex entries per rung at K = 600 and ~69 at K = 10,000
+    for K in (600, 10000):
+        out = split(_vector(_random_state(np.random.default_rng(3), K), _LADDER_M0))
+        peak = _traced_peak(lambda: linear_entropy(out))
+        assert peak <= 100 * (K + 1) * np.dtype(complex).itemsize, K
 
 
 def test_distribution_peak_memory_is_one_table():

@@ -9,9 +9,11 @@ import cmath
 import math
 import time
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 
+from ratosc.beamsplitter import linear_entropy, split
 from ratosc.cli import main
 from ratosc.coherent import (
     VARIANTS,
@@ -161,7 +163,9 @@ def test_statistics_entry_points_answer_or_refuse_promptly():
             spec = CoherentSpec(variant, m, mu, az * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
             calls = {"coefficients": lambda: coefficients(spec),
                      "overlap": lambda: overlap(m, mu, az),
-                     "overlap_closed_form": lambda: overlap_closed_form(m, mu, az)}
+                     "overlap_closed_form": lambda: overlap_closed_form(m, mu, az),
+                     # split refuses a truncation past MAX_STATE_INDEX
+                     "entropy": lambda: astuple(linear_entropy(split(coefficients(spec))))}
             for method in ("closed_form", "direct"):
                 calls[f"energy_{method}"] = lambda method=method: energy_expectation(spec, method)
                 calls[f"moments_{method}"] = lambda method=method: number_moments(spec, method)
