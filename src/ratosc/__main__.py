@@ -1,0 +1,3 @@
+"""``python -m ratosc``: the command-line interface."""
+from .cli import main
+raise SystemExit(main())

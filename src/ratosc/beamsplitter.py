@@ -19,24 +19,21 @@ from math import lgamma
 import numpy as np
 
 from .coherent import CoefficientVector
+from .specfun import NumericalError
 from .system import StateLabel
 
-__all__ = [
-    "OutputState",
-    "TwoModeDistribution",
-    "EntropyResult",
-    "split",
-    "two_photon_distribution",
-    "rank_one_residual",
-    "linear_entropy",
-]
+__all__ = ["OutputState", "TwoModeDistribution", "EntropyResult", "split",
+           "two_photon_distribution", "rank_one_residual", "linear_entropy"]
 
 
 _EPS = float(np.finfo(float).eps)
-# Rows per formed block: of the table in _row_blocks, and of the pairs
-# (n, m) in linear_entropy.  Each block holds a few arrays of this many
-# rows by at most K + _PURITY_BLOCK columns, so the work space grows as
-# _PURITY_BLOCK * K; larger blocks mean fewer passes over more memory.
+# Products P q rank_one_residual spends on its leading triplet at most.
+_MAX_PRODUCTS = 1000
+# Rows per formed block: of the table in _row_blocks, of P - sigma u u^T in
+# rank_one_residual and of the pairs (n, m) in linear_entropy.  Each block
+# holds a few arrays of this many rows by at most K + _PURITY_BLOCK columns,
+# so the work space grows as _PURITY_BLOCK * K; larger blocks mean fewer
+# passes over more memory.
 _PURITY_BLOCK = 16
 # Factor on the doubled pair term in row n = i0 + r and column
 # N = 2 i0 + j of a linear_entropy block: 0 where m = N - n < n (the pair
@@ -131,11 +128,48 @@ def two_photon_distribution(out: OutputState) -> TwoModeDistribution:
 
 
 def rank_one_residual(dist: TwoModeDistribution) -> float:
-    """Largest-entry distance between P and its best rank-one approximation
-    (leading singular triplet); zero means the arms are uncorrelated."""
-    u, s, vt = np.linalg.svd(dist.p)
-    best = s[0] * np.outer(u[:, 0], vt[0])
-    return float(np.max(np.abs(dist.p - best)))
+    """max|P - sigma u u^T| for the best rank-one approximation sigma u u^T
+    of P; zero means the arms are uncorrelated.
+
+    The leading singular triplet of the symmetric, nonnegative P is its
+    Perron pair, found from products P q alone by a two-vector subspace
+    iteration (Golub and Van Loan, Matrix Computations, sec. 8.2) from the
+    row sums of P, never orthogonal to u >= 0, and their alternating-sign
+    copy: per step Gram-Schmidt and a 2x2 Rayleigh-Ritz in closed form,
+    until |P u - sigma u| <= 16 eps sigma.  NumericalError is raised after
+    _MAX_PRODUCTS products and where |sigma2| >= (1 - sqrt(eps)) sigma: the
+    best rank-one approximation is then not unique (odd cats and odd Fock
+    states tie exactly).
+    """
+    p = dist.p
+    z = np.stack([p.sum(axis=1), p @ np.where(np.arange(len(p)) % 2, -1.0, 1.0)])
+    if not z[0].any():  # P = 0
+        return 0.0
+    q = np.empty_like(z)
+    for _ in range(_MAX_PRODUCTS // 2 - 1):
+        q[0] = z[0] / math.sqrt(z[0] @ z[0])
+        q[1] = z[1] - (q[0] @ z[1]) * q[0]
+        q[1] -= (q[0] @ q[1]) * q[0]  # twice is enough
+        q[1] /= math.sqrt(q[1] @ q[1]) or 1.0  # 0 where P is rank-one or K = 0
+        z[0], z[1] = p @ q[0], p @ q[1]
+        a, b, d = q[0] @ z[0], q[0] @ z[1], q[1] @ z[1]  # Q^T P Q = [[a, b], [b, d]]
+        radius, phi = math.hypot(0.5 * (a - d), b), 0.5 * math.atan2(2.0 * b, a - d)
+        sigma, second = 0.5 * (a + d) + radius, 0.5 * (a + d) - radius
+        c, s = math.cos(phi), math.sin(phi)
+        for v in (q, z):  # the Ritz vectors: Q and P Q turned by phi
+            v[:] = c * v[0] + s * v[1], c * v[1] - s * v[0]
+        r = z[0] - sigma * q[0]
+        if math.sqrt(r @ r) <= 16.0 * _EPS * sigma:
+            break
+    else:
+        raise NumericalError(f"no leading singular triplet within {_MAX_PRODUCTS} products "
+                             f"(sigma2/sigma1 ~ {abs(second) / sigma:.3g})")
+    if abs(second) >= (1.0 - math.sqrt(_EPS)) * sigma:
+        raise NumericalError(f"sigma2/sigma1 = {abs(second) / sigma:.17g}: the best rank-one "
+                             "approximation is not unique")
+    u, rows = q[0], _PURITY_BLOCK
+    return max(float(np.max(np.abs(p[i:i + rows] - np.outer(sigma * u[i:i + rows], u))))
+               for i in range(0, len(u), rows))
 
 
 @dataclass(frozen=True)

@@ -88,36 +88,37 @@ def _times(text: str) -> list:
     return [_number(t) for t in text.split(",")]
 
 
-def _format_column(values) -> list[str]:
-    if all(isinstance(v, (int, np.integer)) for v in values):
-        return [str(int(v)) for v in values]
-    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+# Table rows formatted and written per block of the CSV writer.
+_ROW_BLOCK = 1 << 14
 
 
-def _write_rows(config: argparse.Namespace, columns: list[str], rows, meta: dict) -> str:
+def _format_column(values: np.ndarray) -> list[str]:
+    """Ints by str, each distinct value of the block once; others to 17 digits."""
+    if values.dtype.kind in "iu":
+        distinct, index = np.unique(values, return_inverse=True)
+        return np.array(list(map(str, distinct.tolist())), dtype=object)[index].tolist()
+    return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_rows(config: argparse.Namespace, names: list[str], columns, meta: dict) -> str:
+    """Write the table of 1-D columns as CSV, a block of rows at a time, or as JSON."""
     path = config.output or f"{config.command}.{config.fmt}"
     shown = (*_COMMAND_TABLE[config.command].reads, "output", "fmt", "plot")
     settings = {"command": config.command,
                 **{key: getattr(config, key) for key in _OPTIONS if key in shown}}
-    if config.fmt == "csv":
-        lines = [f"# ratosc {__version__}"]
-        for key, value in settings.items():
-            lines.append(f"# {key} = {value}")
-        for key, value in meta.items():
-            lines.append(f"# {key} = {value}")
-        lines.append(",".join(columns))
-        lines.extend(map(",".join, zip(*map(_format_column, zip(*rows)))))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "config": settings,
-            "meta": meta,
-            "columns": columns,
-            "data": [[float(v) for v in row] for row in rows],
-        }
-        text = json.dumps(payload, indent=1) + "\n"
     with open(path, "w") as handle:
-        handle.write(text)
+        if config.fmt == "json":
+            payload = {"config": settings, "meta": meta, "columns": names,
+                       "data": np.array(columns, dtype=float).T.tolist()}
+            handle.write(json.dumps(payload, indent=1) + "\n")
+            return path
+        handle.write(f"# ratosc {__version__}\n")
+        for key, value in (*settings.items(), *meta.items()):
+            handle.write(f"# {key} = {value}\n")
+        handle.write(",".join(names) + "\n")
+        for start in range(0, len(columns[0]), _ROW_BLOCK):
+            cells = [_format_column(c[start:start + _ROW_BLOCK]) for c in columns]
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 
@@ -131,8 +132,8 @@ def _pyplot():
     return plt
 
 
-def _plot(plt, config: argparse.Namespace, columns, rows, path: str) -> str:
-    data = np.asarray([[float(v) for v in row] for row in rows])
+def _plot(plt, config: argparse.Namespace, names, columns, path: str) -> str:
+    data = np.array(columns, dtype=float).T
     fig, ax = plt.subplots()
     if config.command == "wigner":
         nx, np_count = int(config.x_grid[2]), int(config.p_grid[2])
@@ -141,16 +142,16 @@ def _plot(plt, config: argparse.Namespace, columns, rows, path: str) -> str:
                        extent=[config.x_grid[0], config.x_grid[1],
                                config.p_grid[0], config.p_grid[1]])
         fig.colorbar(im, ax=ax)
-        ax.set_xlabel(columns[0])
-        ax.set_ylabel(columns[1])
+        ax.set_xlabel(names[0])
+        ax.set_ylabel(names[1])
     elif config.command == "beamsplitter":
-        side = int(math.isqrt(len(rows)))
+        side = int(math.isqrt(len(data)))
         im = ax.imshow(data[:, 2].reshape(side, side), origin="lower")
         fig.colorbar(im, ax=ax)
     else:
         for j in range(1, data.shape[1]):
-            ax.plot(data[:, 0], data[:, j], label=columns[j])
-        ax.set_xlabel(columns[0])
+            ax.plot(data[:, 0], data[:, j], label=names[j])
+        ax.set_xlabel(names[0])
         ax.legend()
     fig.savefig(path + ".png", dpi=120)
     plt.close(fig)
@@ -161,6 +162,11 @@ def _plot(plt, config: argparse.Namespace, columns, rows, path: str) -> str:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _table(rows) -> list[np.ndarray]:
+    """Rows of Python values as 1-D columns: a column of ints stays integer."""
+    return [np.array(column) for column in zip(*rows)]
+
+
 def _spec(config: argparse.Namespace, z: complex | None = None) -> co.CoherentSpec:
     z = complex(config.z_re, config.z_im) if z is None else z
     return co.CoherentSpec(config.variant, config.m, config.mu, z)
@@ -169,45 +175,42 @@ def _spec(config: argparse.Namespace, z: complex | None = None) -> co.CoherentSp
 def _cmd_spectrum(config: argparse.Namespace):
     if config.k < 0:
         raise UsageError(f"--k must be >= 0, got {config.k}")
-    rows = []
-    for mu in sy.lowest_weights(config.m):
-        for k in range(config.k + 1):
-            label = sy.StateLabel(config.m, mu, k)
-            rows.append([mu, k, label.nu, sy.energy(label)])
-    rows.sort(key=lambda r: (r[3], r[0]))
-    return ["mu", "k", "nu", "energy"], rows, {}
+    labels = [sy.StateLabel(config.m, mu, k)
+              for mu in sy.lowest_weights(config.m) for k in range(config.k + 1)]
+    labels.sort(key=lambda label: (sy.energy(label), label.mu))
+    return ["mu", "k", "nu", "energy"], _table(
+        [(label.mu, label.k, label.nu, sy.energy(label)) for label in labels]), {}
 
 
 def _cmd_potential(config: argparse.Namespace):
     x = sy._linspace(*config.x_grid)
     v = sy.potential(config.m, x)
     vh = sy.hamiltonian_potential(config.m, x)
-    rows = [[xi, vi, vhi] for xi, vi, vhi in zip(x, v, vh)]
-    return ["x", "potential", "hamiltonian_potential"], rows, {}
+    return ["x", "potential", "hamiltonian_potential"], [x, v, vh], {}
 
 
 def _cmd_eigenstate(config: argparse.Namespace):
     label = sy.StateLabel(config.m, config.mu, config.k)
     x = sy._linspace(*config.x_grid)
     psi = sy._wavefunction_stack(label.m, label.mu, [label.k], x, (0, 1, 2))
-    rows = np.column_stack([x] + [row[0] for row in psi]).tolist()
-    return ["x", "psi", "dpsi", "d2psi"], rows, {"nu": label.nu, "energy": sy.energy(label)}
+    return (["x", "psi", "dpsi", "d2psi"], [x, *(row[0] for row in psi)],
+            {"nu": label.nu, "energy": sy.energy(label)})
 
 
 def _cmd_coeffs(config: argparse.Namespace):
     coeffs = co.coefficients(_spec(config), config.tail_tol)
-    rows = [[k, coeffs.entries[k].real, coeffs.entries[k].imag,
-             abs(coeffs.entries[k]) ** 2] for k in range(len(coeffs.entries))]
+    a = coeffs.entries
     meta = {"K": coeffs.K, "tail_mass": coeffs.tail_mass}
-    return ["k", "re_A", "im_A", "weight"], rows, meta
+    weight = np.array([abs(v) ** 2 for v in a.tolist()])  # numpy's array abs rounds otherwise
+    return ["k", "re_A", "im_A", "weight"], [np.arange(a.size), a.real, a.imag, weight], meta
 
 
 def _sweep(config: argparse.Namespace, columns, values):
     """One row (|z|, *values(spec)) per point of --z-abs, spec the state at z = |z|."""
     if config.z_abs_grid[0] < 0.0:
         raise UsageError(f"--z-abs: |z| must be >= 0, got min {config.z_abs_grid[0]!r}")
-    rows = [[az, *values(_spec(config, complex(az)))] for az in np.linspace(*config.z_abs_grid)]
-    return ["abs_z", *columns], rows, {}
+    return ["abs_z", *columns], _table([(az, *values(_spec(config, complex(az))))
+                                        for az in np.linspace(*config.z_abs_grid)]), {}
 
 
 def _dual_route(quantity, name: str):
@@ -221,7 +224,7 @@ def _profile(config: argparse.Namespace, coeffs: co.CoefficientVector, meta: dic
     x = sy._linspace(*config.x_grid) if config.x_grid else co._support_grid(coeffs)
     rho = co._profile_from_coefficients(coeffs, config.times, x)
     columns = ["x"] + [f"rho_t{i}" for i in range(len(config.times))]
-    return columns, np.column_stack([x, rho.T]).tolist(), meta
+    return columns, [x, *rho], meta
 
 
 def _cmd_density(config: argparse.Namespace):
@@ -241,20 +244,15 @@ def _cmd_overlap(config: argparse.Namespace):
 
 
 def _cmd_wigner(config: argparse.Namespace):
-    spec = _spec(config)
-    window = ((config.x_grid[0], config.x_grid[1]),
-              (config.p_grid[0], config.p_grid[1]))
-    resolution = (int(config.x_grid[2]), int(config.p_grid[2]))
-    grid = ob.wigner_grid(spec, window=window, resolution=resolution,
-                          tail_tol=config.tail_tol)
-    # row-major: x outer, p inner
-    rows = np.column_stack([np.repeat(grid.x, grid.p.size), np.tile(grid.p, grid.x.size),
-                            grid.values.ravel()]).tolist()
+    (x_lo, x_hi, nx), (p_lo, p_hi, n_p) = config.x_grid, config.p_grid
+    grid = ob.wigner_grid(_spec(config), window=((x_lo, x_hi), (p_lo, p_hi)),
+                          resolution=(int(nx), int(n_p)), tail_tol=config.tail_tol)
     meta = {"K": grid.truncation, "min_value": grid.min_value,
             "negative_volume": grid.negative_volume, "mass": grid.mass,
-            "step": grid.step, "lattice_points": grid.lattice_points,
-            "change": grid.change}
-    return ["x", "p", "wigner"], rows, meta
+            "step": grid.step, "lattice_points": grid.lattice_points, "change": grid.change}
+    # row-major: x outer, p inner
+    return ["x", "p", "wigner"], [np.repeat(grid.x, grid.p.size), np.tile(grid.p, grid.x.size),
+                                  grid.values.ravel()], meta
 
 
 def _cmd_uncertainty(config: argparse.Namespace):
@@ -263,19 +261,19 @@ def _cmd_uncertainty(config: argparse.Namespace):
     zs = [complex(re_z, im_z) for re_z in np.linspace(*config.z_re_grid)
           for im_z in np.linspace(*config.z_im_grid)]
     results = ob.uncertainties([_spec(config, z) for z in zs], config.times[0], config.tail_tol)
-    rows = [[z.real, z.imag, *res] for z, res in zip(zs, results)]
-    return ["re_z", "im_z", "sigma_x", "sigma_p", "product"], rows, {}
+    return (["re_z", "im_z", "sigma_x", "sigma_p", "product"],
+            _table([(z.real, z.imag, *res) for z, res in zip(zs, results)]), {})
 
 
 def _cmd_beamsplitter(config: argparse.Namespace):
     coeffs = co.coefficients(_spec(config), config.tail_tol)
     out = bs.split(coeffs)
     dist = bs.two_photon_distribution(out)
-    n1, n2 = np.indices(dist.p.shape)  # row-major: n1 outer, n2 inner
-    rows = np.column_stack([n1.ravel(), n2.ravel(), dist.p.ravel()]).tolist()
     meta = {"K": out.K, "total_mass": dist.total_mass,
             "rank_one_residual": bs.rank_one_residual(dist)}
-    return ["n1", "n2", "probability"], rows, meta
+    n = np.arange(out.K + 1)  # row-major: n1 outer, n2 inner
+    return ["n1", "n2", "probability"], [np.repeat(n, n.size), np.tile(n, n.size),
+                                         dist.p.ravel()], meta
 
 
 def _cmd_entropy(config: argparse.Namespace):
@@ -510,7 +508,7 @@ _OPTIONS = {
 
 
 class _Command(NamedTuple):
-    handler: Callable[[argparse.Namespace], tuple]  # -> (columns, rows, meta)
+    handler: Callable[[argparse.Namespace], tuple]  # -> (names, 1-D columns, meta)
     reads: tuple[str, ...]   # _OPTIONS settings besides output, fmt, plot
     defaults: dict = {}      # option text used when the flag is absent
 
@@ -567,9 +565,9 @@ def run(argv=None) -> int:
         return _selftest()
     plt = _pyplot() if config.plot else None  # a missing matplotlib refuses before any work
     # a bad --m or --mu raises ValueError in the library before any work
-    columns, rows, meta = _COMMAND_TABLE[config.command].handler(config)
-    path = _write_rows(config, columns, rows, meta)
-    plot_path = _plot(plt, config, columns, rows, path) if plt else None
+    names, columns, meta = _COMMAND_TABLE[config.command].handler(config)
+    path = _write_rows(config, names, columns, meta)
+    plot_path = _plot(plt, config, names, columns, path) if plt else None
     print(f"wrote {path}" + (f" and {plot_path}" if plot_path else ""))
     return 0
 

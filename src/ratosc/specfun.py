@@ -457,20 +457,22 @@ def _series_terms(rows, log_x: float, log_tol: float, max_index: int,
     while their ratios do not grow, is returned over |sum| as ``tail``.
     A terminating series that meets it nowhere stops at its last nonzero
     term, with tail 0.  The rows that share a count are computed, scaled
-    and summed in one array pass; a count is sized by :func:`_first_count`
-    and a row's is doubled while no K qualifies, so each row is bitwise a
-    one-row stack.  NumericalError is raised up front where the terms still
-    grow at index max_index, and after the last pass where no K <= max_index
-    qualifies.
+    and summed in one array pass; a count is sized by :func:`_first_count`,
+    once per distinct slope and end, and a row's is doubled while no K
+    qualifies, so each row is bitwise a one-row stack.  NumericalError is
+    raised up front where the terms still grow at index max_index, and
+    after the last pass where no K <= max_index qualifies.
     """
-    limits, counts = [], []
+    limits, counts, firsts = [], [], {}
     for upper, lower, _ in rows:
         lim = _series_limits(upper, lower, max_index)
         if lim.end == max_index + 3 and log_x + lim.cap_log >= 0.0:
             raise NumericalError(f"series terms still grow at the {max_index + 1}-term cap")
         limits.append(lim)
-        first = _first_count(log_x, len(lower) + 1 - len(upper), log_tol, lim.end)
-        counts.append(min(max(first, min_index + 3), lim.end))
+        slope = len(lower) + 1 - len(upper)
+        if (slope, lim.end) not in firsts:  # rows that share both share the count
+            firsts[slope, lim.end] = _first_count(log_x, slope, log_tol, lim.end)
+        counts.append(min(max(firsts[slope, lim.end], min_index + 3), lim.end))
     out = [None] * len(rows)
     todo = list(range(len(rows)))
     while todo:

@@ -11,19 +11,24 @@ import numpy as np
 import pytest
 
 from ratosc.beamsplitter import (
+    TwoModeDistribution,
     linear_entropy,
     rank_one_residual,
     split,
     two_photon_distribution,
 )
 from ratosc.coherent import (
+    VARIANTS,
     CoefficientVector,
     CoherentSpec,
+    cat_coefficients,
     coefficients,
     hypergeometric_parameters,
     normalization_F,
     series_argument,
 )
+from ratosc.specfun import NumericalError
+from ratosc.system import lowest_weights
 
 
 # the m = 0 ladder climbs one state index per rung, so K may reach 10,000
@@ -92,6 +97,18 @@ def _traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _svd_residual(p):
+    """max|P - s u v^T| for the leading triplet of a dense SVD: the oracle."""
+    u, s, vt = np.linalg.svd(p)
+    return float(np.max(np.abs(p - s[0] * np.outer(u[:, 0], vt[0])))), s
+
+
+def _fock(n):
+    entries = np.zeros(n + 1)
+    entries[n] = 1.0
+    return _vector(entries, _LADDER_M0)
 
 
 def _random_state(rng, K):
@@ -357,3 +374,65 @@ def test_split_refuses_tables_past_the_state_index_bound():
         with pytest.raises(ValueError, match="state index"):
             split(coeffs)
         assert time.process_time() - start < 0.1
+
+
+def _distribution(coeffs):
+    return two_photon_distribution(split(coeffs))
+
+
+def test_rank_one_residual_matches_the_svd_oracle_over_every_ladder():
+    compared = 0
+    for m in range(0, 13, 2):
+        for mu in lowest_weights(m):
+            for variant in VARIANTS:
+                for az in (0.0, 0.5, 3.0, 30.0, 1e3, 1e5, 1e8):
+                    try:
+                        coeffs = coefficients(CoherentSpec(variant, m, mu, az))
+                    except (ValueError, NumericalError):
+                        continue  # past the coefficient caps
+                    if coeffs.K > 250:  # the oracle's O(K^3) SVD
+                        continue
+                    dist = _distribution(coeffs)
+                    expected, _ = _svd_residual(dist.p)
+                    assert abs(rank_one_residual(dist) - expected) <= 1e-13 * dist.p.max(), \
+                        (variant, m, mu, az)
+                    compared += 1
+    assert compared >= 400
+    # one table of K = 1,026, past the sweep
+    dist = _distribution(coefficients(CoherentSpec("linearized", 4, -5, 40.0)))
+    assert dist.p.shape[0] == 1027
+    assert abs(rank_one_residual(dist) - _svd_residual(dist.p)[0]) <= 1e-13 * dist.p.max()
+
+
+def test_rank_one_residual_separates_close_leading_values():
+    # even cats and |50>: sigma2 / sigma1 up to 0.996, still a unique triplet
+    cases = [(_distribution(cat_coefficients(CoherentSpec("nonlinear", m, mu, az), "even")), ratio)
+             for m, mu, az, ratio in ((0, -1, 3.0, 0.964), (4, -5, 1e5, 0.991),
+                                      (6, -7, 1e8, 0.996))]
+    cases.append((_distribution(_fock(50)), 25.0 / 26.0))
+    for dist, ratio in cases:
+        expected, s = _svd_residual(dist.p)
+        assert s[1] / s[0] == pytest.approx(ratio, abs=5e-4)
+        assert abs(rank_one_residual(dist) - expected) <= 1e-13 * dist.p.max()
+
+
+def test_rank_one_residual_refuses_a_tied_leading_value_promptly():
+    # sigma1 = sigma2 exactly: the odd cat's P is bipartite in the parity of
+    # n1, and |5> pairs C(5, 2) with C(5, 3); no best rank-one P is unique
+    for coeffs in (cat_coefficients(CoherentSpec("nonlinear", 4, -5, 1e5), "odd"), _fock(5)):
+        dist = _distribution(coeffs)
+        start = time.process_time()
+        with pytest.raises(NumericalError, match="sigma2/sigma1"):
+            rank_one_residual(dist)
+        assert time.process_time() - start < 0.1
+
+
+def test_rank_one_residual_forms_no_second_table(monkeypatch):
+    # no LAPACK call and no (K+1)^2 array beside P
+    for name in ("svd", "eig", "eigh", "eigvalsh", "qr"):
+        monkeypatch.setattr(np.linalg, name, None)
+    dist = _distribution(coefficients(CoherentSpec("linearized", 4, -5, 40.0)))
+    peak = _traced_peak(lambda: rank_one_residual(dist))
+    assert peak <= 0.1 * dist.p.nbytes  # 0.036 P measured
+    assert rank_one_residual(TwoModeDistribution(np.zeros((3, 3)), 0.0)) == 0.0
+    assert rank_one_residual(TwoModeDistribution(np.array([[0.25]]), 0.25)) == 0.0

@@ -5,11 +5,13 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ratosc import cli
 from ratosc import coherent as co
 from ratosc.cli import _COMMAND_TABLE, _OPTIONS, main
 
@@ -203,6 +205,14 @@ def test_coeffs_and_potential_commands(tmp_path, capsys):
     rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
     weights = [float(r.split(",")[3]) for r in rows]
     assert sum(weights) == pytest.approx(1.0, abs=1e-10)
+    # at complex z each weight is the scalar abs(A_k) ** 2 to the bit (the
+    # array abs of numpy differs from it in the last bit for some entries)
+    code, path = run_cli(["coeffs", "--m", "4", "--mu", "-5", "--z-re", "1e4", "--z-im", "3e3"],
+                         tmp_path, "c.csv")
+    assert code == 0
+    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+    entries = co.coefficients(co.CoherentSpec("nonlinear", 4, -5, 1e4 + 3e3j)).entries
+    assert [float(r.split(",")[3]) for r in rows] == [abs(a) ** 2 for a in entries]
 
     code, path = run_cli(["potential", "--m", "2", "--x-grid=-4:4:9"],
                          tmp_path, "v.csv")
@@ -265,6 +275,68 @@ def test_readme_commands_exit_zero(tmp_path, capsys):
         if args[0] != "selftest":  # selftest writes no file and takes no options
             args = args + ["--output", str(tmp_path / f"{i}-{args[0]}.csv")]
         assert main(args) == 0, args
+    capsys.readouterr()
+
+
+def _row_path_rows(columns) -> list[tuple]:
+    """The table as rows of Python values, the form handlers once returned."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def _row_path_csv_body(columns) -> str:
+    """The CSV body by the row path: rows transposed back to columns, each
+    formatted whole (str(int) where every value is an int, else 17
+    significant digits), and joined again."""
+    def formatted(values):
+        if all(isinstance(v, (int, np.integer)) for v in values):
+            return [str(int(v)) for v in values]
+        return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+
+    rows = _row_path_rows(columns)
+    return "".join(line + "\n" for line in map(",".join, zip(*map(formatted, zip(*rows)))))
+
+
+def test_readme_commands_write_the_bytes_of_the_row_path(tmp_path, monkeypatch, capsys):
+    tables = []
+    write = cli._write_rows
+
+    def spy(config, names, columns, meta):
+        tables.append((names, columns))
+        return write(config, names, columns, meta)
+
+    monkeypatch.setattr(cli, "_write_rows", spy)
+    commands = [args for args in _readme_commands() if args[0] != "selftest"]
+    assert len(commands) >= 13
+    for i, args in enumerate(commands):
+        path = tmp_path / f"{i}-{args[0]}.csv"
+        assert main(args + ["--output", str(path)]) == 0, args
+        names, columns = tables[-1]
+        body = path.read_text().split("\n" + ",".join(names) + "\n", 1)[1]
+        assert body == _row_path_csv_body(columns), args
+    # JSON: every value a float, integer columns too
+    path = tmp_path / "beamsplitter.json"
+    assert main(["beamsplitter", "--m", "4", "--mu", "-5", "--z-re", "1e5",
+                 "--format", "json", "--output", str(path)]) == 0
+    text = path.read_text()
+    rows = _row_path_rows(tables[-1][1])
+    reference = {**json.loads(text), "data": [[float(v) for v in row] for row in rows]}
+    assert text == json.dumps(reference, indent=1) + "\n"
+    capsys.readouterr()
+
+
+def test_beamsplitter_table_is_written_in_row_blocks(tmp_path, capsys):
+    # K = 1,026: P takes 8.4 MB.  Measured 3.5 P: P, the n1 and n2 columns
+    # and one block of formatted rows; rows of Python lists took 52 P
+    tracemalloc.start()
+    try:
+        code, path = run_cli(["beamsplitter", "--variant", "linearized", "--m", "4", "--mu=-5",
+                              "--z-re=40"], tmp_path, "beamsplitter.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "# K = 1026\n" in path.read_text()[:2000]
+    assert peak <= 4.0 * 1027**2 * np.dtype(float).itemsize
     capsys.readouterr()
 
 

@@ -1,7 +1,11 @@
 """The package namespace exports what the library computes with: no
 submodule and no test oracle."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import ratosc
 from ratosc import specfun
@@ -33,3 +37,12 @@ def test_oracles_live_in_specfun_only():
     for name in ORACLES + ("panel_nodes",):
         assert name not in ratosc.__all__ and name not in specfun.__all__, name
         assert callable(getattr(specfun, name)), name
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(ratosc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "ratosc", "--version"], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"ratosc {ratosc.__version__}\n"

@@ -13,7 +13,7 @@ from dataclasses import astuple
 
 import numpy as np
 
-from ratosc.beamsplitter import linear_entropy, split
+from ratosc.beamsplitter import linear_entropy, rank_one_residual, split, two_photon_distribution
 from ratosc.cli import main
 from ratosc.coherent import (
     VARIANTS,
@@ -165,7 +165,9 @@ def test_statistics_entry_points_answer_or_refuse_promptly():
                      "overlap": lambda: overlap(m, mu, az),
                      "overlap_closed_form": lambda: overlap_closed_form(m, mu, az),
                      # split refuses a truncation past MAX_STATE_INDEX
-                     "entropy": lambda: astuple(linear_entropy(split(coefficients(spec))))}
+                     "entropy": lambda: astuple(linear_entropy(split(coefficients(spec)))),
+                     "rank_one": lambda: rank_one_residual(
+                         two_photon_distribution(split(coefficients(spec))))}
             for method in ("closed_form", "direct"):
                 calls[f"energy_{method}"] = lambda method=method: energy_expectation(spec, method)
                 calls[f"moments_{method}"] = lambda method=method: number_moments(spec, method)
@@ -180,6 +182,8 @@ def test_statistics_entry_points_answer_or_refuse_promptly():
                     assert np.all(np.isfinite(value)), (name, spec, value)
                 got[name] = value
 
+            # a coherent state that split accepts has a unique leading triplet
+            assert got["rank_one"] is not None or got["entropy"] is None, spec
             d, d_c = got["overlap"], got["overlap_closed_form"]
             if d is not None and d_c is not None:
                 excess = max(abs(d - d_c) - OVERLAP_FLOOR, 0.0)
